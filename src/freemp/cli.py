@@ -97,7 +97,7 @@ _COMMON = {
 _F_KEY = Key(parse_func, "a function spec poly:c0,c1,... | exp:s | ratshift:p",
              help="test function applied to the eigenvalues")
 _D_KEY = Key(float, "a positive real", default=None,
-             help="contour margin (default: a tenth of the edge gap)")
+             help="contour margin (default: min(L_minus/20, 0.05))")
 _ENTRY_KEY = Key(str, "one of " + "|".join(ENTRY_LAWS), default="gaussian",
                  help="entry distribution of the data matrix")
 _WORKERS_KEY = Key(_int, "a positive integer", default=None,

@@ -1,40 +1,47 @@
-"""Rectangular contour quadrature around the bulk support.
+"""Contour functionals of the limiting law, evaluated in the m-plane.
 
 The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
 0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
-point mass there) outside.  All functionals of the limiting law that the
-fluctuation theory needs are Cauchy integrals over this contour:
+point mass there) outside.  The fluctuation theory needs Cauchy integrals
+over it, and xi = z(m) = -1/m + ratio int t/(1+tm) dpi, the explicit inverse
+of the Stieltjes transform, turns each into an m-plane integral that needs
+no fixed-point solve (Bai & Silverstein, Ann. Probab. 32, 2004):
 
-    F(sigma)       = (1/2 pi i) oint f(xi) m'(xi) sigma / (1 + sigma m(xi)) dxi
-    mean inside    = -(1/2 pi i) oint f(xi) m(xi) dxi
-    clt variance   = ratio * ( E_nu[F^2] - (E_nu F)^2 )
+    F(sigma)     = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi
+                 = (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm
+    mean inside  = -(1/2 pi i) oint f(xi) m(xi) dxi
+                 = -(1/2 pi i) oint f(z(m)) m z'(m) dm
+    clt variance = ratio * ( E_nu[F^2] - (E_nu F)^2 )
 
-Quadrature is Gauss-Legendre per side with adaptive node doubling.  Node
-values of m and m' are solved once per (convolution, contour) pair and cached
-per refinement level, so repeated functional evaluations reuse the transform.
+The m-plane path is the circle on the diameter [m(left), m(right)], the
+images of the rectangle's real crossings: counterclockwise for ratio < 1,
+clockwise around 0 for ratio > 1.  Every singularity of the integrands is
+real, so the circle separates them as the image of the rectangle does and d
+keeps its meaning.  The periodic trapezoid rule on it converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AccuracyWarning, ContourError, DomainError,
                      NearSingularityError)
-from .freeconv import (FreeConvolution, stieltjes_batch,
-                       stieltjes_derivative_batch, support_edges)
+from .freeconv import FreeConvolution, _sums, support_edges
 from .measures import SpectralMeasure, _leggauss
 
 MIN_NODES_PER_SIDE = 16
 DEFAULT_NODES_PER_SIDE = 128
 MAX_NODES_PER_SIDE = 1024
 DEFAULT_D_CAP = 0.05
-SELF_TEST_TOL = 1e-10
 QUAD_RTOL = 1e-10
 QUAD_ATOL = 1e-12
+CIRCLE_NODES = 64
+MAX_CIRCLE_NODES = 1 << 14
+CROSSING_BISECTIONS = 64
 FUNC_RTOL = 1e-9
 FUNC_ATOL = 1e-10
 DENOM_FLOOR = 1e-8
@@ -121,7 +128,6 @@ class RectContour:
             raise DomainError(
                 f"nodes_per_side = {self.nodes_per_side} < {MIN_NODES_PER_SIDE}")
         object.__setattr__(self, "_levels", {})
-        object.__setattr__(self, "_solves", weakref.WeakKeyDictionary())
 
     @property
     def left(self) -> float:
@@ -171,36 +177,10 @@ class RectContour:
         return self._levels[level]
 
 
-def _graded_segment(a: complex, b: complex, pole: complex, n_panel: int = 24):
-    """Composite GL rule on segment a->b with panels graded toward the foot
-    of `pole`; resolves integrands with a singularity arbitrarily close to
-    the segment at fixed cost."""
-    t_star = min(max(((pole - a) / (b - a)).real, 0.0), 1.0)
-    dist = abs(a + (b - a) * t_star - pole)
-    w0 = max(dist / abs(b - a), 1e-12)
-    cuts = {0.0, 1.0, t_star}
-    width, k = w0, 0
-    while (t_star - width > 0.0 or t_star + width < 1.0) and k < 64:
-        if t_star - width > 0.0:
-            cuts.add(t_star - width)
-        if t_star + width < 1.0:
-            cuts.add(t_star + width)
-        width *= 2.0
-        k += 1
-    ts = np.array(sorted(cuts))
-    s, wq = _leggauss(n_panel)
-    xs, ws = [], []
-    for lo, hi in zip(ts[:-1], ts[1:]):
-        za, zb = a + (b - a) * lo, a + (b - a) * hi
-        xs.append(za + (zb - za) * 0.5 * (s + 1.0))
-        ws.append(wq * ((zb - za) * 0.5))
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _construction_self_test(c: RectContour) -> None:
-    # 1. Closure and signed area on the production nodes.  Both integrands
-    #    are per-side affine, so Gauss-Legendre reproduces them exactly; any
-    #    orientation, corner, or weight-scaling bug shows up here.
+    # Closure and signed area on the production nodes.  Both integrands are
+    # per-side affine, so Gauss-Legendre reproduces them exactly; any
+    # orientation, corner, or weight-scaling bug shows up here.
     xi, w = c.nodes(0)
     scale = abs(c.right) + abs(c.left) + c.half_height
     closure = abs(complex((w).sum()))
@@ -211,18 +191,6 @@ def _construction_self_test(c: RectContour) -> None:
     if abs(area - want) > 1e-10 * want:
         raise ContourError(
             f"signed area {area!r} != {want!r}; orientation or weights wrong")
-    # 2. Cauchy integral around the center, on panels graded toward the
-    #    center's feet.  Plain per-side rules cannot resolve a pole this
-    #    close to a long side when d is small; the graded rule always can.
-    tot = 0j
-    cs = c.corners()
-    for a, b in zip(cs, cs[1:] + cs[:1]):
-        gx, gw = _graded_segment(a, b, complex(c.center))
-        tot += (gw / (gx - c.center)).sum()
-    err = abs(tot - 2j * np.pi)
-    if err > SELF_TEST_TOL:
-        raise ContourError(
-            f"Cauchy self-test missed 2 pi i by {err:.3e}")
 
 
 def build_contour(edges, d: float | None = None,
@@ -278,30 +246,96 @@ def contour_integral(c: RectContour, integrand, rtol: float = QUAD_RTOL,
     return cur
 
 
-def _node_values(fc: FreeConvolution, c: RectContour, level: int):
-    """Cached (m, m') on the contour nodes of a refinement level."""
-    table = c._solves.get(fc)
-    if table is None:
-        table = {}
-        c._solves[fc] = table
-    if level not in table:
-        xi, _ = c.nodes(level)
-        m = stieltjes_batch(fc, xi)
-        mp = stieltjes_derivative_batch(fc, xi, m=m)
-        m.flags.writeable = False
-        mp.flags.writeable = False
-        table[level] = (m, mp)
-    return table[level]
-
-
 def _as_measure(nu) -> SpectralMeasure:
     if isinstance(nu, SpectralMeasure):
         return nu
     return nu.as_measure()
 
 
-def _sigma_rule(base: SpectralMeasure):
-    return base.quad_rule(SIGMA_NODES)
+# ---------------------------------------------------------------------------
+# the m-plane circle
+
+def _m_circle(fc: FreeConvolution, c: RectContour):
+    """(center, radius, turn) of the circle on the diameter [m(c.left),
+    m(c.right)], counterclockwise (turn 1) for ratio < 1.  Each crossing is
+    bisected on a bracket of the real branch where z(m) rises through it."""
+    def z(m):
+        return -1.0 / m + fc.ratio * _sums(fc, m).real
+
+    e = support_edges(fc, probes=False)
+    x = np.array([c.left, c.right])
+    lo = np.array([-1.0 / c.left if fc.ratio < 1.0 else
+                   1.0 / (fc.ratio + 1.0 - 1.0 / e.x_minus), -e.x_plus])
+    hi = np.array([-e.x_minus, -1.0 / c.right])
+    if not (np.all(z(lo) < x) and np.all(z(hi) > x)):
+        raise ContourError(f"no m-plane bracket for the real crossings "
+                           f"{c.left!r} and {c.right!r}; the edges are off")
+    for _ in range(CROSSING_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = z(mid) < x
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    a, b = 0.5 * (lo + hi)
+    return 0.5 * (a + b), 0.5 * abs(b - a), (1.0 if a < b else -1.0)
+
+
+def _margin(circle, values) -> float:
+    """Exact min over the circle and values v of |1 + v m|."""
+    center, radius, _ = circle
+    v = np.asarray(values, dtype=float).ravel()
+    return float(np.min(v * np.abs(radius - np.abs(center + 1.0 / v))))
+
+
+def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=(),
+                      real=True):
+    """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c, with
+    S(m) and (if want_t) T(m) = int t^2/(1+tm)^2 dpi from one _sums pass.
+
+    The last axis of weight's result runs over the nodes.  The periodic
+    trapezoid rule doubles its nodes, evaluating only the new ones, until
+    two levels agree.  Each v in clear_of must keep |1 + v m| off zero, and
+    a real result must come out with |Im| below IMAG_TOL.
+    """
+    circle = center, radius, turn = _m_circle(fc, c)
+    margin = _margin(circle, clear_of) if len(clear_of) else np.inf
+    if margin <= DENOM_FLOOR:
+        raise NearSingularityError(
+            f"|1 + v m| fell to {margin:.3e} on the m-plane circle ({what}); "
+            f"the margin d is too small or the edges are off")
+    theta = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
+    total, n, prev, gap = 0.0, 0, None, np.inf
+    while True:
+        u = np.exp(1j * turn * theta)
+        m = center + radius * u
+        S, T = _sums(fc, m, want_t=True) if want_t else (_sums(fc, m), None)
+        vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
+                * (1j * turn * radius * u))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise NearSingularityError(
+                f"{what} integrand is non-finite at m = "
+                f"{m[np.nonzero(bad)[-1][0]]!r}")
+        total = total + vals.sum(axis=-1)
+        n += theta.size
+        cur = 2.0 * np.pi * total / n
+        if prev is not None:
+            gap = float(np.max(np.abs(cur - prev)))
+            if gap <= FUNC_ATOL + FUNC_RTOL * float(np.max(np.abs(cur))):
+                break
+        if 2 * n > MAX_CIRCLE_NODES:
+            warnings.warn(f"{what} not settled at {n} m-plane nodes: last "
+                          f"two levels differ by {gap:.3e}",
+                          AccuracyWarning, stacklevel=3)
+            break
+        prev = cur
+        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    if not real:
+        return cur
+    worst = float(np.max(np.abs(cur.imag)))
+    if worst >= IMAG_TOL:
+        raise ContourError(
+            f"{what} came out non-real (|Im| = {worst:.3e}); the contour or "
+            f"transform values are inconsistent")
+    return cur.real
 
 
 # ---------------------------------------------------------------------------
@@ -312,37 +346,16 @@ def _f_values(fc, c, f, sigmas) -> np.ndarray:
     sig = np.asarray(sigmas, dtype=float).ravel()
     if np.any(sig <= 0.0):
         raise DomainError("sigma values must be positive")
-    prev = None
-    for lvl in range(c.max_level() + 1):
-        xi, w = c.nodes(lvl)
-        m, mp = _node_values(fc, c, lvl)
-        den = 1.0 + np.multiply.outer(sig, m)
-        margin = float(np.abs(den).min())
-        if margin <= DENOM_FLOOR:
-            raise NearSingularityError(
-                f"|1 + sigma m(xi)| fell to {margin:.3e} on the contour; "
-                f"the margin d is too small or the edges are off")
-        base = f(xi) * mp * w
-        F = (base * (sig[:, None] / den)).sum(axis=1) / (2j * np.pi)
-        if prev is not None:
-            gap = float(np.max(np.abs(F - prev)))
-            if gap <= FUNC_ATOL + FUNC_RTOL * float(np.max(np.abs(F))):
-                break
-        prev = F
-    else:
-        warnings.warn("F(sigma) refinement hit the node cap before settling",
-                      AccuracyWarning, stacklevel=2)
-    worst = float(np.max(np.abs(F.imag)))
-    if worst >= IMAG_TOL:
-        raise ContourError(
-            f"F(sigma) came out non-real (|Im| = {worst:.3e}); the contour "
-            f"or transform values are inconsistent")
-    return F.real
+    return _circle_trapezoid(
+        fc, c, f, lambda m, S, T: sig[:, None] / (
+            2j * np.pi * (1.0 + np.multiply.outer(sig, m))),
+        "F(sigma)", clear_of=sig)
 
 
 def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
             contour: RectContour | None = None) -> float:
-    """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi."""
+    """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi,
+    evaluated as (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm."""
     c = default_contour(fc) if contour is None else contour
     f.validate(c)
     return float(_f_values(fc, c, f, np.array([float(sigma)]))[0])
@@ -350,12 +363,9 @@ def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
 
 def denominator_margin(fc: FreeConvolution, sigmas,
                        contour: RectContour | None = None) -> float:
-    """min over contour nodes and sigma of |1 + sigma m(xi)|."""
+    """min over the m-plane circle of the contour and sigma of |1 + sigma m|."""
     c = default_contour(fc) if contour is None else contour
-    sig = np.asarray(sigmas, dtype=float).ravel()
-    m, _ = _node_values(fc, c, 0)
-    den = 1.0 + np.multiply.outer(sig, m)
-    return float(np.abs(den).min())
+    return _margin(_m_circle(fc, c), sigmas)
 
 
 def clt_variance(fc: FreeConvolution, f: TestFunction,
@@ -371,7 +381,7 @@ def clt_variance(fc: FreeConvolution, f: TestFunction,
     f.validate(c)
     base = fc.base if nu is None else _as_measure(nu)
     g0 = fc.ratio if gamma0 is None else float(gamma0)
-    sig, wts = _sigma_rule(base)
+    sig, wts = base.quad_rule(SIGMA_NODES)
     F = _f_values(fc, c, f, sig)
     mean = float((wts * F).sum())
     second = float((wts * F * F).sum())
@@ -383,29 +393,19 @@ def clt_variance(fc: FreeConvolution, f: TestFunction,
 
 def _theorem_terms(fc, c, f, base):
     """The two terms of the fluctuation variance display, transcribed
-    literally (no 2 pi i normalization, no ratio weight); diagnostic only."""
-    tloc, twts = _sigma_rule(base)
-    prev = None
-    for lvl in range(c.max_level() + 1):
-        xi, w = c.nodes(lvl)
-        m, mp = _node_values(fc, c, lvl)
-        fb = f(xi) * mp * w
-        den = 1.0 + np.multiply.outer(tloc, m)
-        margin = float(np.abs(den).min())
-        if margin <= DENOM_FLOOR:
-            raise NearSingularityError(
-                f"|1 + t m(xi)| fell to {margin:.3e} on the contour")
-        A = (fb / den).sum(axis=1)
-        double_term = complex(-(twts * tloc * A * A).sum() / (4.0 * np.pi ** 2))
-        single = complex((fb * (xi + 1.0 / m)).sum())
-        cur = (double_term, single * single)
-        if prev is not None and abs(cur[0] + cur[1] - prev[0] - prev[1]) <= \
-                FUNC_ATOL + FUNC_RTOL * abs(cur[0] + cur[1]):
-            return cur
-        prev = cur
-    warnings.warn("theorem-term refinement hit the node cap before settling",
-                  AccuracyWarning, stacklevel=2)
-    return cur
+    literally (no 2 pi i normalization, no ratio weight); diagnostic only.
+
+    In the m-plane A(t) = oint f(z(m))/(1 + tm) dm and the single integral
+    is oint f(z(m)) ratio S(m) dm.
+    """
+    tloc, twts = base.quad_rule(SIGMA_NODES)
+    vals = _circle_trapezoid(
+        fc, c, f, lambda m, S, T: np.vstack(
+            [1.0 / (1.0 + np.multiply.outer(tloc, m)), fc.ratio * S]),
+        "theorem terms", clear_of=tloc, real=False)
+    A, single = vals[:-1], vals[-1]
+    double_term = complex(-(twts * tloc * A * A).sum() / (4.0 * np.pi ** 2))
+    return double_term, complex(single * single)
 
 
 def theorem_variance(fc: FreeConvolution, f: TestFunction,
@@ -423,24 +423,14 @@ def theorem_variance(fc: FreeConvolution, f: TestFunction,
 def mean_statistic(fc: FreeConvolution, f: TestFunction,
                    contour: RectContour | None = None) -> float:
     """integral of f against the part of the limiting law inside the contour:
-    -(1/2 pi i) oint f(xi) m(xi) dxi.  For f = 1 this is the mass of the
+    -(1/2 pi i) oint f(xi) m(xi) dxi = -(1/2 pi i) oint f(z(m)) m z'(m) dm
+    with z'(m) = 1/m^2 - ratio T(m).  For f = 1 this is the mass of the
     absolutely continuous part, 1 - (1 - ratio)^+."""
     c = default_contour(fc) if contour is None else contour
     f.validate(c)
-    prev = None
-    for lvl in range(c.max_level() + 1):
-        xi, w = c.nodes(lvl)
-        m, _ = _node_values(fc, c, lvl)
-        cur = complex(-(f(xi) * m * w).sum() / (2j * np.pi))
-        if prev is not None and abs(cur - prev) <= FUNC_ATOL + FUNC_RTOL * abs(cur):
-            break
-        prev = cur
-    else:
-        warnings.warn("mean refinement hit the node cap before settling",
-                      AccuracyWarning, stacklevel=2)
-    if abs(cur.imag) >= IMAG_TOL:
-        raise ContourError(f"mean came out non-real: {cur!r}")
-    return cur.real
+    return float(_circle_trapezoid(
+        fc, c, f, lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
+        "mean", want_t=True))
 
 
 def variance_report(fc: FreeConvolution, f: TestFunction,

@@ -1,17 +1,27 @@
-"""Closed-form oracles the test suite checks implementations against.
+"""Reference computations the test suite checks implementations against.
 
-Everything here is derived by hand from the defining self-consistent equation
-specialized to a one-atom base measure at 1 (the Marchenko-Pastur case), where
-1/m = -z + r/(1+m) collapses to the quadratic
+The closed forms are derived by hand from the defining self-consistent
+equation specialized to a one-atom base measure at 1 (the Marchenko-Pastur
+case), where 1/m = -z + r/(1+m) collapses to the quadratic
 
     z m^2 + (z + 1 - r) m + 1 = 0.
 
 Edges are the zeros of the discriminant z^2 - 2 z (1 + r) + (1 - r)^2, i.e.
 (1 -+ sqrt(r))^2, and the density follows from the imaginary part of the
 upper-half-plane root on the cut.
+
+The rectangle quadrature is the paper's own route to the contour
+functionals: Stieltjes solves on the Gauss-Legendre nodes of a RectContour,
+refined level by level.  It shares no code with the m-plane evaluation in
+freemp.contour beyond the contour geometry.
 """
 
 import numpy as np
+
+from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
+
+RECT_RTOL = 1e-9
+RECT_ATOL = 1e-10
 
 
 def mp_edges(r: float) -> tuple[float, float]:
@@ -79,3 +89,29 @@ def kolmogorov_sf(lam: float) -> float:
     for k in range(1, 200):
         total += (-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2)
     return float(min(1.0, max(0.0, 2.0 * total)))
+
+
+def rectangle_f_sigma(fc, f, sigmas, contour) -> np.ndarray:
+    """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi on
+    the rectangle's nodes, refined until two levels agree."""
+    sig = np.asarray(sigmas, dtype=float).ravel()
+    prev = None
+    for level in range(contour.max_level() + 1):
+        xi, w = contour.nodes(level)
+        m = stieltjes_batch(fc, xi)
+        mp = stieltjes_derivative_batch(fc, xi, m=m)
+        F = (f(xi) * mp * w * sig[:, None]
+             / (1.0 + np.multiply.outer(sig, m))).sum(axis=1) / (2j * np.pi)
+        if prev is not None and np.max(np.abs(F - prev)) <= \
+                RECT_ATOL + RECT_RTOL * np.max(np.abs(F)):
+            break
+        prev = F
+    return F
+
+
+def rectangle_clt_variance(fc, f, contour, sigma_nodes: int = 128) -> float:
+    """ratio * Var_pi F(sigma) with F from rectangle_f_sigma."""
+    sig, wts = fc.base.quad_rule(sigma_nodes)
+    F = rectangle_f_sigma(fc, f, sig, contour).real
+    mean = float((wts * F).sum())
+    return fc.ratio * (float((wts * F * F).sum()) - mean * mean)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
+from freemp import contour
 from freemp.contour import (Exponential, Polynomial, RationalShift,
                             RectContour, build_contour, clt_variance,
                             contour_integral, default_contour,
                             denominator_margin, f_sigma, mean_statistic,
-                            theorem_variance, variance_report, _node_values,
-                            _theorem_terms)
-from freemp.errors import ContourError, DomainError
-from freemp.freeconv import density_batch, support_edges
+                            theorem_variance, variance_report,
+                            _m_circle, _theorem_terms)
+from freemp.errors import (AccuracyWarning, ContourError, DomainError,
+                           NearSingularityError)
+from freemp.freeconv import FreeConvolution, density_batch, support_edges
+from freemp.grammar import parse_law
 from freemp.measures import integrate
+
+from oracles import rectangle_clt_variance, rectangle_f_sigma
 
 ONE = Polynomial((1.0,))
 LIN = Polynomial((0.0, 1.0))
@@ -38,7 +44,7 @@ class TestConstruction:
 
     def test_self_test_passes_on_thin_default(self, fc_uniform):
         # L_minus ~ 0.06 forces a sliver rectangle; construction still
-        # certifies the Cauchy integral to 1e-10
+        # certifies its closure and signed area
         c = default_contour(fc_uniform)
         assert c.d < 0.004
         assert default_contour(fc_uniform) is c   # cached per instance
@@ -116,12 +122,6 @@ class TestFSigma:
         with pytest.raises(DomainError):
             f_sigma(mp_quarter, LIN, -0.5)
 
-    def test_node_values_cached(self, mp_quarter, c_mpq):
-        f_sigma(mp_quarter, LIN, 0.9, contour=c_mpq)
-        first = _node_values(mp_quarter, c_mpq, 0)
-        f_sigma(mp_quarter, SQ, 0.7, contour=c_mpq)
-        assert _node_values(mp_quarter, c_mpq, 0) is first
-
 
 class TestCltVariance:
     def test_linear_f_closed_form(self, fc_uniform):
@@ -154,6 +154,77 @@ class TestCltVariance:
         for fc in (fc_uniform, mp_quarter):
             for f in (ONE, LIN, SQ, Exponential(0.3), RationalShift(-5.0)):
                 assert clt_variance(fc, f) >= 0.0
+
+
+class TestRectangleOracle:
+    """The m-plane circle against Stieltjes solves on the rectangle."""
+
+    SIGMAS = (0.37, 0.6, 1.0, 1.5, 3.0)   # the population is the atom at 1
+
+    @pytest.mark.parametrize("f", [ONE, LIN, SQ, Exponential(0.5),
+                                   RationalShift(-5.0)])
+    def test_f_sigma_mp_quarter(self, mp_quarter, c_mpq, f):
+        want = rectangle_f_sigma(mp_quarter, f, self.SIGMAS, c_mpq)
+        got = [f_sigma(mp_quarter, f, s, contour=c_mpq) for s in self.SIGMAS]
+        assert np.max(np.abs(want.imag)) < 1e-12
+        assert np.max(np.abs(np.array(got) - want.real)) < 1e-10
+
+    def test_margin_moves_winding(self, mp_quarter, c_mpq):
+        # -1/0.37 lies inside the image of the d = 0.02 rectangle but outside
+        # that of the default d = 0.0125 one, and the circle follows suit
+        assert abs(f_sigma(mp_quarter, ONE, 0.37, contour=c_mpq) - 1.0) < 1e-10
+        assert abs(f_sigma(mp_quarter, ONE, 0.37)) < 1e-10
+
+    @pytest.mark.parametrize("law, ratio", [("uniform:0.5,1", 0.5),
+                                            ("linear:0.2,1,1", 2.0)])
+    def test_near_edge_pole_variance(self, law, ratio):
+        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        c = default_contour(fc)
+        # 0.05 beyond the bound RationalShift.validate enforces
+        f = RationalShift(c.L_plus + 4.0 * c.d + 0.05)
+        want = rectangle_clt_variance(fc, f, c)
+        got = clt_variance(fc, f, contour=c)
+        assert want > 1e-2
+        assert abs(got - want) < 1e-10 * want
+
+
+def _moments(law: str):
+    """E[t^k], k = 0..4, by scipy quadrature of the population density."""
+    pop = parse_law(law)
+    return [sp_integrate.quad(lambda t: t ** k * float(pop.density(t)),
+                              pop.lo, pop.hi, epsabs=0.0,
+                              epsrel=1e-13)[0] for k in range(5)]
+
+
+class TestClosedFormsAcrossRatios:
+    """F(sigma; x) = sigma and F(sigma; x^2) = sigma^2 + 2 ratio E[t] sigma
+    + const hold for every ratio, as do mean(x^2) = ratio E[t^2] +
+    ratio^2 E[t]^2 and mean(1) = min(ratio, 1)."""
+
+    CASES = [("uniform:0.5,1", 0.25), ("uniform:0.5,1", 4.0),
+             ("linear:0.2,1,1", 2.0)]
+
+    @pytest.mark.parametrize("law, ratio", CASES)
+    def test_variances_and_means(self, law, ratio):
+        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        _, e1, e2, e3, e4 = _moments(law)
+        c = 2.0 * ratio * e1
+        var_x = e2 - e1 * e1
+        var_x2 = (e4 - e2 * e2) + 2.0 * c * (e3 - e2 * e1) + c * c * var_x
+        want = {
+            "V(x)": ratio * var_x,
+            "V(x^2)": ratio * var_x2,
+            "mean(x^2)": ratio * e2 + ratio * ratio * e1 * e1,
+            "mean(1)": min(ratio, 1.0),
+        }
+        got = {
+            "V(x)": clt_variance(fc, LIN),
+            "V(x^2)": clt_variance(fc, SQ),
+            "mean(x^2)": mean_statistic(fc, SQ),
+            "mean(1)": mean_statistic(fc, ONE),
+        }
+        for key, value in want.items():
+            assert abs(got[key] - value) < 1e-10 * max(1.0, abs(value)), key
 
 
 class TestTheoremDiagnostic:
@@ -207,6 +278,17 @@ class TestDenominatorSafety:
     def test_margin_exceeds_floor(self, mp_quarter, fc_uniform):
         assert denominator_margin(mp_quarter, [1.0]) > 1e-4
         assert denominator_margin(fc_uniform, [0.5, 1.0]) > 1e-4
+
+    def test_sigma_on_the_circle_rejected(self, mp_quarter, c_mpq):
+        center, radius, _ = _m_circle(mp_quarter, c_mpq)
+        sigma = -1.0 / (center + radius)      # -1/sigma = m(c_mpq.right)
+        with pytest.raises(NearSingularityError):
+            f_sigma(mp_quarter, LIN, sigma, contour=c_mpq)
+
+    def test_unsettled_refinement_warns(self, fc_uniform, monkeypatch):
+        monkeypatch.setattr(contour, "MAX_CIRCLE_NODES", contour.CIRCLE_NODES)
+        with pytest.warns(AccuracyWarning, match="not settled"):
+            clt_variance(fc_uniform, SQ)
 
 
 class TestFunctionValidation:
