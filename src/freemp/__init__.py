@@ -16,10 +16,10 @@ from .errors import (AccuracyWarning, ContourError, ConvergenceError,
                      DomainError, EdgeBracketError, EdgeProbeError,
                      FreempError, NearSingularityError, PsdViolationError,
                      ReplicateError, SingularDerivativeError)
-from .freeconv import (FreeConvolution, SolverParams, SupportEdges,
-                       atom_at_zero, density, density_batch, stieltjes,
-                       stieltjes_batch, stieltjes_derivative,
-                       stieltjes_derivative_batch, support_edges)
+from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
+                       density_batch, stieltjes, stieltjes_batch,
+                       stieltjes_derivative, stieltjes_derivative_batch,
+                       support_edges)
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import (LinearLaw, PointLaw, PopulationLaw, SpectralMeasure,
                        UniformLaw, empirical_measure, sample_population)

@@ -9,9 +9,12 @@ with Im m > 0 for Im z > 0.  The convolution equals (1 - r)^+ delta_0 plus an
 absolutely continuous part supported on [L_minus, L_plus]; the edges come from
 the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r.
 
-The solver is a damped fixed-point iteration with continuation in Im z for
-points near the real axis, batched over arrays of z; a few Newton steps on the
-defining equation finish each solve so residuals land near machine precision.
+The solver is Newton's method on the defining equation, batched over arrays
+of z.  A point without a usable warm start is reached by per-point
+continuation in Im z from a height where -1/z is a good start, with the step
+ratio adapted to how Newton fares at each step (Dobriban, arXiv:1507.01649;
+Ledoit & Wolf's QuEST).  Two final Newton steps land residuals near machine
+precision.
 """
 
 import warnings
@@ -25,8 +28,11 @@ from .errors import (AccuracyWarning, ConvergenceError, DomainError,
 from .measures import SpectralMeasure
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
-CONTINUATION_BELOW = 0.1      # |Im z| below this engages the eta ladder
-LADDER_FLOOR = 1e-9
+RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
+POLISH_TOL = 1e-14            # target of the two final Newton steps
+NEWTON_ITERS = 12             # Newton iterations per solve attempt
+FIRST_STEP_RATIO = 0.1        # first eta step of a continuation
+MAX_STEP_RATIO = 0.99         # a step ratio rejected up to this stalls
 AC_QUAD_NODES = 256           # fixed rule for solver-side integrals
 EDGE_QUAD_NODES = 512         # fixed rule for edge-side integrals
 EDGE_BISECT_XTOL = 1e-12
@@ -36,15 +42,6 @@ DENSITY_CLAMP = 1e-8
 DENSITY_DISAGREE = 1e-4
 DERIV_SINGULAR_TOL = 1e-14
 _CHUNK_ELEMS = 4_000_000
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    residual_tol: float = 1e-12
-    max_iter: int = 10_000
-    damping: float = 0.5
-    damping_floor: float = 1.0 / 64.0
-    continuation_start_eta: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,6 @@ class FreeConvolution:
 
     base: SpectralMeasure
     ratio: float
-    solver: SolverParams = SolverParams()
 
     def __post_init__(self):
         if not (self.ratio > 0.0) or not np.isfinite(self.ratio):
@@ -110,33 +106,6 @@ def _residual(fc: FreeConvolution, m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(1.0 / m + z - fc.ratio * _sums(fc, m))
 
 
-def _picard(fc, z, m, tol, iters):
-    """Damped fixed-point sweep; returns (m, residual) without raising."""
-    p = fc.solver
-    alpha = np.full(z.shape, p.damping)
-    g = 1.0 / (-z + fc.ratio * _sums(fc, m))
-    res = np.abs(1.0 / m - 1.0 / g)
-    for _ in range(iters):
-        active = res > tol
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        ma, za, aa = m[idx], z[idx], alpha[idx]
-        cand = (1.0 - aa) * ma + aa * g[idx]
-        ok = np.isfinite(cand.real) & np.isfinite(cand.imag) & (cand != 0)
-        gc = np.empty_like(cand)
-        gc[ok] = 1.0 / (-za[ok] + fc.ratio * _sums(fc, cand[ok]))
-        cres = np.full(cand.shape, np.inf)
-        cres[ok] = np.abs(1.0 / cand[ok] - 1.0 / gc[ok])
-        worse = cres > res[idx]
-        at_floor = aa <= p.damping_floor * (1.0 + 1e-12)
-        take = ok & (~worse | at_floor)
-        sel = idx[take]
-        m[sel], g[sel], res[sel] = cand[take], gc[take], cres[take]
-        alpha[idx] = np.where(worse, np.maximum(aa * 0.5, p.damping_floor), aa)
-    return m, res
-
-
 def _newton(fc, z, m, tol, iters):
     """Newton steps on 1/m + z - r S(m); only residual-decreasing steps taken."""
     res = _residual(fc, m, z)
@@ -170,22 +139,47 @@ def _newton(fc, z, m, tol, iters):
     return m, res
 
 
-def _refine(fc, z, m, tol, picard_iters, strict):
-    # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
-    # of order |z| eps, so the target is relative to max(1, |z|).
-    scale = np.maximum(1.0, np.abs(z))
-    tol_z = tol * scale
-    m, res = _picard(fc, z, m, tol_z, picard_iters)
-    if (res > tol_z).any():
-        m, res = _newton(fc, z, m, tol_z, iters=12)
-    else:
-        m, res = _newton(fc, z, m, np.minimum(tol_z, 1e-14 * scale), iters=2)
-    if strict and (res > tol_z).any():
-        raise ConvergenceError(
-            f"stieltjes solve stalled at residual {float(res.max()):.3e} "
-            f"(worst z = {z[int(np.argmax(res))]!r})",
-            residual=float(res.max()))
-    return m
+def _solved(z, m, res, tol):
+    """Residual on target and m in the half plane of z (any sign for real z)."""
+    return (res <= tol) & ((z.imag == 0.0) | (m.imag * z.imag > 0.0))
+
+
+def _continuation(fc, z, tol):
+    """Per-point Newton continuation in eta = |Im| down to the target.
+
+    Each point starts at eta = max(|Im z|, 2(1 + ratio)), where -1/z is a
+    good Newton start: the support lies below (1 + sqrt(ratio))^2 <= 2(1 +
+    ratio).  Every point steps eta down by its own ratio, squared after an
+    accepted step and square-rooted after a rejected one; a step that would
+    pass the target lands on it (for real z once it drops below the
+    resolution of z).
+    """
+    x, a = z.real, np.abs(z.imag)
+    side = np.where(z.imag >= 0.0, 1.0, -1.0)
+    floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
+    eta = np.maximum(a, 2.0 * (1.0 + fc.ratio))
+    zeta = x + 1j * side * eta
+    m, res = _newton(fc, zeta, -1.0 / zeta, tol, NEWTON_ITERS)
+    bad = ~_solved(zeta, m, res, tol)
+    q = np.full(z.shape, FIRST_STEP_RATIO)
+    while True:
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ConvergenceError(
+                f"stieltjes continuation stalled at z = {complex(z[k])!r}: "
+                f"eta reached {float(eta[k]):.3e}, residual "
+                f"{float(res[k]):.3e}", residual=float(res[k]))
+        idx = np.flatnonzero(eta > a)
+        if idx.size == 0:
+            return m
+        nxt = eta[idx] * q[idx]
+        nxt = np.where(nxt <= floor[idx], a[idx], nxt)
+        zt = x[idx] + 1j * side[idx] * nxt
+        mt, rt = _newton(fc, zt, m[idx].copy(), tol[idx], NEWTON_ITERS)
+        ok = _solved(zt, mt, rt, tol[idx])
+        eta[idx[ok]], m[idx[ok]], res[idx] = nxt[ok], mt[ok], rt
+        q[idx] = np.where(ok, q[idx] ** 2, np.sqrt(q[idx]))
+        bad[idx] = q[idx] > MAX_STEP_RATIO
 
 
 def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
@@ -203,56 +197,54 @@ def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
 def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
     """Vectorized Stieltjes transform over an array of evaluation points.
 
-    Points with |Im z| below CONTINUATION_BELOW are reached by a geometric
-    continuation ladder in the imaginary direction (sign-matched, so both
-    half planes solve natively); real points finish with Newton iterations on
-    the real-axis equation after the usual edge-distance guard.  An optional
-    m0 warm start skips the ladder.
+    With a warm start m0, each point first tries Newton at its own z.  A
+    point without m0, or whose warm Newton misses the residual tolerance or
+    lands in the wrong half plane, is reached by Newton continuation in the
+    imaginary direction (see _continuation; sign-matched, so both half
+    planes solve natively).  Every complex point then takes two polishing
+    Newton steps toward 1e-14 max(1, |z|).  Real z must clear the support
+    by the edge-distance guard and finish with Newton on the real-axis
+    equation.  ConvergenceError names the z and the eta where a
+    continuation stalled.
     """
-    p = fc.solver
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
-    out = np.empty(z.shape, dtype=complex)
     is_real = z.imag == 0.0
     if is_real.any():
         _real_axis_guard(fc, z.real[is_real])
+    # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
+    # of order |z| eps, so the targets are relative to max(1, |z|).
+    scale = np.maximum(1.0, np.abs(z))
+    tol = RESIDUAL_TOL * scale
 
-    side = np.where(z.imag >= 0.0, 1.0, -1.0)
-    a = np.abs(z.imag)
-    if m0 is not None:
+    if m0 is None:
+        m = _continuation(fc, z, tol)
+    else:
         m = np.asarray(m0, dtype=complex).ravel().copy()
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
-        m[bad] = -1.0 / np.where(z[bad] == 0, 1.0, z[bad])
-    else:
-        eta0 = p.continuation_start_eta
-        start = z + 1j * side * np.where(a < CONTINUATION_BELOW, eta0, 0.0)
-        m = -1.0 / start
-        eta = eta0
-        loose = max(p.residual_tol, 1e-10)
-        while eta > LADDER_FLOOR:
-            sel = (a < CONTINUATION_BELOW) & (eta > 0.5 * a)
-            if sel.any():
-                zs = z[sel] + 1j * side[sel] * eta
-                ms, _ = _picard(fc, zs, m[sel], loose, iters=min(p.max_iter, 2000))
-                ms, _ = _newton(fc, zs, ms, loose, iters=2)
-                m[sel] = ms
-            eta *= 0.5
+        m[bad] = -1.0 / z[bad]
+        m, res = _newton(fc, z, m, tol, NEWTON_ITERS)
+        cold = ~_solved(z, m, res, tol)
+        if cold.any():
+            m[cold] = _continuation(fc, z[cold], tol[cold])
 
     cplx = ~is_real
     if cplx.any():
-        m[cplx] = _refine(fc, z[cplx], m[cplx], p.residual_tol,
-                          picard_iters=min(p.max_iter, 2000), strict=True)
-        upper = cplx & (z.imag > 0)
-        if np.any(m.imag[upper] <= 0.0):
+        zc = z[cplx]
+        mc, res = _newton(fc, zc, m[cplx], POLISH_TOL * scale[cplx], iters=2)
+        if (res > tol[cplx]).any():
+            raise ConvergenceError(
+                f"stieltjes solve stalled at residual {float(res.max()):.3e} "
+                f"(worst z = {zc[int(np.argmax(res))]!r})",
+                residual=float(res.max()))
+        if np.any(mc.imag[zc.imag > 0] <= 0.0):
             raise ConvergenceError("solution left the upper half plane")
-        lower = cplx & (z.imag < 0)
-        if np.any(m.imag[lower] >= 0.0):
+        if np.any(mc.imag[zc.imag < 0] >= 0.0):
             raise ConvergenceError("solution left the lower half plane")
+        m[cplx] = mc
     if is_real.any():
-        xr = z.real[is_real]
-        mr = _newton_real(fc, xr, m.real[is_real], p.residual_tol)
-        m[is_real] = mr
-    out[:] = m
-    return out
+        m[is_real] = _newton_real(fc, z.real[is_real], m.real[is_real],
+                                  RESIDUAL_TOL)
+    return m
 
 
 def _newton_real(fc, x, m, tol, iters=80):

@@ -53,7 +53,6 @@ class GateTolerances:
     ks_pvalue_min: float = 0.01
     mean_band: float = 3.0
     local_law_ratio: float = 10.0
-    edge_frequency: float = 0.99
     rate_slope_lo: float = -0.65
     rate_slope_hi: float = -0.35
 
@@ -360,13 +359,7 @@ def _rate_replicate(task):
     seed, M, N, nu, xi, m_pop = task
     rng = np.random.default_rng(seed)
     sigma = sample_population(nu, M, rng)
-    fc = hat_fc(sigma, M, N)
-    try:
-        m_hat = stieltjes_batch(fc, xi, m0=m_pop)
-    except FreempError:
-        # warm start can misfire when a node sits close to a fluctuating
-        # hat edge; the cold solve carries its own continuation
-        m_hat = stieltjes_batch(fc, xi)
+    m_hat = stieltjes_batch(hat_fc(sigma, M, N), xi, m0=m_pop)
     return float(np.abs(m_hat - m_pop).max())
 
 

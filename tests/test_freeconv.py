@@ -42,6 +42,20 @@ class TestStieltjesMarchenkoPastur:
         assert got.imag == 0.0
         assert abs(got - want) < 1e-10
 
+    @pytest.mark.parametrize("r", [0.25, 4.0])
+    @pytest.mark.parametrize("eta", [1e-6, -1e-6, 1e-9, -1e-9])
+    def test_deep_continuation(self, dirac_one, r, eta):
+        # the continuation runs from eta = 2(1 + r) down to the target, inside
+        # the bulk and just outside either edge
+        fc = FreeConvolution(dirac_one, r)
+        lo, hi = mp_edges(r)
+        xs = np.concatenate([np.linspace(lo + 1e-3, hi - 1e-3, 60),
+                             [0.5 * lo, lo - 1e-2, hi + 1e-2, 2.0 * hi]])
+        zs = xs + 1j * eta
+        got = stieltjes_batch(fc, zs)
+        want = np.array([mp_stieltjes(z, r) for z in zs])
+        assert np.max(np.abs(got - want)) < 1e-10
+
     def test_far_field_decay(self, mp_four):
         z = 1e6 + 1j
         assert abs(stieltjes(mp_four, z) - (-1.0 / z)) < 1e-5
@@ -76,10 +90,15 @@ class TestSelfConsistency:
         res = np.array([contract_residual(fc, m, z) for m, z in zip(ms, zs)])
         assert res.max() < 1e-12
 
-    def test_warm_start_agrees_with_cold(self, fc_uniform, rng):
+    # a warm start that converges to the wrong half plane (conj, negated)
+    # or misses the tolerance falls back to the cold continuation per point
+    @pytest.mark.parametrize("perturb", [lambda m: m * (1.0 + 1e-3), np.conj,
+                                         np.negative, lambda m: 10.0 * m],
+                             ids=["near", "conj", "neg", "scaled"])
+    def test_warm_start_agrees_with_cold(self, fc_uniform, rng, perturb):
         zs = random_z(rng, 30, eta_lo=5e-3, eta_hi=1.0)
         cold = stieltjes_batch(fc_uniform, zs)
-        warm = stieltjes_batch(fc_uniform, zs, m0=cold * (1.0 + 1e-3))
+        warm = stieltjes_batch(fc_uniform, zs, m0=perturb(cold))
         assert np.max(np.abs(warm - cold)) < 1e-10
 
 
