@@ -10,8 +10,7 @@ Carlo simulation.
 from .contour import (Exponential, Polynomial, RationalShift, RectContour,
                       TestFunction, build_contour, clt_variance,
                       contour_integral, default_contour, denominator_margin,
-                      f_sigma, mean_statistic, theorem_variance,
-                      variance_report)
+                      f_sigma, mean_statistic)
 from .errors import (AccuracyWarning, ContourError, ConvergenceError,
                      DomainError, EdgeBracketError, EdgeProbeError,
                      FreempError, NearSingularityError, PsdViolationError,

@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import build_contour, clt_variance, default_contour, \
-    theorem_variance
+from .contour import build_contour, clt_variance, default_contour
 from .errors import FreempError
 from .freeconv import FreeConvolution, density_batch, support_edges
 from .grammar import format_func, format_law, parse_func, parse_law
@@ -279,9 +278,7 @@ def _cmd_density(cfg: CliConfig) -> int:
     resolved["xmin"] = float(edges.L_minus if p["xmin"] is None else p["xmin"])
     resolved["xmax"] = float(edges.L_plus if p["xmax"] is None else p["xmax"])
     grid = np.linspace(resolved["xmin"], resolved["xmax"], p["points"])
-    # endpoint evaluations sit on the support edges where the extrapolation
-    # is least accurate; the artifact wants values, not warnings
-    rho = density_batch(fc, grid, warn=False)
+    rho = density_batch(fc, grid)
     rows = (f"{float(x)!r},{float(r)!r}" for x, r in zip(grid, rho))
     _write(cfg.output, "density.csv",
            _csv_artifact(_echo(resolved), "x,rho", rows))
@@ -306,12 +303,10 @@ def _cmd_variance(cfg: CliConfig) -> int:
     else:
         contour = build_contour(support_edges(fc), d=p["d"])
     v = clt_variance(fc, p["f"], contour=contour)
-    display = theorem_variance(fc, p["f"], contour=contour)
     resolved = dict(p)
     resolved["d"] = contour.d
     body = {
         "V_derivation": v,
-        "V_theorem_display": {"real": display.real, "imag": display.imag},
         "contour_params": {"d": contour.d, "L_minus": contour.L_minus,
                            "L_plus": contour.L_plus,
                            "nodes_per_side": contour.nodes_per_side},

@@ -285,15 +285,14 @@ def _margin(circle, values) -> float:
     return float(np.min(v * np.abs(radius - np.abs(center + 1.0 / v))))
 
 
-def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=(),
-                      real=True):
+def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c, with
     S(m) and (if want_t) T(m) = int t^2/(1+tm)^2 dpi from one _sums pass.
 
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
     two levels agree.  Each v in clear_of must keep |1 + v m| off zero, and
-    a real result must come out with |Im| below IMAG_TOL.
+    the result must come out real, with |Im| below IMAG_TOL.
     """
     circle = center, radius, turn = _m_circle(fc, c)
     margin = _margin(circle, clear_of) if len(clear_of) else np.inf
@@ -328,8 +327,6 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=(),
             break
         prev = cur
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    if not real:
-        return cur
     worst = float(np.max(np.abs(cur.imag)))
     if worst >= IMAG_TOL:
         raise ContourError(
@@ -391,35 +388,6 @@ def clt_variance(fc: FreeConvolution, f: TestFunction,
     return max(v, 0.0)
 
 
-def _theorem_terms(fc, c, f, base):
-    """The two terms of the fluctuation variance display, transcribed
-    literally (no 2 pi i normalization, no ratio weight); diagnostic only.
-
-    In the m-plane A(t) = oint f(z(m))/(1 + tm) dm and the single integral
-    is oint f(z(m)) ratio S(m) dm.
-    """
-    tloc, twts = base.quad_rule(SIGMA_NODES)
-    vals = _circle_trapezoid(
-        fc, c, f, lambda m, S, T: np.vstack(
-            [1.0 / (1.0 + np.multiply.outer(tloc, m)), fc.ratio * S]),
-        "theorem terms", clear_of=tloc, real=False)
-    A, single = vals[:-1], vals[-1]
-    double_term = complex(-(twts * tloc * A * A).sum() / (4.0 * np.pi ** 2))
-    return double_term, complex(single * single)
-
-
-def theorem_variance(fc: FreeConvolution, f: TestFunction,
-                     contour: RectContour | None = None, nu=None) -> complex:
-    """Literal two-term variance display: double contour-integral term plus
-    squared single integral, returned unnormalized as a complex diagnostic.
-    The operational variance is clt_variance; see variance_report."""
-    c = default_contour(fc) if contour is None else contour
-    f.validate(c)
-    base = fc.base if nu is None else _as_measure(nu)
-    t1, t2 = _theorem_terms(fc, c, f, base)
-    return t1 + t2
-
-
 def mean_statistic(fc: FreeConvolution, f: TestFunction,
                    contour: RectContour | None = None) -> float:
     """integral of f against the part of the limiting law inside the contour:
@@ -432,21 +400,3 @@ def mean_statistic(fc: FreeConvolution, f: TestFunction,
         fc, c, f, lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
         "mean", want_t=True))
 
-
-def variance_report(fc: FreeConvolution, f: TestFunction,
-                    contour: RectContour | None = None, nu=None,
-                    gamma0: float | None = None) -> str:
-    """Key-value text block comparing the operational variance with the
-    literal two-term display."""
-    c = default_contour(fc) if contour is None else contour
-    f.validate(c)
-    base = fc.base if nu is None else _as_measure(nu)
-    v = clt_variance(fc, f, contour=c, nu=base, gamma0=gamma0)
-    t1, t2 = _theorem_terms(fc, c, f, base)
-    lines = [
-        f"clt_variance = {v!r}",
-        f"theorem_double_term = {t1!r}",
-        f"theorem_squared_term = {t2!r}",
-        f"theorem_total = {t1 + t2!r}",
-    ]
-    return "\n".join(lines)

@@ -14,17 +14,18 @@ of z.  A point without a usable warm start is reached by per-point
 continuation in Im z from a height where -1/z is a good start, with the step
 ratio adapted to how Newton fares at each step (Dobriban, arXiv:1507.01649;
 Ledoit & Wolf's QuEST).  Two final Newton steps land residuals near machine
-precision.
+precision.  The same continuation lands on eta = 0 for real z: outside the
+support it gives the real value of m, and inside it the boundary value
+m(x + i0), whose |Im m| / pi is the density.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (AccuracyWarning, ConvergenceError, DomainError,
-                     EdgeBracketError, EdgeProbeError, SingularDerivativeError)
+from .errors import (ConvergenceError, DomainError, EdgeBracketError,
+                     EdgeProbeError, SingularDerivativeError)
 from .measures import SpectralMeasure
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
@@ -37,9 +38,6 @@ AC_QUAD_NODES = 256           # fixed rule for solver-side integrals
 EDGE_QUAD_NODES = 512         # fixed rule for edge-side integrals
 EDGE_BISECT_XTOL = 1e-12
 EDGE_EXPAND_CAP = 60
-DENSITY_ETA = 1e-3            # top of the Richardson ladder (halved twice)
-DENSITY_CLAMP = 1e-8
-DENSITY_DISAGREE = 1e-4
 DERIV_SINGULAR_TOL = 1e-14
 _CHUNK_ELEMS = 4_000_000
 
@@ -194,28 +192,19 @@ def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
             f"[{e.L_minus}, {e.L_plus}]")
 
 
-def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
-    """Vectorized Stieltjes transform over an array of evaluation points.
+def _solve(fc, z, m0=None):
+    """Complex m with residual within RESIDUAL_TOL at every z, real z too.
 
-    With a warm start m0, each point first tries Newton at its own z.  A
-    point without m0, or whose warm Newton misses the residual tolerance or
-    lands in the wrong half plane, is reached by Newton continuation in the
-    imaginary direction (see _continuation; sign-matched, so both half
-    planes solve natively).  Every complex point then takes two polishing
-    Newton steps toward 1e-14 max(1, |z|).  Real z must clear the support
-    by the edge-distance guard and finish with Newton on the real-axis
-    equation.  ConvergenceError names the z and the eta where a
-    continuation stalled.
+    With a warm start m0, each point first tries Newton at its own z; a
+    point without m0, or whose Newton misses the tolerance or lands in the
+    wrong half plane, is reached by _continuation.  Two polishing Newton
+    steps then aim at POLISH_TOL, and a point left above the tolerance
+    raises ConvergenceError.
     """
-    z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
-    is_real = z.imag == 0.0
-    if is_real.any():
-        _real_axis_guard(fc, z.real[is_real])
     # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
     # of order |z| eps, so the targets are relative to max(1, |z|).
     scale = np.maximum(1.0, np.abs(z))
     tol = RESIDUAL_TOL * scale
-
     if m0 is None:
         m = _continuation(fc, z, tol)
     else:
@@ -226,52 +215,44 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
         cold = ~_solved(z, m, res, tol)
         if cold.any():
             m[cold] = _continuation(fc, z[cold], tol[cold])
-
-    cplx = ~is_real
-    if cplx.any():
-        zc = z[cplx]
-        mc, res = _newton(fc, zc, m[cplx], POLISH_TOL * scale[cplx], iters=2)
-        if (res > tol[cplx]).any():
-            raise ConvergenceError(
-                f"stieltjes solve stalled at residual {float(res.max()):.3e} "
-                f"(worst z = {zc[int(np.argmax(res))]!r})",
-                residual=float(res.max()))
-        if np.any(mc.imag[zc.imag > 0] <= 0.0):
-            raise ConvergenceError("solution left the upper half plane")
-        if np.any(mc.imag[zc.imag < 0] >= 0.0):
-            raise ConvergenceError("solution left the lower half plane")
-        m[cplx] = mc
-    if is_real.any():
-        m[is_real] = _newton_real(fc, z.real[is_real], m.real[is_real],
-                                  RESIDUAL_TOL)
+    m, res = _newton(fc, z, m, POLISH_TOL * scale, iters=2)
+    if (res > tol).any():
+        raise ConvergenceError(
+            f"stieltjes solve stalled at residual {float(res.max()):.3e} "
+            f"(worst z = {z[int(np.argmax(res))]!r})",
+            residual=float(res.max()))
     return m
 
 
-def _newton_real(fc, x, m, tol, iters=80):
-    """Real-axis Newton for real z outside the support; strict on exit."""
-    m = np.asarray(m, dtype=float).copy()
-    m[m == 0.0] = -1.0 / x[m == 0.0]
-    tol = tol * np.maximum(1.0, np.abs(x))
-    t, w = fc._quad()
-    wt, wt2 = w * t, w * t * t
-    res = np.full(m.shape, np.inf)
-    for _ in range(iters):
-        den = 1.0 + np.multiply.outer(m, t)
-        s = (wt / den).sum(axis=-1)
-        t2 = (wt2 / (den * den)).sum(axis=-1)
-        phi = 1.0 / m + x - fc.ratio * s
-        res = np.abs(phi)
-        if (res <= tol).all():
-            break
-        dphi = -1.0 / (m * m) + fc.ratio * t2
-        step = phi / np.where(dphi != 0, dphi, 1.0)
-        limit = 0.5 * np.abs(m)          # keep iterates away from the m = 0 pole
-        step = np.clip(step, -limit, limit)
-        m = m - step
-    if (res > tol).any():
-        raise ConvergenceError(
-            f"real-axis solve stalled at residual {float(res.max()):.3e}",
-            residual=float(res.max()))
+def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
+    """Vectorized Stieltjes transform over an array of evaluation points.
+
+    See _solve: warm Newton from m0 where it holds, per-point continuation
+    in the imaginary direction elsewhere (sign-matched, so both half planes
+    solve natively), two polishing steps toward 1e-14 max(1, |z|), and the
+    solution must lie in the half plane of z.  Real z must clear the support
+    by the edge-distance guard; continuation lands on them at eta = 0 and
+    they keep the real part, whose residual is checked again.
+    ConvergenceError names the z and the eta where a continuation stalled.
+    """
+    z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
+    is_real = z.imag == 0.0
+    if is_real.any():
+        _real_axis_guard(fc, z.real[is_real])
+    m = _solve(fc, z, m0)
+    if np.any(m.imag[z.imag > 0] <= 0.0):
+        raise ConvergenceError("solution left the upper half plane")
+    if np.any(m.imag[z.imag < 0] >= 0.0):
+        raise ConvergenceError("solution left the lower half plane")
+    if is_real.any():
+        zr, mr = z[is_real], m.real[is_real]
+        res = _residual(fc, mr, zr)
+        if (res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr))).any():
+            raise ConvergenceError(
+                f"real-axis value misses the residual tolerance: "
+                f"{float(res.max()):.3e} at z = {zr[int(np.argmax(res))]!r}",
+                residual=float(res.max()))
+        m[is_real] = mr
     return m
 
 
@@ -303,39 +284,25 @@ def stieltjes_derivative(fc: FreeConvolution, z: complex) -> complex:
 # density on the real axis
 
 def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
-    """Density of the absolutely continuous part by Stieltjes inversion.
+    """Density of the absolutely continuous part, |Im m(x + i0)| / pi.
 
-    Im m(x + i eta) / pi is extrapolated to eta = 0 from three geometric eta
-    levels (Richardson, eliminating the eta and eta^2 terms).  Disagreement
-    between the last two extrapolants beyond DENSITY_DISAGREE attaches an
-    AccuracyWarning; small negative values are clamped to 0.
+    The boundary value m(x + i0) comes from the continuation of
+    stieltjes_batch landing on eta = 0, where Newton runs with complex m;
+    |Im| takes it from either conjugate root.  m meets the solver's residual
+    tolerance, which pins it to rounding level in the bulk but only to about
+    the tolerance's square root at a square-root edge.  x = 0 raises
+    DomainError when the law has a point mass there.  warn is accepted for
+    existing callers and has no effect.
     """
     x = np.asarray(x, dtype=float).ravel()
-    etas = (DENSITY_ETA, DENSITY_ETA / 2.0, DENSITY_ETA / 4.0)
-    zs = np.concatenate([x + 1j * e for e in etas])
-    mm = stieltjes_batch(fc, zs).reshape(3, x.size)
-    u0, u1, u2 = (mm.imag / np.pi)
-    v1 = 2.0 * u1 - u0
-    v2 = 2.0 * u2 - u1
-    rho = (4.0 * v2 - v1) / 3.0
-    disagree = np.abs(v2 - v1)
-    if warn and np.any(disagree > DENSITY_DISAGREE):
-        worst = int(np.argmax(disagree))
-        warnings.warn(
-            f"density extrapolation levels disagree by "
-            f"{float(disagree[worst]):.2e} at x = {float(x[worst])!r}",
-            AccuracyWarning, stacklevel=2)
-    if warn and np.any(rho < -DENSITY_CLAMP):
-        worst = int(np.argmin(rho))
-        warnings.warn(
-            f"density extrapolated to {float(rho[worst]):.2e} < 0 "
-            f"at x = {float(x[worst])!r}; clamped",
-            AccuracyWarning, stacklevel=2)
-    return np.maximum(rho, 0.0)
+    if atom_at_zero(fc) > 0.0 and np.any(x == 0.0):
+        raise DomainError(f"density is undefined at x = 0 (point mass "
+                          f"{atom_at_zero(fc)!r})")
+    return np.abs(_solve(fc, x.astype(complex)).imag) / np.pi
 
 
 def density(fc: FreeConvolution, x: float, warn: bool = True) -> float:
-    return float(density_batch(fc, np.array([x]), warn=warn)[0])
+    return float(density_batch(fc, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +417,8 @@ def support_edges(fc: FreeConvolution, probes: bool = True) -> SupportEdges:
     """
     edges = fc._edge_data
     if probes and not getattr(fc, "_edges_probed", False):
-        outside = density(fc, edges.L_plus + 0.05, warn=False)
-        mid = density(fc, 0.5 * (edges.L_minus + edges.L_plus), warn=False)
+        outside = density(fc, edges.L_plus + 0.05)
+        mid = density(fc, 0.5 * (edges.L_minus + edges.L_plus))
         if outside >= 1e-4 or mid <= 0.0:
             raise EdgeProbeError(
                 f"edge probes failed: density(L_plus + 0.05) = {outside:.3e}, "

@@ -85,13 +85,19 @@ class TestDispatch:
         mass = np.trapezoid(data[:, 1], data[:, 0])
         assert mass == pytest.approx(0.25, abs=1e-3)
 
+    def test_density_at_point_mass_is_an_error(self, tmp_path, capsys):
+        code = main(["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                     "--xmin", "0", "--output", str(tmp_path)])
+        assert code == 1
+        assert "x = 0" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+
     def test_variance_artifact(self, tmp_path):
         code = main(["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
                      "--f", "poly:0,1", "--output", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "variance.json").read_text())
         assert doc["V_derivation"] == pytest.approx(1.0 / 96.0, abs=1e-8)
-        assert set(doc["V_theorem_display"]) == {"real", "imag"}
         assert doc["contour_params"]["d"] > 0.0
         assert doc["config"]["d"] == doc["contour_params"]["d"]
 

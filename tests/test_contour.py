@@ -7,8 +7,7 @@ from freemp.contour import (Exponential, Polynomial, RationalShift,
                             RectContour, build_contour, clt_variance,
                             contour_integral, default_contour,
                             denominator_margin, f_sigma, mean_statistic,
-                            theorem_variance, variance_report,
-                            _m_circle, _theorem_terms)
+                            _m_circle)
 from freemp.errors import (AccuracyWarning, ContourError, DomainError,
                            NearSingularityError)
 from freemp.freeconv import FreeConvolution, density_batch, support_edges
@@ -225,37 +224,6 @@ class TestClosedFormsAcrossRatios:
         }
         for key, value in want.items():
             assert abs(got[key] - value) < 1e-10 * max(1.0, abs(value)), key
-
-
-class TestTheoremDiagnostic:
-    def test_terms_vanish_for_constant_f_ratio_above_one(self, mp_four):
-        t1, t2 = _theorem_terms(mp_four, default_contour(mp_four), ONE,
-                                mp_four.base)
-        assert abs(t1) < 1e-6 and abs(t2) < 1e-6
-
-    def test_terms_for_constant_f_ratio_below_one(self, mp_quarter):
-        # winding values: A(1) = 2*pi*i and the single integral is
-        # 2*pi*i*(AC mass inside) = pi*i/2, giving 1 and -pi^2/4
-        t1, t2 = _theorem_terms(mp_quarter, default_contour(mp_quarter), ONE,
-                                mp_quarter.base)
-        assert abs(t1 - 1.0) < 1e-6
-        assert abs(t2 + np.pi ** 2 / 4.0) < 1e-6
-
-    def test_self_convergence(self, fc_uniform):
-        e = support_edges(fc_uniform)
-        a = theorem_variance(fc_uniform, SQ,
-                             contour=build_contour(e, nodes_per_side=128))
-        b = theorem_variance(fc_uniform, SQ,
-                             contour=build_contour(e, nodes_per_side=256))
-        assert abs(a - b) < 1e-8
-
-    def test_report_block(self, fc_uniform):
-        text = variance_report(fc_uniform, LIN)
-        keys = [line.split(" = ")[0] for line in text.splitlines()]
-        assert keys == ["clt_variance", "theorem_double_term",
-                        "theorem_squared_term", "theorem_total"]
-        assert float(text.splitlines()[0].split(" = ")[1]) == pytest.approx(
-            1.0 / 96.0, abs=1e-8)
 
 
 class TestMeanStatistic:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from freemp.errors import (AccuracyWarning, DomainError)
+from freemp.errors import DomainError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
 from freemp.measures import (SpectralMeasure, empirical_measure, integrate,
                              sample_population)
+from freemp.rmt import hat_fc
 
 from oracles import (mp_density, mp_edge_roots, mp_edges, mp_stieltjes,
                      mp_stieltjes_derivative)
@@ -26,6 +27,22 @@ def random_z(rng, n, eta_lo=1e-2, eta_hi=10.0):
     return re + 1j * im * sign
 
 
+@pytest.fixture(scope="module")
+def hat_500(uniform_half):
+    """Empirical population of 500 atoms at ratio 1/2."""
+    rng = np.random.default_rng(20240817)
+    return hat_fc(sample_population(uniform_half, 500, rng), 500, 1000)
+
+
+# real z by where they sit: the fixed mp_quarter points, and for the other
+# laws a point below L_minus, one above L_plus and a negative one
+REAL_AXIS_CASES = (
+    [pytest.param("mp_quarter", z, id=repr(z)) for z in (2.5, -1.0, 0.1, 100.0)]
+    + [pytest.param(name, where, id=f"{name}-{where}")
+       for name in ("mp_four", "hat_500")
+       for where in ("below", "above", "negative")])
+
+
 class TestStieltjesMarchenkoPastur:
     @pytest.mark.parametrize("r", [0.25, 4.0])
     def test_matches_quadratic_closed_form(self, dirac_one, r, rng):
@@ -35,12 +52,18 @@ class TestStieltjesMarchenkoPastur:
         want = np.array([mp_stieltjes(z, r) for z in zs])
         assert np.max(np.abs(got - want)) < 1e-10
 
-    @pytest.mark.parametrize("z", [2.5, -1.0, 0.1, 100.0])
-    def test_real_axis_branch(self, mp_quarter, z):
-        got = stieltjes(mp_quarter, z)
-        want = mp_stieltjes(z, 0.25)
+    @pytest.mark.parametrize("name, z", REAL_AXIS_CASES)
+    def test_real_axis_branch(self, request, name, z):
+        fc = request.getfixturevalue(name)
+        if isinstance(z, str):
+            e = support_edges(fc, probes=False)
+            z = {"below": 0.5 * e.L_minus, "above": e.L_plus + 1.0,
+                 "negative": -1.0}[z]
+        got = stieltjes(fc, z)
         assert got.imag == 0.0
-        assert abs(got - want) < 1e-10
+        assert contract_residual(fc, got, z) <= 1e-12 * max(1.0, abs(z))
+        if name != "hat_500":
+            assert abs(got - mp_stieltjes(z, fc.ratio)) < 1e-10
 
     @pytest.mark.parametrize("r", [0.25, 4.0])
     @pytest.mark.parametrize("eta", [1e-6, -1e-6, 1e-9, -1e-9])
@@ -139,9 +162,27 @@ class TestDensity:
         assert abs(mass - 0.25) < 1e-4       # 1 - (1 - r)^+
         assert abs(first - 0.25) < 1e-4      # ratio * first moment of base
 
-    def test_edge_point_warns(self, mp_quarter):
-        with pytest.warns(AccuracyWarning):
-            density(mp_quarter, mp_edges(0.25)[1])
+    # the grid includes both square-root edges, where the residual
+    # tolerance bounds m only to about its square root
+    @pytest.mark.parametrize("r", [0.25, 4.0])
+    def test_matches_mp_closed_form_edge_to_edge(self, dirac_one, r):
+        lo, hi = mp_edges(r)
+        xs = np.linspace(lo, hi, 201)
+        err = np.abs(density_batch(FreeConvolution(dirac_one, r), xs)
+                     - np.array([mp_density(x, r) for x in xs]))
+        assert err.max() <= 1e-6
+        interior = (xs >= lo + 1e-3) & (xs <= hi - 1e-3)
+        assert err[interior].max() <= 1e-12
+
+    def test_zero_between_atom_and_support(self, mp_quarter):
+        xs = np.geomspace(1e-4, mp_edges(0.25)[0] - 1e-3, 200)
+        assert density_batch(mp_quarter, xs).max() <= 1e-6
+
+    def test_point_mass_at_zero_rejected(self, fc_uniform, mp_four):
+        with pytest.raises(DomainError, match="x = 0"):
+            density_batch(fc_uniform, np.array([0.0, 0.6]))
+        # no atom when ratio > 1: 0 lies outside the support
+        assert density(mp_four, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_atom_at_zero(self, mp_quarter, mp_four, fc_uniform):
         assert atom_at_zero(mp_quarter) == 0.75

@@ -198,8 +198,8 @@ class TestBulkConvergence:
     def _ks_distance(self, fc, e):
         # empirical CDF evaluated right-continuously at unique values; ties
         # (the zero padding) must count as one jump, matching the model atom.
-        # The AC grid starts just below L_minus: closer to 0 the inversion
-        # eta picks up the atom's Poisson tail instead of true density.
+        # The AC grid starts just below L_minus: the density vanishes between
+        # the atom at 0 and the support, and the atom is added separately.
         edges = support_edges(fc)
         xs = np.linspace(max(edges.L_minus - 0.03, 1e-3),
                          edges.L_plus + 0.2, 2500)
