@@ -68,6 +68,13 @@ def _int(raw: str) -> int:
     return int(raw, 10)
 
 
+def _positive_int(raw: str) -> int:
+    value = _int(raw)
+    if value < 1:
+        raise ValueError(value)
+    return value
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok, 10) for tok in raw.split(","))
 
@@ -105,7 +112,7 @@ _WORKERS_KEY = Key(_int, "a positive integer", default=None,
 SUBCOMMAND_KEYS = {
     "density": {
         **_COMMON,
-        "points": Key(_int, "a positive integer", default=200,
+        "points": Key(_positive_int, "a positive integer", default=200,
                       help="grid size"),
         "xmin": Key(float, "a real", default=None,
                     help="grid start (default: lower support edge)"),
@@ -308,8 +315,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
     body = {
         "V_derivation": v,
         "contour_params": {"d": contour.d, "L_minus": contour.L_minus,
-                           "L_plus": contour.L_plus,
-                           "nodes_per_side": contour.nodes_per_side},
+                           "L_plus": contour.L_plus},
     }
     _write(cfg.output, "variance.json", _json_artifact(_echo(resolved), body))
     return 0

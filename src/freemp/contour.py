@@ -2,16 +2,21 @@
 
 The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
 0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
-point mass there) outside.  The fluctuation theory needs Cauchy integrals
-over it, and xi = z(m) = -1/m + ratio int t/(1+tm) dpi, the explicit inverse
-of the Stieltjes transform, turns each into an m-plane integral that needs
-no fixed-point solve (Bai & Silverstein, Ann. Probab. 32, 2004):
+point mass there) outside.  It supplies the margin d, its real crossings
+left and right, and one family of Gauss-Legendre nodes, which
+check_hat_rate solves on and contour_integral sums over.
+
+Every fluctuation functional runs on a circle in the m-plane instead.  The
+theory needs Cauchy integrals over the rectangle, and xi = z(m) = -1/m +
+ratio int t/(1+tm) dpi, the explicit inverse of the Stieltjes transform,
+turns each into an m-plane integral that needs no fixed-point solve (Bai &
+Silverstein, Ann. Probab. 32, 2004):
 
     F(sigma)     = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi
                  = (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm
     mean inside  = -(1/2 pi i) oint f(xi) m(xi) dxi
                  = -(1/2 pi i) oint f(z(m)) m z'(m) dm
-    clt variance = ratio * ( E_nu[F^2] - (E_nu F)^2 )
+    clt variance = ratio * ( E_pi[F^2] - (E_pi F)^2 )
 
 The m-plane path is the circle on the diameter [m(left), m(right)], the
 images of the rectangle's real crossings: counterclockwise for ratio < 1,
@@ -31,11 +36,10 @@ import numpy as np
 from .errors import (AccuracyWarning, ContourError, DomainError,
                      NearSingularityError)
 from .freeconv import FreeConvolution, _sums, support_edges
-from .measures import SpectralMeasure, _leggauss
+from .measures import _leggauss
 
-MIN_NODES_PER_SIDE = 16
-DEFAULT_NODES_PER_SIDE = 128
-MAX_NODES_PER_SIDE = 1024
+NODES_PER_SIDE = 128
+NODE_LEVELS = 4
 DEFAULT_D_CAP = 0.05
 QUAD_RTOL = 1e-10
 QUAD_ATOL = 1e-12
@@ -108,13 +112,12 @@ class RationalShift(TestFunction):
 # ---------------------------------------------------------------------------
 # the contour
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RectContour:
     """Counterclockwise rectangle around [L_minus, L_plus], clear of 0."""
     d: float
     L_minus: float
     L_plus: float
-    nodes_per_side: int = DEFAULT_NODES_PER_SIDE
 
     def __post_init__(self):
         if not (0.0 < self.d < self.L_minus / 10.0):
@@ -124,10 +127,6 @@ class RectContour:
         if not (0.0 < self.L_minus < self.L_plus):
             raise DomainError(
                 f"bad edge interval [{self.L_minus!r}, {self.L_plus!r}]")
-        if self.nodes_per_side < MIN_NODES_PER_SIDE:
-            raise DomainError(
-                f"nodes_per_side = {self.nodes_per_side} < {MIN_NODES_PER_SIDE}")
-        object.__setattr__(self, "_levels", {})
 
     @property
     def left(self) -> float:
@@ -137,75 +136,29 @@ class RectContour:
     def right(self) -> float:
         return self.L_plus + 2.0 * self.d
 
-    @property
-    def half_height(self) -> float:
-        return 2.0 * self.d
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.L_minus + self.L_plus)
-
-    def corners(self):
-        h = self.half_height
-        return (complex(self.left, -h), complex(self.right, -h),
-                complex(self.right, h), complex(self.left, h))
-
-    def max_level(self) -> int:
-        lvl = 0
-        while self.nodes_per_side << (lvl + 1) <= MAX_NODES_PER_SIDE:
-            lvl += 1
-        return lvl
-
     def nodes(self, level: int = 0):
-        """(points, weights) of the full rectangle at a refinement level.
-
-        Level k uses nodes_per_side * 2**k Gauss-Legendre nodes per side,
-        capped at MAX_NODES_PER_SIDE.  Arrays are cached and read-only.
-        """
-        if level not in self._levels:
-            n = min(self.nodes_per_side << level, MAX_NODES_PER_SIDE)
-            s, w = _leggauss(n)
-            cs = self.corners()
-            pts, wts = [], []
-            for a, b in zip(cs, cs[1:] + cs[:1]):
-                pts.append(a + (b - a) * 0.5 * (s + 1.0))
-                wts.append(w * ((b - a) * 0.5))
-            xi, ww = np.concatenate(pts), np.concatenate(wts)
-            xi.flags.writeable = False
-            ww.flags.writeable = False
-            self._levels[level] = (xi, ww)
-        return self._levels[level]
+        """(points, weights) of the full rectangle at refinement level
+        0 .. NODE_LEVELS - 1: NODES_PER_SIDE * 2**level Gauss-Legendre
+        nodes per side, from the lower left corner counterclockwise."""
+        s, w = _leggauss(NODES_PER_SIDE << level)
+        h = 2.0 * self.d
+        cs = (complex(self.left, -h), complex(self.right, -h),
+              complex(self.right, h), complex(self.left, h))
+        sides = list(zip(cs, cs[1:] + cs[:1]))
+        return (np.concatenate([a + (b - a) * 0.5 * (s + 1.0)
+                                for a, b in sides]),
+                np.concatenate([w * ((b - a) * 0.5) for a, b in sides]))
 
 
-def _construction_self_test(c: RectContour) -> None:
-    # Closure and signed area on the production nodes.  Both integrands are
-    # per-side affine, so Gauss-Legendre reproduces them exactly; any
-    # orientation, corner, or weight-scaling bug shows up here.
-    xi, w = c.nodes(0)
-    scale = abs(c.right) + abs(c.left) + c.half_height
-    closure = abs(complex((w).sum()))
-    if closure > 1e-12 * scale:
-        raise ContourError(f"contour does not close: oint dxi = {closure:.3e}")
-    area = complex((np.conj(xi) * w).sum()) / 2j
-    want = (c.right - c.left) * 2.0 * c.half_height
-    if abs(area - want) > 1e-10 * want:
-        raise ContourError(
-            f"signed area {area!r} != {want!r}; orientation or weights wrong")
-
-
-def build_contour(edges, d: float | None = None,
-                  nodes_per_side: int = DEFAULT_NODES_PER_SIDE) -> RectContour:
-    """Rectangle around the support described by `edges`, self-tested.
+def build_contour(edges, d: float | None = None) -> RectContour:
+    """Rectangle around the support described by `edges`.
 
     With d omitted, the margin defaults to min(L_minus/20, 0.05).
     """
     if d is None:
         d = min(edges.L_minus / 20.0, DEFAULT_D_CAP)
-    c = RectContour(d=float(d), L_minus=float(edges.L_minus),
-                    L_plus=float(edges.L_plus),
-                    nodes_per_side=int(nodes_per_side))
-    _construction_self_test(c)
-    return c
+    return RectContour(d=float(d), L_minus=float(edges.L_minus),
+                       L_plus=float(edges.L_plus))
 
 
 def default_contour(fc: FreeConvolution) -> RectContour:
@@ -220,13 +173,12 @@ def default_contour(fc: FreeConvolution) -> RectContour:
 # ---------------------------------------------------------------------------
 # generic quadrature
 
-def contour_integral(c: RectContour, integrand, rtol: float = QUAD_RTOL,
-                     atol: float = QUAD_ATOL) -> complex:
+def contour_integral(c: RectContour, integrand) -> complex:
     """oint integrand(xi) dxi with node doubling until two successive
     refinement levels agree; warns if the finest level still disagrees."""
     prev = None
     gap = np.inf
-    for lvl in range(c.max_level() + 1):
+    for lvl in range(NODE_LEVELS):
         xi, w = c.nodes(lvl)
         vals = np.asarray(integrand(xi), dtype=complex)
         finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
@@ -236,20 +188,15 @@ def contour_integral(c: RectContour, integrand, rtol: float = QUAD_RTOL,
         cur = complex((vals * w).sum())
         if prev is not None:
             gap = abs(cur - prev)
-            if gap <= atol + rtol * abs(cur):
+            if gap <= QUAD_ATOL + QUAD_RTOL * abs(cur):
                 return cur
         prev = cur
     warnings.warn(
-        f"contour integral not settled at {MAX_NODES_PER_SIDE} nodes/side: "
+        f"contour integral not settled at "
+        f"{NODES_PER_SIDE << (NODE_LEVELS - 1)} nodes/side: "
         f"last two levels differ by {gap:.3e}",
         AccuracyWarning, stacklevel=2)
     return cur
-
-
-def _as_measure(nu) -> SpectralMeasure:
-    if isinstance(nu, SpectralMeasure):
-        return nu
-    return nu.as_measure()
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +313,20 @@ def denominator_margin(fc: FreeConvolution, sigmas,
 
 
 def clt_variance(fc: FreeConvolution, f: TestFunction,
-                 contour: RectContour | None = None, nu=None,
-                 gamma0: float | None = None) -> float:
+                 contour: RectContour | None = None) -> float:
     """Limiting variance of the rescaled linear eigenvalue statistic.
 
-    V = gamma0 * ( E_nu[F(sigma)^2] - (E_nu[F(sigma)])^2 ), the variance of
-    the iid-over-populations sum that the statistic reduces to.  nu defaults
-    to the base measure of fc and gamma0 to its ratio.
+    V = ratio * ( E_pi[F(sigma)^2] - (E_pi[F(sigma)])^2 ) over the base
+    measure pi of fc, the variance of the iid-over-populations sum that the
+    statistic reduces to.
     """
     c = default_contour(fc) if contour is None else contour
     f.validate(c)
-    base = fc.base if nu is None else _as_measure(nu)
-    g0 = fc.ratio if gamma0 is None else float(gamma0)
-    sig, wts = base.quad_rule(SIGMA_NODES)
+    sig, wts = fc.base.quad_rule(SIGMA_NODES)
     F = _f_values(fc, c, f, sig)
     mean = float((wts * F).sum())
     second = float((wts * F * F).sum())
-    v = g0 * (second - mean * mean)
+    v = fc.ratio * (second - mean * mean)
     if v < -VARIANCE_CLAMP:
         raise ContourError(f"variance came out negative: {v!r}")
     return max(v, 0.0)

@@ -33,13 +33,8 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
-    """Evaluate g on an array of nodes, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(g(t))
-        if vals.shape != t.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([g(x) for x in t])
+    """Evaluate the vectorized g on an array of nodes, checking finiteness."""
+    vals = np.asarray(g(t))
     finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
         np.isfinite(vals.real) & np.isfinite(vals.imag))
     if not finite.all():
@@ -164,15 +159,12 @@ def moment(measure: SpectralMeasure, k: int) -> float:
 class PopulationLaw:
     """Sampling-ready absolutely continuous population law on [lo, hi].
 
-    Subclasses provide density(t) (vectorized, with bounds density_lo > 0 and
-    density_hi < inf on the support) and quantile(u), the inverse CDF mapping
-    [0, 1] onto [lo, hi].
+    Subclasses provide density(t) (vectorized, positive and bounded on the
+    support) and quantile(u), the inverse CDF mapping [0, 1] onto [lo, hi].
     """
 
     lo: float
     hi: float
-    density_lo: float
-    density_hi: float
 
     def density(self, t):
         raise NotImplementedError
@@ -198,12 +190,6 @@ class UniformLaw(PopulationLaw):
 
     def __post_init__(self):
         self._validate_interval()
-
-    @property
-    def density_lo(self) -> float:
-        return 1.0 / (self.hi - self.lo)
-
-    density_hi = density_lo
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -236,16 +222,6 @@ class LinearLaw(PopulationLaw):
     def _alpha(self) -> float:
         width = self.hi - self.lo
         return 1.0 / width - 0.5 * self.slope * width
-
-    @property
-    def density_lo(self) -> float:
-        width = self.hi - self.lo
-        return min(self._alpha, self._alpha + self.slope * width)
-
-    @property
-    def density_hi(self) -> float:
-        width = self.hi - self.lo
-        return max(self._alpha, self._alpha + self.slope * width)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)

@@ -19,7 +19,6 @@ from .freeconv import FreeConvolution
 from .measures import empirical_measure
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform")
-RATIO_C0 = 0.01
 EIG_CLAMP = 1e-10
 
 
@@ -38,19 +37,16 @@ class DataMatrixSpec:
                 f"unknown entry law {self.entry_law!r}; pick one of {ENTRY_LAWS}")
 
     @classmethod
-    def from_ratio(cls, gamma0: float, N: int, entry_law: str = "gaussian",
-                   c0: float = RATIO_C0) -> "DataMatrixSpec":
-        """M = round(gamma0 * N), checked against |M/N - gamma0| <= N^(-1/2-c0)."""
+    def from_ratio(cls, gamma0: float, N: int,
+                   entry_law: str = "gaussian") -> "DataMatrixSpec":
+        """M = round(gamma0 * N), so |M/N - gamma0| <= 1/(2N)."""
         if not (0.0 < gamma0 and np.isfinite(gamma0)):
             raise DomainError(f"dimension ratio {gamma0!r} must be positive")
         if N < 2:
-            raise DomainError(f"N = {N} too small for the ratio bound")
+            raise DomainError(f"N = {N} must be at least 2")
         M = int(round(gamma0 * N))
         if M < 1:
             raise DomainError(f"round({gamma0} * {N}) gives an empty matrix")
-        if abs(M / N - gamma0) > N ** (-0.5 - c0):
-            raise DomainError(
-                f"M/N = {M}/{N} misses {gamma0} by more than N^(-1/2-{c0})")
         return cls(M=M, N=N, entry_law=entry_law)
 
 

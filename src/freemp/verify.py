@@ -79,8 +79,9 @@ class ExperimentConfig:
             raise DomainError("dimension ratio 1 sits on the hard-edge case "
                               "the solver excludes")
         n_list = tuple(int(n) for n in self.N_list)
-        if not n_list:
-            raise DomainError("N_list must not be empty")
+        if len(n_list) != 1:
+            raise DomainError(f"N_list {n_list} must hold exactly one size; "
+                              "a CLT run samples at one N")
         if any(n < 50 for n in n_list):
             raise DomainError(f"every N in {n_list} must be at least 50")
         object.__setattr__(self, "N_list", n_list)
@@ -129,7 +130,12 @@ class CltReport:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(ENV_WORKERS, "1"))
+        raw = os.environ.get(ENV_WORKERS, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise DomainError(f"{ENV_WORKERS}={raw!r} is not an integer "
+                              "worker count") from None
     workers = int(workers)
     if workers < 1:
         raise DomainError(f"worker count {workers} must be at least 1")

@@ -18,6 +18,7 @@ freemp.contour beyond the contour geometry.
 
 import numpy as np
 
+from freemp.contour import NODE_LEVELS
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
 
 RECT_RTOL = 1e-9
@@ -96,7 +97,7 @@ def rectangle_f_sigma(fc, f, sigmas, contour) -> np.ndarray:
     the rectangle's nodes, refined until two levels agree."""
     sig = np.asarray(sigmas, dtype=float).ravel()
     prev = None
-    for level in range(contour.max_level() + 1):
+    for level in range(NODE_LEVELS):
         xi, w = contour.nodes(level)
         m = stieltjes_batch(fc, xi)
         mp = stieltjes_derivative_batch(fc, xi, m=m)

@@ -92,6 +92,14 @@ class TestDispatch:
         assert "x = 0" in capsys.readouterr().err
         assert not (tmp_path / "density.csv").exists()
 
+    def test_nonpositive_points_rejected(self, tmp_path, capsys):
+        for points in ("0", "-3"):
+            code = main(["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                         "--points", points, "--output", str(tmp_path)])
+            assert code == 1
+            assert "usage error: key 'points'" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+
     def test_variance_artifact(self, tmp_path):
         code = main(["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
                      "--f", "poly:0,1", "--output", str(tmp_path)])

@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from freemp import contour
-from freemp.contour import (Exponential, Polynomial, RationalShift,
-                            RectContour, build_contour, clt_variance,
+from freemp.contour import (NODE_LEVELS, Exponential, Polynomial,
+                            RationalShift, build_contour, clt_variance,
                             contour_integral, default_contour,
                             denominator_margin, f_sigma, mean_statistic,
                             _m_circle)
@@ -23,14 +23,20 @@ SQ = Polynomial((0.0, 0.0, 1.0))
 
 @pytest.fixture(scope="session")
 def c_mpq(mp_quarter):
-    return build_contour(support_edges(mp_quarter), d=0.02, nodes_per_side=64)
+    return build_contour(support_edges(mp_quarter), d=0.02)
+
+
+def _mid(c):
+    return 0.5 * (c.L_minus + c.L_plus)
 
 
 class TestConstruction:
     def test_geometry(self, c_mpq):
         assert c_mpq.left > 0.0
         assert c_mpq.left < c_mpq.L_minus < c_mpq.L_plus < c_mpq.right
-        assert c_mpq.half_height == pytest.approx(0.04)
+        assert c_mpq.right - c_mpq.L_plus == pytest.approx(0.04)
+        xi, _ = c_mpq.nodes(0)
+        assert np.max(np.abs(xi.imag)) == pytest.approx(0.04)
 
     def test_margin_validation(self, mp_quarter):
         e = support_edges(mp_quarter)          # L_minus = 0.25
@@ -38,20 +44,44 @@ class TestConstruction:
             build_contour(e, d=0.025)          # = L_minus/10, not strictly below
         with pytest.raises(DomainError):
             build_contour(e, d=0.0)
-        with pytest.raises(DomainError):
-            build_contour(e, d=0.02, nodes_per_side=8)
 
-    def test_self_test_passes_on_thin_default(self, fc_uniform):
-        # L_minus ~ 0.06 forces a sliver rectangle; construction still
-        # certifies its closure and signed area
+    def test_thin_default_cached_per_instance(self, fc_uniform):
+        # L_minus ~ 0.06 forces a sliver rectangle, built once per
+        # convolution
         c = default_contour(fc_uniform)
         assert c.d < 0.004
-        assert default_contour(fc_uniform) is c   # cached per instance
+        assert default_contour(fc_uniform) is c
 
-    def test_node_closure_exact(self, c_mpq):
-        for lvl in range(c_mpq.max_level() + 1):
-            xi, w = c_mpq.nodes(lvl)
-            assert abs(w.sum()) < 1e-13
+    def test_node_closure_exact(self, c_mpq, fc_uniform):
+        # oint dxi = 0 and (1/2i) oint conj(xi) dxi = area: both integrands
+        # are affine on each side, so Gauss-Legendre is exact, and any
+        # orientation, corner or weight-scaling error shows
+        for c in (c_mpq, default_contour(fc_uniform)):
+            height = 4.0 * c.d
+            scale = abs(c.right) + abs(c.left) + height
+            area = (c.right - c.left) * height
+            for lvl in range(NODE_LEVELS):
+                xi, w = c.nodes(lvl)
+                assert xi.size == 4 * (128 << lvl)
+                assert abs(w.sum()) < 1e-12 * scale
+                signed = complex((np.conj(xi) * w).sum()) / 2j
+                assert abs(signed - area) < 1e-10 * area
+
+    def test_level_zero_nodes_pinned(self, mp_quarter):
+        # check_hat_rate solves on these nodes, so their bits are part of
+        # every rate artifact
+        c = default_contour(mp_quarter)
+        s, w = np.polynomial.legendre.leggauss(128)
+        h = 2.0 * c.d
+        cs = (complex(c.L_minus - h, -h), complex(c.L_plus + h, -h),
+              complex(c.L_plus + h, h), complex(c.L_minus - h, h))
+        want_xi = np.concatenate([a + (b - a) * 0.5 * (s + 1.0)
+                                  for a, b in zip(cs, cs[1:] + cs[:1])])
+        want_w = np.concatenate([w * ((b - a) * 0.5)
+                                 for a, b in zip(cs, cs[1:] + cs[:1])])
+        xi, wts = c.nodes(0)
+        assert np.array_equal(xi, want_xi)
+        assert np.array_equal(wts, want_w)
 
 
 class TestContourIntegral:
@@ -71,14 +101,14 @@ class TestContourIntegral:
         assert abs(contour_integral(c_mpq, lambda x: np.ones_like(x))) < 1e-12
 
     def test_second_order_pole(self, c_mpq):
-        c = c_mpq.center
+        c = _mid(c_mpq)
         got = contour_integral(c_mpq, lambda x: 1.0 / (x - c) ** 2)
         assert abs(got) < 1e-9
 
     def test_refinement_is_cauchy(self, c_mpq):
-        c = c_mpq.center
+        c = _mid(c_mpq)
         vals = []
-        for lvl in range(c_mpq.max_level() + 1):
+        for lvl in range(NODE_LEVELS):
             xi, w = c_mpq.nodes(lvl)
             vals.append(complex((w / (xi - c)).sum()))
         gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
@@ -107,15 +137,6 @@ class TestFSigma:
         assert abs(f_sigma(mp_quarter, LIN, 1.0) - 1.0) < 1e-6
         for s in (0.6, 0.75, 0.9):
             assert abs(f_sigma(fc_uniform, LIN, s) - s) < 1e-8
-
-    def test_refinement_agreement(self, mp_quarter):
-        e = support_edges(mp_quarter)
-        coarse = build_contour(e, d=0.02, nodes_per_side=64)
-        fine = build_contour(e, d=0.02, nodes_per_side=512)
-        f = RationalShift(-5.0)
-        a = f_sigma(mp_quarter, f, 0.8, contour=coarse)
-        b = f_sigma(mp_quarter, f, 0.8, contour=fine)
-        assert abs(a - b) < 1e-9
 
     def test_sigma_positive_required(self, mp_quarter):
         with pytest.raises(DomainError):

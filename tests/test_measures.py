@@ -93,8 +93,9 @@ class TestPopulationLaws:
         assert moment(m, 0) == pytest.approx(1.0, abs=1e-9)
         t = np.linspace(0.5, 1.0, 64)
         dens = law.density(t)
-        assert dens.min() >= law.density_lo - 1e-12 > 0.0
-        assert dens.max() <= law.density_hi + 1e-12
+        ends = law.density(np.array([0.5, 1.0]))   # the affine extremes
+        assert dens.min() >= ends.min() - 1e-12 > 0.0
+        assert dens.max() <= ends.max() + 1e-12
 
     def test_linear_law_quantile_inverts_cdf(self):
         law = LinearLaw(0.5, 1.0, slope=-2.0)

@@ -18,10 +18,6 @@ class TestDataMatrixSpec:
         spec = DataMatrixSpec.from_ratio(1.0 / 3.0, 1000)
         assert spec.M == 333
 
-    def test_ratio_bound_enforced(self):
-        with pytest.raises(DomainError):
-            DataMatrixSpec.from_ratio(1.0 / 3.0, 1000, c0=1.2)
-
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             DataMatrixSpec.from_ratio(-0.5, 400)

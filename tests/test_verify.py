@@ -54,14 +54,15 @@ def _boom(task):
 class TestExperimentConfig:
     def test_valid_config_coerces_n_list(self, uniform_half):
         cfg = ExperimentConfig(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
-                               N_list=[100, 200], replicates=100, seed=1)
-        assert cfg.N_list == (100, 200)
+                               N_list=[100], replicates=100, seed=1)
+        assert cfg.N_list == (100,)
 
     def test_invalid_configs_rejected(self, uniform_half):
         good = dict(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
                     N_list=(100,), replicates=100, seed=1)
         for bad in (dict(gamma0=1.0), dict(gamma0=-2.0),
                     dict(N_list=(49,)), dict(N_list=()),
+                    dict(N_list=(100, 200)),
                     dict(replicates=99), dict(seed=-1),
                     dict(entry_law="cauchy"), dict(d=0.0)):
             with pytest.raises(DomainError):
@@ -119,6 +120,13 @@ class TestRunClt:
         pooled = run_clt_experiment(cfg, workers=2)
         assert np.array_equal(serial.samples, pooled.samples)
         assert np.array_equal(serial.replicate_seeds, pooled.replicate_seeds)
+
+    def test_bad_worker_env_named(self, uniform_half, monkeypatch):
+        monkeypatch.setenv("FREEMP_WORKERS", "two")
+        cfg = ExperimentConfig(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
+                               N_list=(50,), replicates=100, seed=314)
+        with pytest.raises(DomainError, match="FREEMP_WORKERS='two'"):
+            run_clt_experiment(cfg)
 
     def test_variance_and_normality_gates(self, clt_small):
         _, report = clt_small
