@@ -11,10 +11,10 @@ from .contour import (Exponential, Polynomial, RationalShift, RectContour,
                       TestFunction, build_contour, clt_variance,
                       contour_integral, default_contour, denominator_margin,
                       f_sigma, mean_statistic)
-from .errors import (AccuracyWarning, ContourError, ConvergenceError,
-                     DomainError, EdgeBracketError, EdgeProbeError,
-                     FreempError, NearSingularityError, PsdViolationError,
-                     ReplicateError, SingularDerivativeError)
+from .errors import (ContourError, ConvergenceError, DomainError,
+                     EdgeBracketError, EdgeProbeError, FreempError,
+                     NearSingularityError, PsdViolationError, ReplicateError,
+                     SingularDerivativeError)
 from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
                        density_batch, stieltjes, stieltjes_batch,
                        stieltjes_derivative, stieltjes_derivative_batch,

@@ -11,7 +11,6 @@ Exit codes: 0 pass, 1 error, 2 gate failure.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from .measures import sample_population
 from .rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
                   sample_data_matrix)
 from .verify import (ExperimentConfig, check_hat_rate, check_local_law,
-                     report_to_csv, report_to_json, run_clt_experiment)
+                     csv_artifact, json_artifact, report_to_csv,
+                     report_to_json, run_clt_experiment)
 
 REQUIRED = object()
 
@@ -60,7 +60,6 @@ class CliConfig:
     subcommand: str
     parameters: dict
     output: str
-    format: str
     seed: int
 
 
@@ -78,16 +77,6 @@ def _positive_int(raw: str) -> int:
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok, 10) for tok in raw.split(","))
 
-
-_FORMATS = {
-    "density": ("csv",),
-    "edges": ("json",),
-    "variance": ("json",),
-    "simulate": ("csv",),
-    "clt": ("both", "json", "csv"),
-    "locallaw": ("json",),
-    "rate": ("json",),
-}
 
 _COMMON = {
     "gamma0": Key(float, "a positive real != 1",
@@ -166,8 +155,6 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(name, prog=f"freemp {name}")
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="flat key=value file; flags override it")
-        sub.add_argument("--format", default=None,
-                         help="artifact format: " + "|".join(_FORMATS[name]))
         for key, spec in table.items():
             sub.add_argument(f"--{key}", default=None, metavar=key.upper(),
                              help=spec.help or spec.expected)
@@ -206,14 +193,6 @@ def parse_config(argv) -> CliConfig:
         flag = getattr(namespace, key)
         if flag is not None:
             raw[key] = flag
-    if namespace.format is not None:
-        raw["format"] = namespace.format
-
-    allowed_formats = _FORMATS[name]
-    fmt = raw.pop("format", allowed_formats[0])
-    if fmt not in allowed_formats:
-        raise UsageError(f"key 'format' for {name} expects one of "
-                         f"{'|'.join(allowed_formats)}, got {fmt!r}")
 
     unknown = sorted(set(raw) - set(table))
     if unknown:
@@ -235,8 +214,7 @@ def parse_config(argv) -> CliConfig:
         else:
             parameters[key] = spec.default
     return CliConfig(subcommand=name, parameters=parameters,
-                     output=parameters["output"], format=fmt,
-                     seed=parameters["seed"])
+                     output=parameters["output"], seed=parameters["seed"])
 
 
 def _echo(parameters: dict) -> dict:
@@ -258,23 +236,15 @@ def _echo(parameters: dict) -> dict:
 
 
 def _write(out_dir: str, filename: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
     print(f"wrote {path}")
     return path
-
-
-def _csv_artifact(echo: dict, header: str, rows) -> str:
-    lines = [f"# {key}={value}" for key, value in echo.items()]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_artifact(echo: dict, body: dict) -> str:
-    return json.dumps({"config": echo, **body}, indent=2) + "\n"
 
 
 def _cmd_density(cfg: CliConfig) -> int:
@@ -288,7 +258,7 @@ def _cmd_density(cfg: CliConfig) -> int:
     rho = density_batch(fc, grid)
     rows = (f"{float(x)!r},{float(r)!r}" for x, r in zip(grid, rho))
     _write(cfg.output, "density.csv",
-           _csv_artifact(_echo(resolved), "x,rho", rows))
+           csv_artifact(_echo(resolved), "x,rho", rows))
     return 0
 
 
@@ -298,7 +268,7 @@ def _cmd_edges(cfg: CliConfig) -> int:
     edges = support_edges(fc)
     body = {"L_minus": edges.L_minus, "L_plus": edges.L_plus,
             "x_plus": edges.x_plus, "x_minus": edges.x_minus}
-    _write(cfg.output, "edges.json", _json_artifact(_echo(p), body))
+    _write(cfg.output, "edges.json", json_artifact(_echo(p), body))
     return 0
 
 
@@ -317,7 +287,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
         "contour_params": {"d": contour.d, "L_minus": contour.L_minus,
                            "L_plus": contour.L_plus},
     }
-    _write(cfg.output, "variance.json", _json_artifact(_echo(resolved), body))
+    _write(cfg.output, "variance.json", json_artifact(_echo(resolved), body))
     return 0
 
 
@@ -329,7 +299,7 @@ def _cmd_simulate(cfg: CliConfig) -> int:
     sample = eigenvalues(sigma, sample_data_matrix(spec, rng))
     rows = (f"{i},{float(v)!r}" for i, v in enumerate(sample.values))
     _write(cfg.output, "simulate.csv",
-           _csv_artifact(_echo(p), "index,eigenvalue", rows))
+           csv_artifact(_echo(p), "index,eigenvalue", rows))
     return 0
 
 
@@ -340,10 +310,8 @@ def _cmd_clt(cfg: CliConfig) -> int:
         replicates=p["reps"], seed=cfg.seed, entry_law=p["entry_law"],
         d=p["d"], output_path=cfg.output)
     report = run_clt_experiment(experiment, workers=p["workers"])
-    if cfg.format in ("json", "both"):
-        _write(cfg.output, "clt.json", report_to_json(experiment, report))
-    if cfg.format in ("csv", "both"):
-        _write(cfg.output, "clt.csv", report_to_csv(experiment, report))
+    _write(cfg.output, "clt.json", report_to_json(experiment, report))
+    _write(cfg.output, "clt.csv", report_to_csv(experiment, report))
     print(f"clt: {'pass' if report.passed else 'FAIL'} "
           f"(empirical {report.empirical_variance:.6g}, "
           f"predicted {report.theoretical_variance:.6g}, "
@@ -365,7 +333,7 @@ def _cmd_locallaw(cfg: CliConfig) -> int:
         "skipped": [{"z_real": z.real, "z_imag": z.imag, "error": msg}
                     for z, msg in report.skipped],
     }
-    _write(cfg.output, "locallaw.json", _json_artifact(_echo(p), body))
+    _write(cfg.output, "locallaw.json", json_artifact(_echo(p), body))
     print(f"locallaw: {'pass' if report.passed else 'FAIL'} "
           f"(max ratio {report.max_ratio:.4g} over {report.points} points)")
     return 0 if report.passed else 2
@@ -381,7 +349,7 @@ def _cmd_rate(cfg: CliConfig) -> int:
         "slope": report.slope,
         "pass": report.passed,
     }
-    _write(cfg.output, "rate.json", _json_artifact(_echo(p), body))
+    _write(cfg.output, "rate.json", json_artifact(_echo(p), body))
     print(f"rate: {'pass' if report.passed else 'FAIL'} "
           f"(slope {report.slope:.4f})")
     return 0 if report.passed else 2

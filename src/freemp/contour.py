@@ -20,22 +20,24 @@ Silverstein, Ann. Probab. 32, 2004):
 
 The m-plane path is the circle on the diameter [m(left), m(right)], the
 images of the rectangle's real crossings: counterclockwise for ratio < 1,
-clockwise around 0 for ratio > 1.  Every singularity of the integrands is
-real, so the circle separates them as the image of the rectangle does and d
-keeps its meaning.  The periodic trapezoid rule on it converges
-geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
+clockwise around 0 for ratio > 1.  The two crossings are the real values
+that the Stieltjes solver lands on at eta = 0; all real-axis and edge
+arithmetic stays in freeconv.  Every singularity of the integrands is real,
+so the circle separates them as the image of the rectangle does and d keeps
+its meaning.  The periodic trapezoid rule on it converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014); a sum that has not settled at
+MAX_CIRCLE_NODES raises ContourError rather than return a wrong number.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import (AccuracyWarning, ContourError, DomainError,
-                     NearSingularityError)
-from .freeconv import FreeConvolution, _sums, support_edges
+from .errors import ContourError, DomainError, NearSingularityError
+from .freeconv import FreeConvolution, _solve, _sums, support_edges
 from .measures import _leggauss
 
 NODES_PER_SIDE = 128
@@ -45,7 +47,6 @@ QUAD_RTOL = 1e-10
 QUAD_ATOL = 1e-12
 CIRCLE_NODES = 64
 MAX_CIRCLE_NODES = 1 << 14
-CROSSING_BISECTIONS = 64
 FUNC_RTOL = 1e-9
 FUNC_ATOL = 1e-10
 DENOM_FLOOR = 1e-8
@@ -175,7 +176,8 @@ def default_contour(fc: FreeConvolution) -> RectContour:
 
 def contour_integral(c: RectContour, integrand) -> complex:
     """oint integrand(xi) dxi with node doubling until two successive
-    refinement levels agree; warns if the finest level still disagrees."""
+    refinement levels agree; raises ContourError if the finest level still
+    disagrees."""
     prev = None
     gap = np.inf
     for lvl in range(NODE_LEVELS):
@@ -191,37 +193,29 @@ def contour_integral(c: RectContour, integrand) -> complex:
             if gap <= QUAD_ATOL + QUAD_RTOL * abs(cur):
                 return cur
         prev = cur
-    warnings.warn(
+    raise ContourError(
         f"contour integral not settled at "
         f"{NODES_PER_SIDE << (NODE_LEVELS - 1)} nodes/side: "
-        f"last two levels differ by {gap:.3e}",
-        AccuracyWarning, stacklevel=2)
-    return cur
+        f"last two levels differ by {gap:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # the m-plane circle
 
+@lru_cache(maxsize=64)
 def _m_circle(fc: FreeConvolution, c: RectContour):
     """(center, radius, turn) of the circle on the diameter [m(c.left),
-    m(c.right)], counterclockwise (turn 1) for ratio < 1.  Each crossing is
-    bisected on a bracket of the real branch where z(m) rises through it."""
-    def z(m):
-        return -1.0 / m + fc.ratio * _sums(fc, m).real
-
-    e = support_edges(fc, probes=False)
-    x = np.array([c.left, c.right])
-    lo = np.array([-1.0 / c.left if fc.ratio < 1.0 else
-                   1.0 / (fc.ratio + 1.0 - 1.0 / e.x_minus), -e.x_plus])
-    hi = np.array([-e.x_minus, -1.0 / c.right])
-    if not (np.all(z(lo) < x) and np.all(z(hi) > x)):
-        raise ContourError(f"no m-plane bracket for the real crossings "
-                           f"{c.left!r} and {c.right!r}; the edges are off")
-    for _ in range(CROSSING_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = z(mid) < x
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    a, b = 0.5 * (lo + hi)
+    m(c.right)], counterclockwise (turn 1) for ratio < 1.  The crossings
+    are the solver's real-axis landing at c.left and c.right; _solve, not
+    stieltjes_batch, so that no edge-distance guard limits the margin d.
+    A landing costs about twice the _sums work of a bisection, so circles
+    are kept per (fc, c): every functional on one contour shares them."""
+    m = _solve(fc, np.array([c.left, c.right], dtype=complex))
+    if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
+        raise ContourError(
+            f"the real crossings {c.left!r} and {c.right!r} map to non-real "
+            f"m = {m[0]!r}, {m[1]!r}; the edges are off")
+    a, b = m.real
     return 0.5 * (a + b), 0.5 * abs(b - a), (1.0 if a < b else -1.0)
 
 
@@ -239,7 +233,8 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
     two levels agree.  Each v in clear_of must keep |1 + v m| off zero, and
-    the result must come out real, with |Im| below IMAG_TOL.
+    the result must come out real, with |Im| below IMAG_TOL; a sum not
+    settled at MAX_CIRCLE_NODES raises ContourError.
     """
     circle = center, radius, turn = _m_circle(fc, c)
     margin = _margin(circle, clear_of) if len(clear_of) else np.inf
@@ -268,10 +263,8 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
             if gap <= FUNC_ATOL + FUNC_RTOL * float(np.max(np.abs(cur))):
                 break
         if 2 * n > MAX_CIRCLE_NODES:
-            warnings.warn(f"{what} not settled at {n} m-plane nodes: last "
-                          f"two levels differ by {gap:.3e}",
-                          AccuracyWarning, stacklevel=3)
-            break
+            raise ContourError(f"{what} not settled at {n} m-plane nodes: "
+                               f"last two levels differ by {gap:.3e}")
         prev = cur
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     worst = float(np.max(np.abs(cur.imag)))

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FreempError(Exception):
@@ -18,11 +18,7 @@ class ConvergenceError(FreempError):
 
 
 class EdgeBracketError(FreempError):
-    """Root bracketing for a support edge failed; carries the scanned interval."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """Root bracketing for a support edge failed; the message names the edge."""
 
 
 class EdgeProbeError(FreempError):
@@ -52,7 +48,3 @@ class ReplicateError(FreempError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
-
-
-class AccuracyWarning(UserWarning):
-    """A returned value is likely less accurate than its nominal tolerance."""

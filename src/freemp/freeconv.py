@@ -334,94 +334,66 @@ def _bisect_h(fc, lo, hi, target, increasing):
     return 0.5 * (lo + hi)
 
 
-def _find_edges(fc: FreeConvolution) -> SupportEdges:
+def _scan(fc, points, above: bool, what: str) -> float:
+    """First x in points with h(x) above 1/ratio (or below it, above=False)."""
     target = 1.0 / fc.ratio
-    t_min, t_max = fc.base.min_support, fc.base.max_support
+    for x in points:
+        h = _h_value(fc, x)
+        if (h > target) if above else (h < target):
+            return x
+    raise EdgeBracketError(f"{what}: h never "
+                           f"{'exceeded' if above else 'dropped below'} "
+                           f"1/ratio in {len(points)} scanned points")
+
+
+def _find_edges(fc: FreeConvolution) -> SupportEdges:
+    """Edge roots of h = 1/ratio by bisection on scanned brackets, their
+    values, and two density probes: essentially zero just outside L_plus
+    and strictly positive at the midpoint."""
+    target = 1.0 / fc.ratio
+    ks = range(EDGE_EXPAND_CAP)
 
     # right root: h increases from 0 to infinity on (0, 1/t_max)
-    b = 1.0 / t_max
-    hi_gap = 1.0 / 16.0
-    for _ in range(EDGE_EXPAND_CAP):
-        if _h_value(fc, b * (1.0 - hi_gap)) > target:
-            break
-        hi_gap *= 0.5
-    else:
-        raise EdgeBracketError("right edge: h never exceeded 1/ratio",
-                               bracket=(0.0, b))
-    lo = b / 16.0
-    for _ in range(EDGE_EXPAND_CAP):
-        if _h_value(fc, lo) < target:
-            break
-        lo *= 0.5
-    else:
-        raise EdgeBracketError("right edge: h never dropped below 1/ratio",
-                               bracket=(0.0, b))
-    x_plus = _bisect_h(fc, lo, b * (1.0 - hi_gap), target, increasing=True)
+    b = 1.0 / fc.base.max_support
+    hi = _scan(fc, [b * (1.0 - 2.0 ** -(4 + k)) for k in ks], True,
+               "right edge")
+    lo = _scan(fc, [b / 16.0 * 0.5 ** k for k in ks], False, "right edge")
+    x_plus = _bisect_h(fc, lo, hi, target, increasing=True)
 
     # left root: x < 0 when ratio > 1 (h climbs from 0 toward 1 as x -> -inf),
-    # x > 1/t_min when ratio < 1 (h falls from infinity toward 1)
+    # x > 1/t_min when ratio < 1 (h falls from infinity toward 1); h
+    # decreases in x on both brackets
     if fc.ratio > 1.0:
-        span = 1.0
-        for _ in range(EDGE_EXPAND_CAP):
-            if _h_value(fc, -span) > target:
-                break
-            span *= 2.0
-        else:
-            raise EdgeBracketError("left edge: h(-x) never exceeded 1/ratio",
-                                   bracket=(-span, 0.0))
-        near = span / 2.0
-        for _ in range(EDGE_EXPAND_CAP):
-            if _h_value(fc, -near) < target:
-                break
-            near *= 0.5
-        else:
-            raise EdgeBracketError("left edge: no inner bracket end",
-                                   bracket=(-span, 0.0))
-        # h decreases in x on (-span, -near): larger |x| pushes q^2 toward 1
-        x_minus = _bisect_h(fc, -span, -near, target, increasing=False)
+        far = _scan(fc, [-(2.0 ** k) for k in ks], True, "left edge")
+        near = _scan(fc, [far / 2.0 * 0.5 ** k for k in ks], False,
+                     "left edge")
+        x_minus = _bisect_h(fc, far, near, target, increasing=False)
     else:
-        c = 1.0 / t_min
-        lo_gap = 1.0 / 16.0
-        for _ in range(EDGE_EXPAND_CAP):
-            if _h_value(fc, c * (1.0 + lo_gap)) > target:
-                break
-            lo_gap *= 0.5
-        else:
-            raise EdgeBracketError("left edge: h never exceeded 1/ratio",
-                                   bracket=(c, np.inf))
-        hi = c * 2.0
-        for _ in range(EDGE_EXPAND_CAP):
-            if _h_value(fc, hi) < target:
-                break
-            hi *= 2.0
-        else:
-            raise EdgeBracketError("left edge: h never dropped below 1/ratio",
-                                   bracket=(c, hi))
-        x_minus = _bisect_h(fc, c * (1.0 + lo_gap), hi, target, increasing=False)
+        c = 1.0 / fc.base.min_support
+        near = _scan(fc, [c * (1.0 + 2.0 ** -(4 + k)) for k in ks], True,
+                     "left edge")
+        far = _scan(fc, [c * 2.0 * 2.0 ** k for k in ks], False, "left edge")
+        x_minus = _bisect_h(fc, near, far, target, increasing=False)
 
-    L_plus = _edge_value(fc, x_plus)
-    L_minus = _edge_value(fc, x_minus)
-    if not (0.0 < L_minus < L_plus):
-        raise DomainError(
-            f"edge values out of order: L_minus={L_minus}, L_plus={L_plus}")
-    return SupportEdges(L_minus=L_minus, L_plus=L_plus,
-                        x_minus=x_minus, x_plus=x_plus)
-
-
-def support_edges(fc: FreeConvolution, probes: bool = True) -> SupportEdges:
-    """Edges of the absolutely continuous support, with consistency probes.
-
-    The probes check the computed interval against the density: essentially
-    zero just outside L_plus and strictly positive at the midpoint.  They run
-    once per FreeConvolution instance.
-    """
-    edges = fc._edge_data
-    if probes and not getattr(fc, "_edges_probed", False):
-        outside = density(fc, edges.L_plus + 0.05)
-        mid = density(fc, 0.5 * (edges.L_minus + edges.L_plus))
-        if outside >= 1e-4 or mid <= 0.0:
-            raise EdgeProbeError(
-                f"edge probes failed: density(L_plus + 0.05) = {outside:.3e}, "
-                f"density(midpoint) = {mid:.3e}")
-        object.__setattr__(fc, "_edges_probed", True)
+    edges = SupportEdges(L_minus=_edge_value(fc, x_minus),
+                         L_plus=_edge_value(fc, x_plus),
+                         x_minus=x_minus, x_plus=x_plus)
+    if not (0.0 < edges.L_minus < edges.L_plus):
+        raise DomainError(f"edge values out of order: L_minus="
+                          f"{edges.L_minus}, L_plus={edges.L_plus}")
+    outside = density(fc, edges.L_plus + 0.05)
+    mid = density(fc, 0.5 * (edges.L_minus + edges.L_plus))
+    if outside >= 1e-4 or mid <= 0.0:
+        raise EdgeProbeError(
+            f"edge probes failed: density(L_plus + 0.05) = {outside:.3e}, "
+            f"density(midpoint) = {mid:.3e}")
     return edges
+
+
+def support_edges(fc: FreeConvolution) -> SupportEdges:
+    """Edges of the absolutely continuous support.
+
+    They are computed and checked against the density by two probes once
+    per FreeConvolution instance, on first use.
+    """
+    return fc._edge_data

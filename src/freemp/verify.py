@@ -342,7 +342,7 @@ def check_edges(e: EigenSample, fc_hat: FreeConvolution,
     band [L_minus, L_plus] of fc_hat."""
     if not eps > 0.0:
         raise DomainError(f"eps {eps!r} must be positive")
-    edges = support_edges(fc_hat, probes=False)
+    edges = support_edges(fc_hat)
     values = e.values[e.values > 0.0]
     if values.size == 0:
         return True
@@ -440,11 +440,24 @@ def _json_number(x: float):
     return None if math.isnan(x) else x
 
 
+def json_artifact(config: dict, body: dict) -> str:
+    """JSON artifact: the resolved config under "config", then body."""
+    return json.dumps({"config": config, **body}, indent=2) + "\n"
+
+
+def csv_artifact(config: dict, header: str, rows) -> str:
+    """CSV artifact with the resolved config as leading `# key=value`
+    comment lines, then the header and the rows."""
+    lines = [f"# {key}={value}" for key, value in config.items()]
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
 def report_to_json(cfg: ExperimentConfig, report: CltReport) -> str:
     """JSON artifact; the sample list is sorted so that any replicate
     scheduling order serializes identically (the CSV keeps the pairing)."""
-    doc = {
-        "config": _config_dict(cfg, report),
+    return json_artifact(_config_dict(cfg, report), {
         "samples": sorted(float(s) for s in report.samples),
         "empirical_variance": report.empirical_variance,
         "theoretical_variance": report.theoretical_variance,
@@ -452,17 +465,14 @@ def report_to_json(cfg: ExperimentConfig, report: CltReport) -> str:
         "ks_pvalue": _json_number(report.ks_pvalue),
         "pass": report.passed,
         "seed": int(cfg.seed),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def report_to_csv(cfg: ExperimentConfig, report: CltReport) -> str:
-    """CSV artifact in replicate order with the resolved config as
-    leading comment lines; floats use repr so parsing round-trips."""
-    lines = []
-    for key, value in _config_dict(cfg, report).items():
-        lines.append(f"# {key}={value}")
-    lines.append(CSV_HEADER)
-    for i, (s, x) in enumerate(zip(report.replicate_seeds, report.samples)):
-        lines.append(f"{i},{s},{float(x)!r}")
-    return "\n".join(lines) + "\n"
+    """CSV artifact in replicate order; floats use repr so parsing
+    round-trips."""
+    return csv_artifact(
+        _config_dict(cfg, report), CSV_HEADER,
+        (f"{i},{s},{float(x)!r}"
+         for i, (s, x) in enumerate(zip(report.replicate_seeds,
+                                        report.samples))))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
 from freemp.measures import UniformLaw
 from freemp.verify import run_clt_experiment
@@ -15,7 +16,7 @@ class TestParseConfig:
         assert cfg.subcommand == "edges"
         assert cfg.parameters["gamma0"] == 0.25
         assert cfg.parameters["nu"].value == 1.0
-        assert cfg.seed == 0 and cfg.format == "json"
+        assert cfg.seed == 0
 
     def test_clt_flags(self):
         cfg = parse_config(["clt", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
@@ -25,7 +26,6 @@ class TestParseConfig:
         assert cfg.parameters["reps"] == 2000
         assert cfg.seed == 7
         assert cfg.parameters["entry_law"] == "gaussian"
-        assert cfg.format == "both"
 
     def test_file_provides_and_flag_overrides(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -46,7 +46,7 @@ class TestParseConfig:
             config = tmp_path / "bad.cfg"
             config.write_text("badkey=1\n")
             parse_config(["edges", "--config", str(config)])
-        with pytest.raises(UsageError, match="format"):
+        with pytest.raises(UsageError, match="--format"):   # no such flag
             parse_config(["edges", "--gamma0", "0.25", "--nu", "dirac:1",
                           "--format", "csv"])
         with pytest.raises(UsageError):
@@ -142,6 +142,32 @@ class TestDispatch:
     def test_unknown_subcommand_is_error(self):
         assert main(["frobnicate"]) == 1
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("occupied\n")
+        for out in (blocker, blocker / "sub"):
+            code = main(["edges", "--gamma0", "0.25", "--nu", "dirac:1",
+                         "--output", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: cannot write ")
+            assert str(out / "edges.json") in err
+            assert len(err.strip().splitlines()) == 1
+        assert blocker.read_text() == "occupied\n"
+
+    def test_unsettled_variance_exits_one(self, tmp_path, capsys,
+                                          monkeypatch):
+        # ratio 0.999 does not settle at the default margin; a small node
+        # cap reaches the same failure quickly
+        monkeypatch.setattr(contour, "MAX_CIRCLE_NODES",
+                            contour.CIRCLE_NODES)
+        code = main(["variance", "--gamma0", "0.999", "--nu", "uniform:0.5,1",
+                     "--f", "poly:0,0,1", "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ContourError" in err and "not settled" in err
+        assert not (tmp_path / "variance.json").exists()
+
 
 class TestCltCommand:
     def test_run_and_artifacts(self, tmp_path):
@@ -175,13 +201,6 @@ class TestCltCommand:
                (out2 / "clt.json").read_bytes()
         assert (out1 / "clt.csv").read_bytes() == \
                (out2 / "clt.csv").read_bytes()
-
-    def test_format_selects_artifacts(self, tmp_path):
-        main(["clt", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
-              "--f", "poly:1.0", "--n", "50", "--reps", "100",
-              "--format", "json", "--output", str(tmp_path)])
-        assert (tmp_path / "clt.json").exists()
-        assert not (tmp_path / "clt.csv").exists()
 
 
 class TestShippedConfig:

@@ -8,9 +8,9 @@ from freemp.contour import (NODE_LEVELS, Exponential, Polynomial,
                             contour_integral, default_contour,
                             denominator_margin, f_sigma, mean_statistic,
                             _m_circle)
-from freemp.errors import (AccuracyWarning, ContourError, DomainError,
-                           NearSingularityError)
-from freemp.freeconv import FreeConvolution, density_batch, support_edges
+from freemp.errors import ContourError, DomainError, NearSingularityError
+from freemp.freeconv import (FreeConvolution, density_batch, stieltjes,
+                             support_edges)
 from freemp.grammar import parse_law
 from freemp.measures import integrate
 
@@ -274,10 +274,30 @@ class TestDenominatorSafety:
         with pytest.raises(NearSingularityError):
             f_sigma(mp_quarter, LIN, sigma, contour=c_mpq)
 
-    def test_unsettled_refinement_warns(self, fc_uniform, monkeypatch):
+    def test_unsettled_refinement_raises(self, fc_uniform, monkeypatch):
         monkeypatch.setattr(contour, "MAX_CIRCLE_NODES", contour.CIRCLE_NODES)
-        with pytest.warns(AccuracyWarning, match="not settled"):
+        with pytest.raises(ContourError, match="F\\(sigma\\) not settled at 64"):
             clt_variance(fc_uniform, SQ)
+
+
+class TestMCircle:
+    @pytest.mark.parametrize("name", ["mp_quarter", "mp_four", "fc_uniform"])
+    def test_crossings_are_real_stieltjes_values(self, request, name):
+        fc = request.getfixturevalue(name)
+        c = default_contour(fc)
+        center, radius, turn = _m_circle(fc, c)
+        a, b = center - turn * radius, center + turn * radius
+        for got, x in ((a, c.left), (b, c.right)):
+            want = stieltjes(fc, x)
+            assert want.imag == 0.0
+            assert abs(got - want.real) <= 1e-12 * abs(want.real)
+
+    def test_margin_below_the_real_axis_guard(self, fc_uniform):
+        # d = 1e-9 puts the crossings inside stieltjes_batch's 1e-6 guard;
+        # the circle takes them from the solver directly
+        c = build_contour(support_edges(fc_uniform), d=1e-9)
+        got = clt_variance(fc_uniform, SQ, contour=c)
+        assert abs(got - 1219.0 / 23040.0) < 1e-12
 
 
 class TestFunctionValidation:

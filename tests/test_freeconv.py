@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from freemp.errors import DomainError
+from freemp import freeconv
+from freemp.errors import DomainError, EdgeBracketError, EdgeProbeError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
@@ -56,7 +57,7 @@ class TestStieltjesMarchenkoPastur:
     def test_real_axis_branch(self, request, name, z):
         fc = request.getfixturevalue(name)
         if isinstance(z, str):
-            e = support_edges(fc, probes=False)
+            e = support_edges(fc)
             z = {"below": 0.5 * e.L_minus, "above": e.L_plus + 1.0,
                  "negative": -1.0}[z]
         got = stieltjes(fc, z)
@@ -225,13 +226,23 @@ class TestSupportEdges:
 
         def gap(m):
             draws = sample_population(uniform_half, m, rng)
-            e = support_edges(FreeConvolution(empirical_measure(draws), 0.5),
-                              probes=False)
+            e = support_edges(FreeConvolution(empirical_measure(draws), 0.5))
             return max(abs(e.L_minus - ref.L_minus), abs(e.L_plus - ref.L_plus))
 
         g3, g4 = gap(1_000), gap(10_000)
         assert g4 < 0.05
         assert g4 < g3
+
+    def test_empty_scan_names_the_edge(self, dirac_one, monkeypatch):
+        monkeypatch.setattr(freeconv, "EDGE_EXPAND_CAP", 0)
+        with pytest.raises(EdgeBracketError, match="right edge"):
+            support_edges(FreeConvolution(dirac_one, 0.25))
+
+    def test_failed_probe_raises(self, dirac_one, monkeypatch):
+        # a fresh instance: the probes run once, inside the cached edges
+        monkeypatch.setattr(freeconv, "density", lambda fc, x: 1.0)
+        with pytest.raises(EdgeProbeError, match="L_plus"):
+            support_edges(FreeConvolution(dirac_one, 0.25))
 
 
 class TestGuards:

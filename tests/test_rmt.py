@@ -162,7 +162,7 @@ class TestHatFc:
         rng = np.random.default_rng(11)
         sigma = sample_population(uniform_half, 1000, rng)
         hat = hat_fc(sigma, 1000, 2000)
-        eh = support_edges(hat, probes=False)
+        eh = support_edges(hat)
         ep = support_edges(fc_uniform)
         assert abs(eh.L_minus - ep.L_minus) < 0.1
         assert abs(eh.L_plus - ep.L_plus) < 0.1

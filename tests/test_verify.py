@@ -241,7 +241,7 @@ class TestEdges:
         sigma = sample_population(uniform_half, spec.M, rng)
         e = eigenvalues(sigma, sample_data_matrix(spec, rng))
         fc = hat_fc(sigma, spec.M, spec.N)
-        top = support_edges(fc, probes=False).L_plus + 0.2
+        top = support_edges(fc).L_plus + 0.2
         values = np.sort(np.append(e.values, top))[::-1]
         bad = EigenSample(values=values, M=spec.M, N=spec.N + 1)
         assert not check_edges(bad, fc, 0.1)
