@@ -74,6 +74,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = _int(raw)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(value)
+    return value
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok, 10) for tok in raw.split(","))
 
@@ -85,7 +92,7 @@ _COMMON = {
               help="population spectral law"),
     "output": Key(str, "a directory path", default=".",
                   help="directory artifacts are written into"),
-    "seed": Key(_int, "a 64-bit integer", default=0,
+    "seed": Key(_seed, "an integer in [0, 2**64)", default=0,
                 help="root seed for every random draw"),
 }
 

@@ -18,7 +18,7 @@ class ConvergenceError(FreempError):
 
 
 class EdgeBracketError(FreempError):
-    """Root bracketing for a support edge failed; the message names the edge."""
+    """h never reaches 1/ratio before its pole; the message names the edge."""
 
 
 class EdgeProbeError(FreempError):

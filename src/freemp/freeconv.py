@@ -7,18 +7,21 @@ Stieltjes transform m(z) of pi boxtimes MP_r is the unique solution of
 
 with Im m > 0 for Im z > 0.  The convolution equals (1 - r)^+ delta_0 plus an
 absolutely continuous part supported on [L_minus, L_plus]; the edges come from
-the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r.
+the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r, bisected on
+closed-form brackets (Silverstein & Choi, J. Multivariate Anal. 54, 1995).
 
 The solver is Newton's method on the defining equation, batched over arrays
-of z.  A point without a usable warm start is reached by per-point
-continuation in Im z from a height where -1/z is a good start, with the step
-ratio adapted to how Newton fares at each step (Dobriban, arXiv:1507.01649;
-Ledoit & Wolf's QuEST).  Two final Newton steps land residuals near machine
-precision.  The same continuation lands on eta = 0 for real z: outside the
-support it gives the real value of m, and inside it the boundary value
-m(x + i0), whose |Im m| / pi is the density.
+of z; a point keeps a full step only where its residual drops.  A point
+without a usable warm start is reached by per-point continuation in Im z from
+a height where -1/z is a good start, with the step ratio adapted to how
+Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit & Wolf's
+QuEST).  Two final Newton steps land residuals near machine precision.  The
+same continuation lands on eta = 0 for real z: outside the support it gives
+the real value of m, and inside it the boundary value m(x + i0), whose
+|Im m| / pi is the density.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +40,6 @@ MAX_STEP_RATIO = 0.99         # a step ratio rejected up to this stalls
 AC_QUAD_NODES = 256           # fixed rule for solver-side integrals
 EDGE_QUAD_NODES = 512         # fixed rule for edge-side integrals
 EDGE_BISECT_XTOL = 1e-12
-EDGE_EXPAND_CAP = 60
 DERIV_SINGULAR_TOL = 1e-14
 _CHUNK_ELEMS = 4_000_000
 
@@ -105,35 +107,25 @@ def _residual(fc: FreeConvolution, m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _newton(fc, z, m, tol, iters):
-    """Newton steps on 1/m + z - r S(m); only residual-decreasing steps taken."""
+    """Newton steps on 1/m + z - r S(m).  A point keeps a full step only if
+    its residual drops; otherwise it stops where it is, above tol."""
     res = _residual(fc, m, z)
+    active = res > tol
     for _ in range(iters):
-        active = res > tol
-        if not active.any():
-            break
         idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
         ma, za = m[idx], z[idx]
         s, t2 = _sums(fc, ma, want_t=True)
         phi = 1.0 / ma + za - fc.ratio * s
         dphi = -1.0 / (ma * ma) + fc.ratio * t2
-        step = np.where(dphi != 0, phi / dphi, 0.0)
-        improved = np.zeros(idx.shape, dtype=bool)
-        for _ in range(5):   # backtracking halves the step on residual increase
-            trial = ma - step
-            good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
-            tres = np.full(step.shape, np.inf)
-            if good.any():
-                tres[good] = _residual(fc, trial[good], za[good])
-            better = tres < res[idx]
-            newly = better & ~improved
-            m[idx[newly]] = trial[newly]
-            res[idx[newly]] = tres[newly]
-            improved |= better
-            if improved.all():
-                break
-            step = step * 0.5
-        if not improved.any():
-            break
+        trial = ma - np.where(dphi != 0, phi / dphi, 0.0)
+        good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
+        tres = np.full(idx.shape, np.inf)
+        tres[good] = _residual(fc, trial[good], za[good])
+        better = tres < res[idx]
+        m[idx[better]], res[idx[better]] = trial[better], tres[better]
+        active[idx] = better & (tres > tol[idx])
     return m, res
 
 
@@ -181,8 +173,9 @@ def _continuation(fc, z, tol):
 
 
 def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
-    if np.any(x == 0.0):
-        raise DomainError("stieltjes is undefined at z = 0 (point mass)")
+    if atom_at_zero(fc) > 0.0 and np.any(x == 0.0):
+        raise DomainError(f"stieltjes is undefined at z = 0 (point mass "
+                          f"{atom_at_zero(fc)!r})")
     e = fc._edge_data
     dist = np.maximum(e.L_minus - x, x - e.L_plus)
     if np.any(dist < REAL_GUARD_DELTA):
@@ -323,58 +316,40 @@ def _edge_value(fc, x: float) -> float:
     return float(1.0 / x + fc.ratio * (w * t / (1.0 - x * t)).sum())
 
 
-def _bisect_h(fc, lo, hi, target, increasing):
-    """Bisection for h = target on a bracket where h is monotone."""
-    while hi - lo > EDGE_BISECT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if (_h_value(fc, mid) < target) == increasing:
-            lo = mid
+def _bisect_h(fc, a, b, pole, what):
+    """Bisection for h = 1/ratio between a, where h < 1/ratio, and b, where
+    h >= 1/ratio or, if pole, h has a pole; neither end is evaluated.  A root
+    within EDGE_BISECT_XTOL of the pole means h never reached 1/ratio."""
+    target, end, mid = 1.0 / fc.ratio, b, 0.5 * (a + b)
+    while abs(b - a) > EDGE_BISECT_XTOL and a != mid != b:
+        if _h_value(fc, mid) < target:
+            a = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _scan(fc, points, above: bool, what: str) -> float:
-    """First x in points with h(x) above 1/ratio (or below it, above=False)."""
-    target = 1.0 / fc.ratio
-    for x in points:
-        h = _h_value(fc, x)
-        if (h > target) if above else (h < target):
-            return x
-    raise EdgeBracketError(f"{what}: h never "
-                           f"{'exceeded' if above else 'dropped below'} "
-                           f"1/ratio in {len(points)} scanned points")
+            b = mid
+        mid = 0.5 * (a + b)
+    if pole and abs(mid - end) < EDGE_BISECT_XTOL:
+        raise EdgeBracketError(f"{what}: h stays below 1/ratio = {target!r} "
+                               f"up to its pole at x = {end!r}")
+    return mid
 
 
 def _find_edges(fc: FreeConvolution) -> SupportEdges:
-    """Edge roots of h = 1/ratio by bisection on scanned brackets, their
+    """Edge roots of h = 1/ratio by bisection on closed-form brackets, their
     values, and two density probes: essentially zero just outside L_plus
     and strictly positive at the midpoint."""
-    target = 1.0 / fc.ratio
-    ks = range(EDGE_EXPAND_CAP)
-
-    # right root: h increases from 0 to infinity on (0, 1/t_max)
-    b = 1.0 / fc.base.max_support
-    hi = _scan(fc, [b * (1.0 - 2.0 ** -(4 + k)) for k in ks], True,
-               "right edge")
-    lo = _scan(fc, [b / 16.0 * 0.5 ** k for k in ks], False, "right edge")
-    x_plus = _bisect_h(fc, lo, hi, target, increasing=True)
-
-    # left root: x < 0 when ratio > 1 (h climbs from 0 toward 1 as x -> -inf),
-    # x > 1/t_min when ratio < 1 (h falls from infinity toward 1); h
-    # decreases in x on both brackets
-    if fc.ratio > 1.0:
-        far = _scan(fc, [-(2.0 ** k) for k in ks], True, "left edge")
-        near = _scan(fc, [far / 2.0 * 0.5 ** k for k in ks], False,
-                     "left edge")
-        x_minus = _bisect_h(fc, far, near, target, increasing=False)
+    t_min, t_max = fc.base.min_support, fc.base.max_support
+    # right root: h(0) = 0 and h grows to its pole at 1/t_max
+    x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
+    # left root: between near and far, the root for a point mass at t_min.
+    # ratio < 1: near is the pole 1/t_min; on x > 1/t_min, xt/(xt - 1) falls
+    # in t, so h(far) <= 1/ratio.  ratio > 1: near = 0 with h(0) = 0; on
+    # x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >= 1/ratio.  Equality
+    # holds only for a point mass at t_min, whose root is far itself.
+    far = 1.0 / (t_min * (1.0 - math.sqrt(fc.ratio)))
+    if fc.ratio < 1.0:
+        x_minus = _bisect_h(fc, far, 1.0 / t_min, True, "left edge")
     else:
-        c = 1.0 / fc.base.min_support
-        near = _scan(fc, [c * (1.0 + 2.0 ** -(4 + k)) for k in ks], True,
-                     "left edge")
-        far = _scan(fc, [c * 2.0 * 2.0 ** k for k in ks], False, "left edge")
-        x_minus = _bisect_h(fc, near, far, target, increasing=False)
-
+        x_minus = _bisect_h(fc, 0.0, far, False, "left edge")
     edges = SupportEdges(L_minus=_edge_value(fc, x_minus),
                          L_plus=_edge_value(fc, x_plus),
                          x_minus=x_minus, x_plus=x_plus)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 MASS_TOL = 1e-9
 QUAD_START_NODES = 32
@@ -128,22 +128,25 @@ def integrate(measure: SpectralMeasure, g: Callable) -> complex | float:
 
     Atoms are summed exactly.  The absolutely continuous part uses
     Gauss-Legendre with node doubling from QUAD_START_NODES until the value
-    is stable to QUAD_RTOL (relative), capped at QUAD_MAX_NODES.
+    is stable to QUAD_RTOL (relative); a value not settled at QUAD_MAX_NODES
+    raises ConvergenceError.
     """
     if measure.kind == "discrete":
         t, w = measure._locs, measure._weights
         vals = _eval_on_nodes(g, t)
         return (w * vals).sum()
-    a, b = measure.support
-    n = QUAD_START_NODES
-    prev = None
+    n, prev = QUAD_START_NODES, None
     while True:
         t, w_eff = measure.quad_rule(n)
         cur = (w_eff * _eval_on_nodes(g, t)).sum()
-        if prev is not None and abs(cur - prev) <= QUAD_RTOL * max(abs(cur), 1e-300):
-            return cur
-        if n >= QUAD_MAX_NODES:
-            return cur
+        if prev is not None:
+            gap = abs(cur - prev)
+            if gap <= QUAD_RTOL * max(abs(cur), 1e-300):
+                return cur
+            if n >= QUAD_MAX_NODES:
+                raise ConvergenceError(
+                    f"integral not settled at {n} Gauss-Legendre nodes: last "
+                    f"two levels differ by {gap:.3e}", residual=gap)
         prev = cur
         n *= 2
 

@@ -100,6 +100,23 @@ class TestDispatch:
             assert "usage error: key 'points'" in capsys.readouterr().err
         assert not (tmp_path / "density.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--n", "50"], ["locallaw", "--n", "50"],
+        ["rate", "--n_list", "50,60,70", "--reps", "2"]],
+        ids=["simulate", "locallaw", "rate"])
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys, args):
+        for seed in ("-1", str(2 ** 64)):
+            code = main(args + ["--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                                "--seed", seed, "--output", str(tmp_path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: key 'seed' expects ")
+            assert len(err.strip().splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+        top = parse_config(args + ["--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                                   "--seed", str(2 ** 64 - 1)])
+        assert top.seed == 2 ** 64 - 1
+
     def test_variance_artifact(self, tmp_path):
         code = main(["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
                      "--f", "poly:0,1", "--output", str(tmp_path)])

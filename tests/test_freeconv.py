@@ -6,6 +6,7 @@ from freemp.errors import DomainError, EdgeBracketError, EdgeProbeError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
+from freemp.grammar import parse_law
 from freemp.measures import (SpectralMeasure, empirical_measure, integrate,
                              sample_population)
 from freemp.rmt import hat_fc
@@ -125,6 +126,23 @@ class TestSelfConsistency:
         warm = stieltjes_batch(fc_uniform, zs, m0=perturb(cold))
         assert np.max(np.abs(warm - cold)) < 1e-10
 
+    # Newton keeps a full step only where the residual drops, so from any
+    # start no point ends above its starting residual
+    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500"])
+    @pytest.mark.parametrize("start", ["random", "conj", "neg"])
+    def test_newton_never_raises_a_residual(self, request, name, start, rng):
+        fc = request.getfixturevalue(name)
+        zs = random_z(rng, 100)
+        m0 = {"random": lambda: rng.normal(size=zs.size)
+              + 1j * rng.normal(size=zs.size),
+              "conj": lambda: np.conj(stieltjes_batch(fc, zs)),
+              "neg": lambda: -stieltjes_batch(fc, zs)}[start]()
+        tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
+        res0 = freeconv._residual(fc, m0, zs)
+        m, res = freeconv._newton(fc, zs, m0.copy(), tol, freeconv.NEWTON_ITERS)
+        assert np.all(res <= res0)
+        assert np.array_equal(res, freeconv._residual(fc, m, zs))
+
 
 class TestDerivative:
     def test_against_closed_form(self, mp_quarter, rng):
@@ -207,13 +225,17 @@ class TestSupportEdges:
         assert abs(e.x_plus - xp) < 1e-10 and abs(e.x_minus - xm) < 1e-10
         assert e.x_minus < 0.0
 
-    def test_uniform_half_edge_residual(self, fc_uniform):
-        e = support_edges(fc_uniform)
+    # the edge roots solve h = 1/ratio under the independent adaptive
+    # quadrature, on both sides of ratio 1 and far from it
+    @pytest.mark.parametrize("ratio", [0.01, 0.5, 0.98, 1.02, 20.0])
+    @pytest.mark.parametrize("law", ["uniform:0.5,1", "linear:0.2,1,1"])
+    def test_edge_root_residual(self, law, ratio):
+        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        e = support_edges(fc)
         assert 0.0 < e.L_minus < e.L_plus
         for x in (e.x_plus, e.x_minus):
-            h = integrate(fc_uniform.base,
-                          lambda t: (x * t / (1.0 - x * t)) ** 2)
-            assert abs(h - 1.0 / fc_uniform.ratio) < 1e-10
+            h = integrate(fc.base, lambda t: (x * t / (1.0 - x * t)) ** 2)
+            assert abs(ratio * h - 1.0) < 1e-10
 
     def test_h_monotone_on_right_branch(self, fc_uniform):
         from freemp.freeconv import _h_value
@@ -233,10 +255,26 @@ class TestSupportEdges:
         assert g4 < 0.05
         assert g4 < g3
 
-    def test_empty_scan_names_the_edge(self, dirac_one, monkeypatch):
-        monkeypatch.setattr(freeconv, "EDGE_EXPAND_CAP", 0)
-        with pytest.raises(EdgeBracketError, match="right edge"):
-            support_edges(FreeConvolution(dirac_one, 0.25))
+    # next to ratio 1 the left root sits near +-2e6, where the float spacing
+    # exceeds EDGE_BISECT_XTOL: the bisection stops when the midpoint no
+    # longer splits the bracket
+    @pytest.mark.parametrize("r", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_ratio_next_to_one(self, dirac_one, r):
+        e = support_edges(FreeConvolution(dirac_one, r))
+        lo, hi = mp_edges(r)
+        assert e.L_minus == pytest.approx(lo, rel=1e-6)
+        assert e.L_plus == pytest.approx(hi, rel=1e-12)
+
+    # a density vanishing to fourth order at an end of its support keeps h
+    # finite at that pole, below 1/ratio at these ratios: no edge root
+    @pytest.mark.parametrize("density, ratio, edge", [
+        (lambda t: 160.0 * (1.0 - t) ** 4, 0.3, "right edge"),
+        (lambda t: 160.0 * (t - 0.5) ** 4, 0.1, "left edge")],
+        ids=["right", "left"])
+    def test_no_root_before_pole_names_the_edge(self, density, ratio, edge):
+        base = SpectralMeasure.abs_continuous((0.5, 1.0), density)
+        with pytest.raises(EdgeBracketError, match=edge):
+            support_edges(FreeConvolution(base, ratio))
 
     def test_failed_probe_raises(self, dirac_one, monkeypatch):
         # a fresh instance: the probes run once, inside the cached edges
@@ -249,6 +287,10 @@ class TestGuards:
     def test_zero_rejected(self, mp_quarter):
         with pytest.raises(DomainError):
             stieltjes(mp_quarter, 0.0)
+
+    def test_zero_without_point_mass(self, mp_four):
+        # no atom at 0 for ratio > 1: m(0) = 1/(ratio - 1)
+        assert abs(stieltjes(mp_four, 0.0) - 1.0 / 3.0) < 1e-12
 
     def test_real_z_near_support_rejected(self, mp_quarter):
         with pytest.raises(DomainError):

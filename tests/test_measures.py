@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from freemp.errors import DomainError
+from freemp.errors import ConvergenceError, DomainError
 from freemp.measures import (LinearLaw, SpectralMeasure, UniformLaw,
                              empirical_measure, integrate, moment,
                              sample_population)
@@ -74,6 +74,17 @@ class TestIntegrate:
         m = uniform_half.as_measure()
         with pytest.raises(DomainError, match="non-finite"):
             integrate(m, lambda t: np.where(t > 0.75, np.nan, t))
+
+    # an endpoint singularity settles too slowly for the node cap: both the
+    # value (exact 2 sqrt 2) and a normalized density's mass check raise
+    # instead of returning the last level
+    def test_unsettled_integral_raises(self, uniform_half):
+        with pytest.raises(ConvergenceError, match="4096 .* differ by"):
+            integrate(uniform_half.as_measure(),
+                      lambda t: 1.0 / np.sqrt(t - 0.5))
+        with pytest.raises(ConvergenceError, match="not settled"):
+            SpectralMeasure.abs_continuous(
+                (0.5, 1.0), lambda t: 0.7071 / np.sqrt(t - 0.5))
 
     def test_moment_order_cap(self, dirac_one):
         with pytest.raises(DomainError):
