@@ -322,7 +322,7 @@ def _cmd_clt(cfg: CliConfig) -> int:
     print(f"clt: {'pass' if report.passed else 'FAIL'} "
           f"(empirical {report.empirical_variance:.6g}, "
           f"predicted {report.theoretical_variance:.6g}, "
-          f"ks p {report.ks_pvalue:.4g})")
+          f"ks p {report.ks_pvalue:.4g}, mean {report.mean:.4g})")
     return 0 if report.passed else 2
 
 

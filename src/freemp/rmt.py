@@ -4,8 +4,13 @@ The model: X is M x N with iid entries of mean 0 and variance 1/N, and the
 population covariance is Sigma = diag(sigma_1, ..., sigma_M) with the sigma_i
 drawn once from a population law on [l, 1].  The object of study is the
 spectrum of X^T Sigma X, an N x N matrix that shares its nonzero eigenvalues
-with the M x M matrix Sigma^(1/2) X X^T Sigma^(1/2); whichever form is
-smaller is the one handed to the symmetric eigensolver.
+with the M x M matrix Sigma^(1/2) X X^T Sigma^(1/2); the smaller of the two
+is the Gram form G that eigenvalues() builds.
+
+A linear statistic of a polynomial of degree at most 2 needs no spectrum:
+sum_i lambda_i = tr G and sum_i lambda_i^2 = |G|_F^2 (Jonsson, J. Multivariate
+Anal. 12, 1982).  G reaches the symmetric eigensolver only when something
+reads the eigenvalues themselves.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import Polynomial
 from .errors import DomainError, PsdViolationError
 from .freeconv import FreeConvolution
 from .measures import empirical_measure
@@ -62,42 +68,98 @@ def sample_data_matrix(spec: DataMatrixSpec, rng: np.random.Generator) -> np.nda
     return raw / np.sqrt(spec.N)
 
 
-@dataclass(frozen=True, eq=False)
 class EigenSample:
-    """All N eigenvalues of X^T Sigma X, sorted descending, zero-padded."""
-    values: np.ndarray
-    M: int
-    N: int
+    """The N eigenvalues of X^T Sigma X and their power sums.
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.flags.writeable = False
+    `values` holds all N eigenvalues, sorted descending and zero-padded, as a
+    read-only array; `power_sums` is (sum lambda_i, sum lambda_i^2).  Built
+    by eigenvalues() from a Gram form G, the power sums are tr G and |G|_F^2
+    and `values` is computed on its first read: eigvalsh, the check against
+    -EIG_CLAMP, the clamp at 0, the zero padding and the sort.  G is dropped
+    after that read.  Built from given values, the power sums are theirs.
+    """
+
+    __slots__ = ("M", "N", "power_sums", "_values", "_gram")
+
+    def __init__(self, values, M: int, N: int):
+        values = np.asarray(values, dtype=float)
+        values.flags.writeable = False
+        self.M, self.N = M, N
+        self._values, self._gram = values, None
+        self.power_sums = (float(np.sum(values)), float(np.dot(values, values)))
+
+    @classmethod
+    def _of_gram(cls, gram: np.ndarray, M: int, N: int) -> "EigenSample":
+        e = cls.__new__(cls)
+        e.M, e.N = M, N
+        e._values, e._gram = None, gram
+        e.power_sums = (float(np.trace(gram)), float(np.vdot(gram, gram)))
+        return e
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            vals = np.linalg.eigvalsh(self._gram)
+            low = float(vals.min()) if vals.size else 0.0
+            if low < -EIG_CLAMP:
+                raise PsdViolationError(
+                    f"Gram eigenvalue {low!r} below the -{EIG_CLAMP} clamp")
+            vals = np.maximum(vals, 0.0)
+            if vals.size < self.N:
+                vals = np.concatenate([vals, np.zeros(self.N - vals.size)])
+            vals = np.sort(vals)[::-1]
+            vals.flags.writeable = False
+            self._values, self._gram = vals, None
+        return self._values
+
+
+def _certify_psd(gram: np.ndarray, trace: float, K: int) -> None:
+    """Raise PsdViolationError unless the computed Gram form has no
+    eigenvalue below -EIG_CLAMP.
+
+    G = A A^T (or A^T A) with inner dimension K is exactly PSD, and the
+    rounding bound of the product puts lambda_min(fl(G)) >= -gamma_K |A|_F^2,
+    gamma_K = K u / (1 - K u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 3.5).  |A|_F^2 = tr G, and the factor 2
+    covers the rounding of tr G itself.  Where that bound does not reach
+    EIG_CLAMP, a Cholesky factorization of G + EIG_CLAMP I decides.
+    """
+    u = np.finfo(float).eps / 2.0
+    gamma = K * u / (1.0 - K * u)
+    if 2.0 * gamma * trace < EIG_CLAMP:
+        return
+    try:
+        np.linalg.cholesky(gram + EIG_CLAMP * np.eye(gram.shape[0]))
+    except np.linalg.LinAlgError:
+        raise PsdViolationError(
+            f"{gram.shape[0]} x {gram.shape[0]} Gram form is not positive "
+            f"semidefinite to the -{EIG_CLAMP} clamp: Cholesky of "
+            f"G + {EIG_CLAMP} I failed") from None
 
 
 def eigenvalues(sigma, X: np.ndarray) -> EigenSample:
-    """Spectrum of X^T diag(sigma) X via the smaller Gram form.
+    """Spectrum of X^T diag(sigma) X via the smaller Gram form G.
 
-    Eigenvalues in (-EIG_CLAMP, 0) are clamped to 0; anything lower raises,
-    since both Gram forms are positive semidefinite by construction.
+    G is certified positive semidefinite to -EIG_CLAMP (see _certify_psd)
+    before anything reads it.  The eigenvalues are computed only when
+    `values` is read; eigenvalues in (-EIG_CLAMP, 0) are then clamped to 0
+    and anything lower raises.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     M, N = X.shape
     if sigma.size != M:
         raise DomainError(
             f"{sigma.size} population values for {M} rows of X")
-    if np.any(sigma <= 0.0) or np.any(sigma > 1.0):
+    if not np.all((sigma > 0.0) & (sigma <= 1.0)):
         raise DomainError("population values must lie in (0, 1]")
     A = np.sqrt(sigma)[:, None] * X
     gram = A @ A.T if M <= N else A.T @ A
-    vals = np.linalg.eigvalsh(gram)
-    low = float(vals.min()) if vals.size else 0.0
-    if low < -EIG_CLAMP:
-        raise PsdViolationError(
-            f"Gram eigenvalue {low!r} below the -{EIG_CLAMP} clamp")
-    vals = np.maximum(vals, 0.0)
-    if vals.size < N:
-        vals = np.concatenate([vals, np.zeros(N - vals.size)])
-    return EigenSample(values=np.sort(vals)[::-1], M=M, N=N)
+    e = EigenSample._of_gram(gram, M, N)
+    # tr G = |A|_F^2 is finite iff every entry of X is
+    if not np.isfinite(e.power_sums[0]):
+        raise DomainError(f"the {M} x {N} data matrix has non-finite entries")
+    _certify_psd(gram, e.power_sums[0], max(M, N))
+    return e
 
 
 def empirical_stieltjes(e: EigenSample, z):
@@ -119,9 +181,16 @@ def linear_statistic(e: EigenSample, f, mean_inside: float,
                      gamma0: float) -> float:
     """(1/sqrt(N)) * ( sum_i f(lambda_i) - N * integral of f ).
 
-    The integral of f against the limiting law splits into the part inside
-    the contour (mean_inside) plus the atom at 0 of mass (1 - gamma0)^+.
+    For a Polynomial with at most three coefficients c0, c1, c2 the sum is
+    c0 N + c1 tr G + c2 |G|_F^2, read from e.power_sums without an
+    eigensolve; any other f is applied to e.values.  The integral of f
+    against the limiting law splits into the part inside the contour
+    (mean_inside) plus the atom at 0 of mass (1 - gamma0)^+.
     """
-    total = float(np.sum(f(e.values)))
+    if isinstance(f, Polynomial) and len(f.coeffs) <= 3:
+        c0, c1, c2 = f.coeffs + (0.0,) * (3 - len(f.coeffs))
+        total = c0 * e.N + c1 * e.power_sums[0] + c2 * e.power_sums[1]
+    else:
+        total = float(np.sum(f(e.values)))
     center = mean_inside + max(0.0, 1.0 - gamma0) * float(f(0.0))
     return (total - e.N * center) / np.sqrt(e.N)

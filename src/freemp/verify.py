@@ -1,7 +1,8 @@
 """Monte Carlo verification harness.
 
 run_clt_experiment draws replicated linear eigenvalue statistics and gates
-them against the predicted Gaussian limit (variance band + KS normality).
+them against the predicted Gaussian limit (variance band, KS normality
+and mean band).
 check_local_law, check_edges, and check_hat_rate turn the asymptotic
 approximation claims into seeded finite-size checks with explicitly
 generous constants.  Serializers emit JSON/CSV artifacts with no
@@ -179,16 +180,32 @@ def _map_tasks(worker, tasks, workers: int) -> np.ndarray:
     return out
 
 
+def _clt_gates(samples: np.ndarray, theoretical: float,
+               tol: GateTolerances) -> tuple[float, float, bool]:
+    """KS statistic, KS p-value and the joint verdict of the three gates:
+    the empirical variance within `variance_band` MC standard errors of the
+    predicted variance V, a KS p-value above `ks_pvalue_min`, and the mean
+    within `mean_band` standard errors sqrt(V / reps) of 0."""
+    reps = samples.size
+    ks_statistic, ks_pvalue = ks_normality(samples, theoretical)
+    empirical = float(np.var(samples, ddof=1))
+    passed = (abs(empirical / theoretical - 1.0)
+              < tol.variance_band * math.sqrt(2.0 / reps)
+              and ks_pvalue > tol.ks_pvalue_min
+              and abs(float(np.mean(samples)))
+              < tol.mean_band * math.sqrt(theoretical / reps))
+    return ks_statistic, ks_pvalue, passed
+
+
 def run_clt_experiment(cfg: ExperimentConfig,
                        workers: int | None = None) -> CltReport:
     """Sample `cfg.replicates` linear statistics at N = cfg.N_list[0] and
     gate them against the Gaussian limit.
 
-    pass requires the empirical variance inside `variance_band` MC standard
-    errors of the predicted variance and a KS p-value above `ks_pvalue_min`.
-    When the predicted variance is numerically zero the distributional gates
-    are meaningless; the report flags that and passes iff every sample is
-    zero to tolerance.
+    pass requires the variance, KS and mean gates of _clt_gates, the
+    gates acceptance check 06 applies.  When the predicted variance is
+    numerically zero the distributional gates are meaningless; the report
+    flags that and passes iff every sample is zero to tolerance.
     """
     workers = _resolve_workers(workers)
     N = cfg.N_list[0]
@@ -207,20 +224,17 @@ def run_clt_experiment(cfg: ExperimentConfig,
               mean_inside, cfg.gamma0) for s in seeds]
     samples = _map_tasks(_clt_replicate, tasks, workers)
 
-    empirical = float(np.var(samples, ddof=1))
-    mean = float(np.mean(samples))
     degenerate = theoretical < DEGENERATE_VARIANCE
     if degenerate:
         ks_statistic = ks_pvalue = float("nan")
         passed = bool(np.max(np.abs(samples)) <= DEGENERATE_SAMPLE_TOL)
     else:
-        ks_statistic, ks_pvalue = ks_normality(samples, theoretical)
-        band = cfg.tolerances.variance_band * math.sqrt(2.0 / cfg.replicates)
-        passed = (abs(empirical / theoretical - 1.0) < band
-                  and ks_pvalue > cfg.tolerances.ks_pvalue_min)
+        ks_statistic, ks_pvalue, passed = _clt_gates(samples, theoretical,
+                                                     cfg.tolerances)
     return CltReport(samples=samples, replicate_seeds=seeds,
-                     empirical_variance=empirical,
-                     theoretical_variance=theoretical, mean=mean,
+                     empirical_variance=float(np.var(samples, ddof=1)),
+                     theoretical_variance=theoretical,
+                     mean=float(np.mean(samples)),
                      ks_statistic=ks_statistic, ks_pvalue=ks_pvalue,
                      passed=passed, degenerate=degenerate,
                      N=N, M=spec.M, d=contour.d)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from freemp.errors import DomainError
+from freemp.contour import Exponential, Polynomial, RationalShift
+from freemp.errors import DomainError, PsdViolationError
 from freemp.freeconv import support_edges
 from freemp.measures import sample_population
-from freemp.rmt import (DataMatrixSpec, EigenSample, empirical_stieltjes,
-                        eigenvalues, hat_fc, linear_statistic,
-                        sample_data_matrix)
+from freemp.rmt import (DataMatrixSpec, EigenSample, _certify_psd,
+                        empirical_stieltjes, eigenvalues, hat_fc,
+                        linear_statistic, sample_data_matrix)
 from freemp.freeconv import FreeConvolution, density_batch, stieltjes
 from freemp.measures import SpectralMeasure
 
@@ -103,6 +104,14 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             eigenvalues([0.5, 1.5, 0.5], X)
 
+    def test_non_finite_inputs_rejected(self, rng):
+        X = sample_data_matrix(DataMatrixSpec(3, 4), rng)
+        with pytest.raises(DomainError, match="population values"):
+            eigenvalues([0.5, np.nan, 0.5], X)
+        X[1, 2] = np.inf
+        with pytest.raises(DomainError, match="non-finite"):
+            eigenvalues([0.5, 0.5, 0.5], X)
+
 
 class TestEmpiricalStieltjes:
     def test_hand_sum(self):
@@ -188,6 +197,108 @@ class TestLinearStatistic:
         tr = float(np.einsum("i,ij,ij->", sigma, X, X))
         want = (tr - spec.N * mean_inside) / np.sqrt(spec.N)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def _draw(ratio, N, seed):
+    rng = np.random.default_rng(seed)
+    spec = DataMatrixSpec.from_ratio(ratio, N)
+    return rng.uniform(0.5, 1.0, spec.M), sample_data_matrix(spec, rng)
+
+
+class TestLazyValues:
+    @pytest.mark.parametrize("ratio", [0.5, 4.0])
+    def test_values_are_the_eigvalsh_spectrum(self, ratio):
+        sigma, X = _draw(ratio, 120, 17)
+        M, N = X.shape
+        A = np.sqrt(sigma)[:, None] * X
+        gram = A @ A.T if M <= N else A.T @ A
+        want = np.maximum(np.linalg.eigvalsh(gram), 0.0)
+        want = np.sort(np.concatenate([want, np.zeros(N - want.size)]))[::-1]
+        got = eigenvalues(sigma, X).values
+        assert got.shape == (N,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_read_only_and_gram_released(self):
+        sigma, X = _draw(0.5, 60, 18)
+        e = eigenvalues(sigma, X)
+        assert e._gram is not None
+        values = e.values
+        assert e._gram is None
+        assert e.values is values
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_constructs_from_values(self):
+        e = EigenSample(values=np.array([2.0, 1.0, 0.0]), M=2, N=3)
+        assert e.power_sums == (3.0, 5.0)
+        assert not e.values.flags.writeable
+
+
+class TestTraceRoute:
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("coeffs", [(0.7,), (0.0, 1.0), (0.0, 0.0, 1.0),
+                                        (0.3, -1.0, 2.0)])
+    def test_matches_sum_over_values(self, ratio, coeffs):
+        sigma, X = _draw(ratio, 200, 19)
+        e = eigenvalues(sigma, X)
+        f = Polynomial(coeffs)
+        got = linear_statistic(e, f, mean_inside=0.0, gamma0=ratio)
+        assert e._gram is not None              # no eigensolve so far
+        want = linear_statistic(e, lambda x: f(x), mean_inside=0.0,
+                                gamma0=ratio)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_only_higher_statistics_reach_eigvalsh(self, monkeypatch):
+        sigma, X = _draw(0.5, 100, 20)
+        e = eigenvalues(sigma, X)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert np.isfinite(linear_statistic(
+            e, Polynomial((0.3, -1.0, 2.0)), mean_inside=1.0, gamma0=0.5))
+        for f in (Polynomial((0.0, 0.0, 0.0, 1.0)), Exponential(1.0),
+                  RationalShift(-1.0)):
+            with pytest.raises(RuntimeError, match="eigvalsh called"):
+                linear_statistic(e, f, mean_inside=1.0, gamma0=0.5)
+
+
+class TestPsdGuard:
+    def _spy_cholesky(self, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        return calls
+
+    def test_default_clt_shape_certifies_without_factoring(self, monkeypatch):
+        calls = self._spy_cholesky(monkeypatch)
+        sigma, X = _draw(0.5, 800, 21)
+        e = eigenvalues(sigma, X)
+        linear_statistic(e, Polynomial((0.0, 0.0, 1.0)), mean_inside=0.0,
+                         gamma0=0.5)
+        assert calls == []
+
+    def test_large_shape_falls_back_to_cholesky(self, monkeypatch):
+        calls = self._spy_cholesky(monkeypatch)
+        sigma, X = _draw(0.5, 1200, 22)
+        eigenvalues(sigma, X)
+        assert calls == [(600, 600)]
+
+    def test_indefinite_gram_rejected(self):
+        gram = np.diag([1.0, -1e-6])
+        with pytest.raises(PsdViolationError, match="Cholesky"):
+            _certify_psd(gram, float(np.trace(gram)), K=10 ** 6)
+
+    def test_semidefinite_gram_accepted_by_cholesky(self, monkeypatch):
+        calls = self._spy_cholesky(monkeypatch)
+        _certify_psd(np.diag([1.0, 0.0]), 1.0, K=10 ** 6)
+        assert calls == [(2, 2)]
 
 
 class TestBulkConvergence:

@@ -12,7 +12,7 @@ from freemp.rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, sample_data_matrix)
 from freemp.freeconv import stieltjes, support_edges
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
-                           _kolmogorov_sf, _map_tasks, check_edges,
+                           _clt_gates, _kolmogorov_sf, _map_tasks, check_edges,
                            check_hat_rate, check_local_law, ks_normality,
                            report_to_csv, report_to_json, run_clt_experiment)
 from oracles import kolmogorov_sf, mp_stieltjes
@@ -163,6 +163,20 @@ class TestRunClt:
         assert err.value.index == 3
         with pytest.raises(ReplicateError):
             _map_tasks(_boom, [0, 1, 2, 3, 4], workers=2)
+
+
+class TestCltGates:
+    def test_mean_gate_alone_fails(self):
+        V, n, tol = 0.05, 500, GateTolerances()
+        centered = norm.ppf((np.arange(n) + 0.5) / n) * math.sqrt(V)
+        shifted = centered + 3.5 * math.sqrt(V / n)
+        assert _clt_gates(centered, V, tol)[2]
+        _, p, passed = _clt_gates(shifted, V, tol)
+        band = tol.variance_band * math.sqrt(2.0 / n)
+        assert abs(np.var(shifted, ddof=1) / V - 1.0) < band
+        assert p > tol.ks_pvalue_min
+        assert abs(np.mean(shifted)) > tol.mean_band * math.sqrt(V / n)
+        assert not passed
 
 
 class TestCltInvariants:
