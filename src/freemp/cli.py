@@ -103,7 +103,7 @@ _D_KEY = Key(float, "a positive real", default=None,
 _ENTRY_KEY = Key(str, "one of " + "|".join(ENTRY_LAWS), default="gaussian",
                  help="entry distribution of the data matrix")
 _WORKERS_KEY = Key(_int, "a positive integer", default=None,
-                   help="worker processes (default: FREEMP_WORKERS or 1)")
+                   help="worker processes (default: 1)")
 
 SUBCOMMAND_KEYS = {
     "density": {
@@ -256,7 +256,7 @@ def _write(out_dir: str, filename: str, text: str) -> str:
 
 def _cmd_density(cfg: CliConfig) -> int:
     p = cfg.parameters
-    fc = FreeConvolution(p["nu"].as_measure(), p["gamma0"])
+    fc = FreeConvolution(p["nu"], p["gamma0"])
     edges = support_edges(fc)
     resolved = dict(p)
     resolved["xmin"] = float(edges.L_minus if p["xmin"] is None else p["xmin"])
@@ -271,7 +271,7 @@ def _cmd_density(cfg: CliConfig) -> int:
 
 def _cmd_edges(cfg: CliConfig) -> int:
     p = cfg.parameters
-    fc = FreeConvolution(p["nu"].as_measure(), p["gamma0"])
+    fc = FreeConvolution(p["nu"], p["gamma0"])
     edges = support_edges(fc)
     body = {"L_minus": edges.L_minus, "L_plus": edges.L_plus,
             "x_plus": edges.x_plus, "x_minus": edges.x_minus}
@@ -281,7 +281,7 @@ def _cmd_edges(cfg: CliConfig) -> int:
 
 def _cmd_variance(cfg: CliConfig) -> int:
     p = cfg.parameters
-    fc = FreeConvolution(p["nu"].as_measure(), p["gamma0"])
+    fc = FreeConvolution(p["nu"], p["gamma0"])
     if p["d"] is None:
         contour = default_contour(fc)
     else:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EdgeBracketError,
                      EdgeProbeError, SingularDerivativeError)
-from .measures import SpectralMeasure
+from .measures import PopulationLaw, SpectralMeasure, integrate
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
 RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
@@ -58,7 +58,7 @@ class SupportEdges:
 class FreeConvolution:
     """pi boxtimes MP_ratio for a population measure pi (the base)."""
 
-    base: SpectralMeasure
+    base: PopulationLaw | SpectralMeasure
     ratio: float
 
     def __post_init__(self):
@@ -66,15 +66,24 @@ class FreeConvolution:
             raise DomainError(f"ratio {self.ratio} must be positive and finite")
         if self.ratio == 1.0:
             raise DomainError("ratio 1 is excluded (support reaches 0)")
-        if self.base.min_support <= 0.0 or self.base.max_support > 1.0 + 1e-12:
+        if self.base.lo <= 0.0 or self.base.hi > 1.0 + 1e-12:
             raise DomainError("base measure support must lie inside (0, 1]")
+        mass = float(integrate(self.base, np.ones_like))
+        if abs(mass - 1.0) > 1e-8:
+            raise DomainError(f"base measure has mass {mass!r}, not 1")
 
     @cached_property
     def _edge_data(self) -> SupportEdges:
         return _find_edges(self)
 
-    def _quad(self, n: int = AC_QUAD_NODES):
-        return self.base.quad_rule(n)
+    # the fixed rules of the solver and of the edge search, built once
+    @cached_property
+    def _rule(self):
+        return self.base.quad_rule(AC_QUAD_NODES)
+
+    @cached_property
+    def _edge_rule(self):
+        return self.base.quad_rule(EDGE_QUAD_NODES)
 
 
 def atom_at_zero(fc: FreeConvolution) -> float:
@@ -87,7 +96,7 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 
 def _sums(fc: FreeConvolution, m: np.ndarray, want_t: bool = False):
     """S(m) = int t/(1+mt) dpi and optionally T(m) = int t^2/(1+mt)^2 dpi."""
-    t, w = fc._quad()
+    t, w = fc._rule
     s = np.empty(m.shape, dtype=complex)
     tt = np.empty(m.shape, dtype=complex) if want_t else None
     step = max(16, _CHUNK_ELEMS // max(t.size, 1))
@@ -301,18 +310,14 @@ def density(fc: FreeConvolution, x: float, warn: bool = True) -> float:
 # ---------------------------------------------------------------------------
 # support edges
 
-def _edge_rule(fc):
-    return fc.base.quad_rule(EDGE_QUAD_NODES)
-
-
 def _h_value(fc, x: float) -> float:
-    t, w = _edge_rule(fc)
+    t, w = fc._edge_rule
     q = x * t / (1.0 - x * t)
     return float((w * q * q).sum())
 
 
 def _edge_value(fc, x: float) -> float:
-    t, w = _edge_rule(fc)
+    t, w = fc._edge_rule
     return float(1.0 / x + fc.ratio * (w * t / (1.0 - x * t)).sum())
 
 
@@ -337,7 +342,7 @@ def _find_edges(fc: FreeConvolution) -> SupportEdges:
     """Edge roots of h = 1/ratio by bisection on closed-form brackets, their
     values, and two density probes: essentially zero just outside L_plus
     and strictly positive at the midpoint."""
-    t_min, t_max = fc.base.min_support, fc.base.max_support
+    t_min, t_max = fc.base.lo, fc.base.hi
     # right root: h(0) = 0 and h grows to its pole at 1/t_max
     x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
     # left root: between near and far, the root for a point mass at t_min.

@@ -7,6 +7,8 @@ The grammar is the exchange format between config files, CLI flags, and
 report artifacts; parse/format are inverse up to float round-trip (repr).
 """
 
+import math
+
 from .contour import Exponential, Polynomial, RationalShift, TestFunction
 from .errors import DomainError
 from .measures import LinearLaw, PointLaw, PopulationLaw, UniformLaw
@@ -20,6 +22,8 @@ def _split(spec: str, kind: str) -> tuple[str, list[float]]:
         args = [float(tok) for tok in tail.split(",")]
     except ValueError:
         raise DomainError(f"{kind} spec {spec!r} has a non-numeric argument")
+    if not all(map(math.isfinite, args)):
+        raise DomainError(f"{kind} spec {spec!r} has a non-finite argument")
     return head, args
 
 

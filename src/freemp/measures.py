@@ -1,10 +1,10 @@
-"""Population spectral measures and sampling laws.
+"""Population laws: the measures the free convolution integrates.
 
-A SpectralMeasure is the value object for a population spectrum pi: either a
-finite atomic measure (empirical spectra) or an absolutely continuous law with
-a bounded density on a compact interval of (0, infinity).  PopulationLaw adds
-the sampling side: a density with known bounds plus its inverse CDF, which is
-what the Monte Carlo layer draws from.
+A PopulationLaw has a bounded density on a compact interval [lo, hi] of
+(0, 1] and an inverse CDF.  The density gives the Gauss-Legendre rule that
+integrate and FreeConvolution use; the inverse CDF is what the Monte Carlo
+layer draws from.  A SpectralMeasure is a finite atomic measure (empirical
+spectra) whose rule is its atoms.  Both expose lo, hi and quad_rule(n).
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ MASS_TOL = 1e-9
 QUAD_START_NODES = 32
 QUAD_MAX_NODES = 4096
 QUAD_RTOL = 1e-10
-MAX_MOMENT_ORDER = 8
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -45,25 +44,14 @@ def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Probability measure on a compact subinterval of (0, infinity).
+    """Finite atomic probability measure on (0, infinity).
 
-    kind is "discrete" (atoms: sorted (location, weight) pairs) or
-    "abs_continuous" (support interval plus density callable).  Total mass
-    must be 1 within MASS_TOL; construction checks it.
+    locs are sorted and distinct, weights positive with total mass 1 within
+    MASS_TOL; discrete and empirical_measure build it.
     """
 
-    kind: str
-    atoms: tuple[tuple[float, float], ...] | None = None
-    support: tuple[float, float] | None = None
-    density: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rule_cache", {})
-        if self.kind == "discrete":
-            locs = np.array([a[0] for a in self.atoms], dtype=float)
-            wts = np.array([a[1] for a in self.atoms], dtype=float)
-            object.__setattr__(self, "_locs", locs)
-            object.__setattr__(self, "_weights", wts)
+    locs: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def discrete(cls, atoms: Sequence[tuple[float, float]]) -> "SpectralMeasure":
@@ -82,59 +70,31 @@ class SpectralMeasure:
         uniq, inverse = np.unique(locs, return_inverse=True)
         merged = np.zeros_like(uniq)
         np.add.at(merged, inverse, wts)
-        pairs = tuple((float(x), float(w)) for x, w in zip(uniq, merged))
-        return cls(kind="discrete", atoms=pairs)
-
-    @classmethod
-    def abs_continuous(cls, support: tuple[float, float],
-                       density: Callable) -> "SpectralMeasure":
-        a, b = float(support[0]), float(support[1])
-        if not (0.0 < a < b) or not np.isfinite(b):
-            raise DomainError(f"support ({a}, {b}) must satisfy 0 < a < b < inf")
-        m = cls(kind="abs_continuous", support=(a, b), density=density)
-        mass = integrate(m, lambda t: np.ones_like(t))
-        if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"density integrates to {mass!r}, not 1")
-        return m
+        return cls(locs=uniq, weights=merged)
 
     @property
-    def min_support(self) -> float:
-        return self.atoms[0][0] if self.kind == "discrete" else self.support[0]
+    def lo(self) -> float:
+        return float(self.locs[0])
 
     @property
-    def max_support(self) -> float:
-        return self.atoms[-1][0] if self.kind == "discrete" else self.support[1]
+    def hi(self) -> float:
+        return float(self.locs[-1])
 
     def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and effective weights for sums approximating integrals.
-
-        Discrete measures return their atoms exactly (n is ignored); for the
-        absolutely continuous case the weights already include the density.
-        """
-        if self.kind == "discrete":
-            return self._locs, self._weights
-        rule = self._rule_cache.get(n)
-        if rule is None:
-            x, w = _leggauss(n)
-            a, b = self.support
-            t = 0.5 * (b - a) * x + 0.5 * (b + a)
-            w_eff = 0.5 * (b - a) * w * np.asarray(self.density(t), dtype=float)
-            self._rule_cache[n] = rule = (t, w_eff)
-        return rule
+        """The atoms and their weights, exact for every integrand; n is
+        ignored."""
+        return self.locs, self.weights
 
 
-def integrate(measure: SpectralMeasure, g: Callable) -> complex | float:
+def integrate(measure: "PopulationLaw | SpectralMeasure",
+              g: Callable) -> complex | float:
     """Integral of g against the measure.
 
-    Atoms are summed exactly.  The absolutely continuous part uses
-    Gauss-Legendre with node doubling from QUAD_START_NODES until the value
-    is stable to QUAD_RTOL (relative); a value not settled at QUAD_MAX_NODES
-    raises ConvergenceError.
+    The measure's quad_rule is doubled from QUAD_START_NODES nodes until two
+    levels agree to QUAD_RTOL (relative); a value not settled at
+    QUAD_MAX_NODES raises ConvergenceError.  An atomic rule is exact, so its
+    first two levels agree.
     """
-    if measure.kind == "discrete":
-        t, w = measure._locs, measure._weights
-        vals = _eval_on_nodes(g, t)
-        return (w * vals).sum()
     n, prev = QUAD_START_NODES, None
     while True:
         t, w_eff = measure.quad_rule(n)
@@ -151,19 +111,12 @@ def integrate(measure: SpectralMeasure, g: Callable) -> complex | float:
         n *= 2
 
 
-def moment(measure: SpectralMeasure, k: int) -> float:
-    """k-th moment, k = 0 .. MAX_MOMENT_ORDER."""
-    if not (0 <= k <= MAX_MOMENT_ORDER):
-        raise DomainError(f"moment order {k} outside 0..{MAX_MOMENT_ORDER}")
-    val = integrate(measure, lambda t: t ** k)
-    return float(np.real(val))
-
-
 class PopulationLaw:
-    """Sampling-ready absolutely continuous population law on [lo, hi].
+    """Absolutely continuous population law on [lo, hi].
 
     Subclasses provide density(t) (vectorized, positive and bounded on the
     support) and quantile(u), the inverse CDF mapping [0, 1] onto [lo, hi].
+    The law is itself the measure FreeConvolution integrates.
     """
 
     lo: float
@@ -175,8 +128,17 @@ class PopulationLaw:
     def quantile(self, u):
         raise NotImplementedError
 
-    def as_measure(self) -> SpectralMeasure:
-        return SpectralMeasure.abs_continuous((self.lo, self.hi), self.density)
+    def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n Gauss-Legendre nodes mapped onto [lo, hi]; the weights include
+        the density."""
+        x, w = _leggauss(n)
+        a, b = self.lo, self.hi
+        t = 0.5 * (b - a) * x + 0.5 * (b + a)
+        return t, 0.5 * (b - a) * w * np.asarray(self.density(t), dtype=float)
+
+    def as_measure(self) -> "PopulationLaw":
+        """The law itself: a law is already a measure."""
+        return self
 
     def _validate_interval(self):
         if not (0.0 < self.lo < self.hi <= 1.0):
@@ -216,7 +178,7 @@ class LinearLaw(PopulationLaw):
 
     def __post_init__(self):
         self._validate_interval()
-        if abs(self.slope) >= 2.0 / (self.hi - self.lo) ** 2:
+        if not abs(self.slope) < 2.0 / (self.hi - self.lo) ** 2:
             raise DomainError(
                 f"slope {self.slope} makes the density vanish inside "
                 f"[{self.lo}, {self.hi}]")
@@ -267,8 +229,9 @@ class PointLaw(PopulationLaw):
     def quantile(self, u):
         return np.full(np.shape(u), self.value, dtype=float)
 
-    def as_measure(self) -> SpectralMeasure:
-        return SpectralMeasure.discrete([(self.value, 1.0)])
+    def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The one atom, exact for every integrand; n is ignored."""
+        return np.array([self.value], dtype=float), np.array([1.0])
 
 
 def sample_population(law: PopulationLaw, m: int,

@@ -11,7 +11,6 @@ timestamps, so identical configs produce identical bytes.
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
@@ -28,7 +27,6 @@ from .rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                   empirical_stieltjes, hat_fc, linear_statistic,
                   sample_data_matrix)
 
-ENV_WORKERS = "FREEMP_WORKERS"
 DEGENERATE_VARIANCE = 1e-12
 DEGENERATE_SAMPLE_TOL = 1e-6
 KS_MIN_SAMPLES = 100
@@ -130,14 +128,7 @@ class CltReport:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(f"{ENV_WORKERS}={raw!r} is not an integer "
-                              "worker count") from None
-    workers = int(workers)
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise DomainError(f"worker count {workers} must be at least 1")
     return workers
@@ -210,7 +201,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
     workers = _resolve_workers(workers)
     N = cfg.N_list[0]
     spec = DataMatrixSpec.from_ratio(cfg.gamma0, N, cfg.entry_law)
-    fc = FreeConvolution(cfg.nu.as_measure(), cfg.gamma0)
+    fc = FreeConvolution(cfg.nu, cfg.gamma0)
     if cfg.d is None:
         contour = default_contour(fc)
     else:
@@ -411,7 +402,7 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
             "exact and the gap measures only M/N rounding")
     workers = _resolve_workers(workers)
 
-    fc = FreeConvolution(nu.as_measure(), gamma0)
+    fc = FreeConvolution(nu, gamma0)
     contour = default_contour(fc)
     xi, _ = contour.nodes(0)
     m_pop = stieltjes_batch(fc, xi)

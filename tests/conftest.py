@@ -30,7 +30,7 @@ def mp_four(dirac_one) -> FreeConvolution:
 @pytest.fixture(scope="session")
 def fc_uniform(uniform_half) -> FreeConvolution:
     """Uniform[0.5, 1] population at ratio 0.5: the workhorse configuration."""
-    return FreeConvolution(uniform_half.as_measure(), 0.5)
+    return FreeConvolution(uniform_half, 0.5)
 
 
 @pytest.fixture()

@@ -14,15 +14,34 @@ The rectangle quadrature is the paper's own route to the contour
 functionals: Stieltjes solves on the Gauss-Legendre nodes of a RectContour,
 refined level by level.  It shares no code with the m-plane evaluation in
 freemp.contour beyond the contour geometry.
+
+DensityLaw is a population law given by nothing but a density on [lo, hi],
+for inputs the shipped laws reject: unnormalized or singular densities.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from freemp.contour import NODE_LEVELS
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
+from freemp.measures import PopulationLaw
 
 RECT_RTOL = 1e-9
 RECT_ATOL = 1e-10
+
+
+@dataclass(frozen=True)
+class DensityLaw(PopulationLaw):
+    """density(t) = fn(t) on [lo, hi], unchecked; it cannot be sampled."""
+
+    lo: float
+    hi: float
+    fn: Callable
+
+    def density(self, t):
+        return self.fn(np.asarray(t, dtype=float))
 
 
 def mp_edges(r: float) -> tuple[float, float]:

@@ -65,7 +65,7 @@ def nu_uniform():
 
 @pytest.fixture(scope="module")
 def fc_half(nu_uniform):
-    return FreeConvolution(nu_uniform.as_measure(), 0.5)
+    return FreeConvolution(nu_uniform, 0.5)
 
 
 @pytest.fixture(scope="module")

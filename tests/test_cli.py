@@ -6,6 +6,8 @@ import pytest
 
 from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
+from freemp.errors import DomainError
+from freemp.grammar import parse_func, parse_law
 from freemp.measures import UniformLaw
 from freemp.verify import run_clt_experiment
 
@@ -57,6 +59,17 @@ class TestParseConfig:
         config.write_text("gamma0 0.25\n")
         with pytest.raises(UsageError, match="key=value"):
             parse_config(["edges", "--config", str(config)])
+
+    # NaN passes every comparison-based check downstream, so the grammar
+    # rejects it (and infinities) itself, quoting the spec
+    @pytest.mark.parametrize("parse, spec", [
+        (parse_law, "linear:0.2,1,nan"), (parse_func, "poly:nan"),
+        (parse_func, "poly:1,inf"), (parse_func, "exp:inf"),
+        (parse_func, "ratshift:nan")])
+    def test_non_finite_spec_argument_rejected(self, parse, spec):
+        with pytest.raises(DomainError,
+                           match=f"spec '{spec}' has a non-finite argument"):
+            parse(spec)
 
 
 class TestDispatch:
@@ -171,6 +184,16 @@ class TestDispatch:
             assert str(out / "edges.json") in err
             assert len(err.strip().splitlines()) == 1
         assert blocker.read_text() == "occupied\n"
+
+    @pytest.mark.parametrize("args, key", [
+        (["edges", "--nu", "linear:0.2,1,nan"], "nu"),
+        (["variance", "--nu", "uniform:0.5,1", "--f", "poly:nan"], "f")],
+        ids=["edges", "variance"])
+    def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args, key):
+        code = main(args + ["--gamma0", "0.5", "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: key '{key}'")
+        assert not any(tmp_path.iterdir())
 
     def test_unsettled_variance_exits_one(self, tmp_path, capsys,
                                           monkeypatch):

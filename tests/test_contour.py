@@ -198,7 +198,7 @@ class TestRectangleOracle:
     @pytest.mark.parametrize("law, ratio", [("uniform:0.5,1", 0.5),
                                             ("linear:0.2,1,1", 2.0)])
     def test_near_edge_pole_variance(self, law, ratio):
-        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        fc = FreeConvolution(parse_law(law), ratio)
         c = default_contour(fc)
         # 0.05 beyond the bound RationalShift.validate enforces
         f = RationalShift(c.L_plus + 4.0 * c.d + 0.05)
@@ -226,7 +226,7 @@ class TestClosedFormsAcrossRatios:
 
     @pytest.mark.parametrize("law, ratio", CASES)
     def test_variances_and_means(self, law, ratio):
-        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        fc = FreeConvolution(parse_law(law), ratio)
         _, e1, e2, e3, e4 = _moments(law)
         c = 2.0 * ratio * e1
         var_x = e2 - e1 * e1

@@ -11,8 +11,8 @@ from freemp.measures import (SpectralMeasure, empirical_measure, integrate,
                              sample_population)
 from freemp.rmt import hat_fc
 
-from oracles import (mp_density, mp_edge_roots, mp_edges, mp_stieltjes,
-                     mp_stieltjes_derivative)
+from oracles import (DensityLaw, mp_density, mp_edge_roots, mp_edges,
+                     mp_stieltjes, mp_stieltjes_derivative)
 
 
 def contract_residual(fc, m, z):
@@ -230,7 +230,7 @@ class TestSupportEdges:
     @pytest.mark.parametrize("ratio", [0.01, 0.5, 0.98, 1.02, 20.0])
     @pytest.mark.parametrize("law", ["uniform:0.5,1", "linear:0.2,1,1"])
     def test_edge_root_residual(self, law, ratio):
-        fc = FreeConvolution(parse_law(law).as_measure(), ratio)
+        fc = FreeConvolution(parse_law(law), ratio)
         e = support_edges(fc)
         assert 0.0 < e.L_minus < e.L_plus
         for x in (e.x_plus, e.x_minus):
@@ -239,12 +239,12 @@ class TestSupportEdges:
 
     def test_h_monotone_on_right_branch(self, fc_uniform):
         from freemp.freeconv import _h_value
-        xs = np.linspace(1e-3, 1.0 / fc_uniform.base.max_support - 1e-3, 50)
+        xs = np.linspace(1e-3, 1.0 / fc_uniform.base.hi - 1e-3, 50)
         hs = np.array([_h_value(fc_uniform, x) for x in xs])
         assert np.all(np.diff(hs) > 0.0)
 
     def test_discretized_edges_approach_population_edges(self, uniform_half, rng):
-        ref = support_edges(FreeConvolution(uniform_half.as_measure(), 0.5))
+        ref = support_edges(FreeConvolution(uniform_half, 0.5))
 
         def gap(m):
             draws = sample_population(uniform_half, m, rng)
@@ -272,7 +272,7 @@ class TestSupportEdges:
         (lambda t: 160.0 * (t - 0.5) ** 4, 0.1, "left edge")],
         ids=["right", "left"])
     def test_no_root_before_pole_names_the_edge(self, density, ratio, edge):
-        base = SpectralMeasure.abs_continuous((0.5, 1.0), density)
+        base = DensityLaw(0.5, 1.0, density)
         with pytest.raises(EdgeBracketError, match=edge):
             support_edges(FreeConvolution(base, ratio))
 
@@ -306,3 +306,8 @@ class TestGuards:
         m = SpectralMeasure.discrete([(1.5, 1.0)])
         with pytest.raises(DomainError):
             FreeConvolution(m, 0.5)
+
+    def test_base_mass_must_be_one(self):
+        base = DensityLaw(0.5, 1.0, lambda t: 3.0 * np.ones_like(t))
+        with pytest.raises(DomainError, match="mass 1.5"):
+            FreeConvolution(base, 0.5)

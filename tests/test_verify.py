@@ -121,13 +121,6 @@ class TestRunClt:
         assert np.array_equal(serial.samples, pooled.samples)
         assert np.array_equal(serial.replicate_seeds, pooled.replicate_seeds)
 
-    def test_bad_worker_env_named(self, uniform_half, monkeypatch):
-        monkeypatch.setenv("FREEMP_WORKERS", "two")
-        cfg = ExperimentConfig(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
-                               N_list=(50,), replicates=100, seed=314)
-        with pytest.raises(DomainError, match="FREEMP_WORKERS='two'"):
-            run_clt_experiment(cfg)
-
     def test_variance_and_normality_gates(self, clt_small):
         _, report = clt_small
         # identity statistic: predicted variance gamma0 * Var(sigma)
