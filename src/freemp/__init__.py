@@ -9,8 +9,7 @@ Carlo simulation.
 
 from .contour import (Exponential, Polynomial, RationalShift, RectContour,
                       TestFunction, build_contour, clt_variance,
-                      contour_integral, default_contour, denominator_margin,
-                      f_sigma, mean_statistic)
+                      default_contour, f_sigma, mean_statistic)
 from .errors import (ContourError, ConvergenceError, DomainError,
                      EdgeBracketError, EdgeProbeError, FreempError,
                      NearSingularityError, PsdViolationError, ReplicateError,

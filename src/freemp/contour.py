@@ -3,8 +3,8 @@
 The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
 0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
 point mass there) outside.  It supplies the margin d, its real crossings
-left and right, and one family of Gauss-Legendre nodes, which
-check_hat_rate solves on and contour_integral sums over.
+left and right, and one fixed rule of Gauss-Legendre nodes, on which
+check_hat_rate solves.
 
 Every fluctuation functional runs on a circle in the m-plane instead.  The
 theory needs Cauchy integrals over the rectangle, and xi = z(m) = -1/m +
@@ -41,10 +41,7 @@ from .freeconv import FreeConvolution, _solve, _sums, support_edges
 from .measures import _leggauss
 
 NODES_PER_SIDE = 128
-NODE_LEVELS = 4
 DEFAULT_D_CAP = 0.05
-QUAD_RTOL = 1e-10
-QUAD_ATOL = 1e-12
 CIRCLE_NODES = 64
 MAX_CIRCLE_NODES = 1 << 14
 FUNC_RTOL = 1e-9
@@ -138,9 +135,9 @@ class RectContour:
         return self.L_plus + 2.0 * self.d
 
     def nodes(self, level: int = 0):
-        """(points, weights) of the full rectangle at refinement level
-        0 .. NODE_LEVELS - 1: NODES_PER_SIDE * 2**level Gauss-Legendre
-        nodes per side, from the lower left corner counterclockwise."""
+        """(points, weights) of the full rectangle: NODES_PER_SIDE *
+        2**level Gauss-Legendre nodes per side, from the lower left corner
+        counterclockwise.  The library solves on level 0."""
         s, w = _leggauss(NODES_PER_SIDE << level)
         h = 2.0 * self.d
         cs = (complex(self.left, -h), complex(self.right, -h),
@@ -169,34 +166,6 @@ def default_contour(fc: FreeConvolution) -> RectContour:
         c = build_contour(support_edges(fc))
         object.__setattr__(fc, "_default_contour", c)
     return c
-
-
-# ---------------------------------------------------------------------------
-# generic quadrature
-
-def contour_integral(c: RectContour, integrand) -> complex:
-    """oint integrand(xi) dxi with node doubling until two successive
-    refinement levels agree; raises ContourError if the finest level still
-    disagrees."""
-    prev = None
-    gap = np.inf
-    for lvl in range(NODE_LEVELS):
-        xi, w = c.nodes(lvl)
-        vals = np.asarray(integrand(xi), dtype=complex)
-        finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
-        if not finite.all():
-            bad = xi[np.flatnonzero(~finite)[0]]
-            raise DomainError(f"integrand is non-finite at xi = {bad!r}")
-        cur = complex((vals * w).sum())
-        if prev is not None:
-            gap = abs(cur - prev)
-            if gap <= QUAD_ATOL + QUAD_RTOL * abs(cur):
-                return cur
-        prev = cur
-    raise ContourError(
-        f"contour integral not settled at "
-        f"{NODES_PER_SIDE << (NODE_LEVELS - 1)} nodes/side: "
-        f"last two levels differ by {gap:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +265,6 @@ def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
     c = default_contour(fc) if contour is None else contour
     f.validate(c)
     return float(_f_values(fc, c, f, np.array([float(sigma)]))[0])
-
-
-def denominator_margin(fc: FreeConvolution, sigmas,
-                       contour: RectContour | None = None) -> float:
-    """min over the m-plane circle of the contour and sigma of |1 + sigma m|."""
-    c = default_contour(fc) if contour is None else contour
-    return _margin(_m_circle(fc, c), sigmas)
 
 
 def clt_variance(fc: FreeConvolution, f: TestFunction,

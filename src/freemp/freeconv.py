@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EdgeBracketError,
                      EdgeProbeError, SingularDerivativeError)
-from .measures import PopulationLaw, SpectralMeasure, integrate
+from .measures import PopulationLaw, SpectralMeasure
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
 RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
@@ -68,9 +68,10 @@ class FreeConvolution:
             raise DomainError("ratio 1 is excluded (support reaches 0)")
         if self.base.lo <= 0.0 or self.base.hi > 1.0 + 1e-12:
             raise DomainError("base measure support must lie inside (0, 1]")
-        mass = float(integrate(self.base, np.ones_like))
+        mass = float(self._rule[1].sum())
         if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"base measure has mass {mass!r}, not 1")
+            raise DomainError(f"base measure has mass {mass!r} on the "
+                              f"{AC_QUAD_NODES}-node solver rule, not 1")
 
     @cached_property
     def _edge_data(self) -> SupportEdges:
@@ -303,7 +304,7 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     return np.abs(_solve(fc, x.astype(complex)).imag) / np.pi
 
 
-def density(fc: FreeConvolution, x: float, warn: bool = True) -> float:
+def density(fc: FreeConvolution, x: float) -> float:
     return float(density_batch(fc, np.array([x]))[0])
 
 

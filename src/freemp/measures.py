@@ -1,45 +1,27 @@
-"""Population laws: the measures the free convolution integrates.
+"""Population laws: the base measures of the free convolution.
 
 A PopulationLaw has a bounded density on a compact interval [lo, hi] of
-(0, 1] and an inverse CDF.  The density gives the Gauss-Legendre rule that
-integrate and FreeConvolution use; the inverse CDF is what the Monte Carlo
+(0, 1] and an inverse CDF.  The density weights the fixed Gauss-Legendre
+rules FreeConvolution sums over; the inverse CDF is what the Monte Carlo
 layer draws from.  A SpectralMeasure is a finite atomic measure (empirical
 spectra) whose rule is its atoms.  Both expose lo, hi and quad_rule(n).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 MASS_TOL = 1e-9
-QUAD_START_NODES = 32
-QUAD_MAX_NODES = 4096
-QUAD_RTOL = 1e-10
-
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
-    rule = _leggauss_cache.get(n)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(n)
-        _leggauss_cache[n] = rule
-    return rule
-
-
-def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
-    """Evaluate the vectorized g on an array of nodes, checking finiteness."""
-    vals = np.asarray(g(t))
-    finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
-        np.isfinite(vals.real) & np.isfinite(vals.imag))
-    if not finite.all():
-        raise DomainError(
-            f"integrand is non-finite at t={float(t[~finite].flat[0])!r}")
-    return vals
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,37 +68,12 @@ class SpectralMeasure:
         return self.locs, self.weights
 
 
-def integrate(measure: "PopulationLaw | SpectralMeasure",
-              g: Callable) -> complex | float:
-    """Integral of g against the measure.
-
-    The measure's quad_rule is doubled from QUAD_START_NODES nodes until two
-    levels agree to QUAD_RTOL (relative); a value not settled at
-    QUAD_MAX_NODES raises ConvergenceError.  An atomic rule is exact, so its
-    first two levels agree.
-    """
-    n, prev = QUAD_START_NODES, None
-    while True:
-        t, w_eff = measure.quad_rule(n)
-        cur = (w_eff * _eval_on_nodes(g, t)).sum()
-        if prev is not None:
-            gap = abs(cur - prev)
-            if gap <= QUAD_RTOL * max(abs(cur), 1e-300):
-                return cur
-            if n >= QUAD_MAX_NODES:
-                raise ConvergenceError(
-                    f"integral not settled at {n} Gauss-Legendre nodes: last "
-                    f"two levels differ by {gap:.3e}", residual=gap)
-        prev = cur
-        n *= 2
-
-
 class PopulationLaw:
     """Absolutely continuous population law on [lo, hi].
 
     Subclasses provide density(t) (vectorized, positive and bounded on the
     support) and quantile(u), the inverse CDF mapping [0, 1] onto [lo, hi].
-    The law is itself the measure FreeConvolution integrates.
+    The law is itself the measure whose rule FreeConvolution sums over.
     """
 
     lo: float
@@ -250,5 +207,8 @@ def empirical_measure(samples: np.ndarray) -> SpectralMeasure:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical measure of an empty sample")
-    w = 1.0 / samples.size
-    return SpectralMeasure.discrete([(float(x), w) for x in samples])
+    locs, counts = np.unique(samples, return_counts=True)
+    # np.unique sorts NaN last, so the two ends decide both checks
+    if not (locs[0] > 0.0 and np.isfinite(locs[-1])):
+        raise DomainError("samples must be finite and positive")
+    return SpectralMeasure(locs=locs, weights=counts / samples.size)

@@ -11,9 +11,7 @@ timestamps, so identical configs produce identical bytes.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -157,6 +155,8 @@ def _map_tasks(worker, tasks, workers: int) -> np.ndarray:
             for done, value in enumerate(map(worker, tasks)):
                 out[done] = value
         else:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
             chunk = max(1, -(-len(tasks) // (4 * workers)))
             ctx = get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

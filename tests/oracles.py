@@ -10,10 +10,13 @@ Edges are the zeros of the discriminant z^2 - 2 z (1 + r) + (1 - r)^2, i.e.
 (1 -+ sqrt(r))^2, and the density follows from the imaginary part of the
 upper-half-plane root on the cut.
 
-The rectangle quadrature is the paper's own route to the contour
-functionals: Stieltjes solves on the Gauss-Legendre nodes of a RectContour,
-refined level by level.  It shares no code with the m-plane evaluation in
-freemp.contour beyond the contour geometry.
+integrate and rectangle_integral are the adaptive references for the
+library's fixed rules: each doubles its nodes until two levels agree, on a
+measure's quad_rule and on a RectContour's nodes.  The rectangle
+quadrature is the paper's own route to the contour functionals: Stieltjes
+solves on the Gauss-Legendre nodes of a RectContour, refined level by
+level.  It shares no code with the m-plane evaluation in freemp.contour
+beyond the contour geometry.
 
 DensityLaw is a population law given by nothing but a density on [lo, hi],
 for inputs the shipped laws reject: unnormalized or singular densities.
@@ -24,10 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from freemp.contour import NODE_LEVELS
+from freemp.errors import ContourError, ConvergenceError, DomainError
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
-from freemp.measures import PopulationLaw
+from freemp.measures import PopulationLaw, SpectralMeasure
 
+QUAD_START_NODES = 32
+QUAD_MAX_NODES = 4096
+QUAD_RTOL = 1e-10
+QUAD_ATOL = 1e-12
+NODE_LEVELS = 4
 RECT_RTOL = 1e-9
 RECT_ATOL = 1e-10
 
@@ -42,6 +50,58 @@ class DensityLaw(PopulationLaw):
 
     def density(self, t):
         return self.fn(np.asarray(t, dtype=float))
+
+
+def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
+    """Evaluate the vectorized g on an array of nodes, checking finiteness."""
+    vals = np.asarray(g(t))
+    finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
+        np.isfinite(vals.real) & np.isfinite(vals.imag))
+    if not finite.all():
+        raise DomainError(
+            f"integrand is non-finite at t={float(t[~finite].flat[0])!r}")
+    return vals
+
+
+def integrate(measure: "PopulationLaw | SpectralMeasure",
+              g: Callable) -> complex | float:
+    """Integral of g against the measure.
+
+    The measure's quad_rule is doubled from QUAD_START_NODES nodes until two
+    levels agree to QUAD_RTOL (relative); a value not settled at
+    QUAD_MAX_NODES raises ConvergenceError.  An atomic rule is exact, so its
+    first two levels agree.
+    """
+    n, prev = QUAD_START_NODES, None
+    while True:
+        t, w_eff = measure.quad_rule(n)
+        cur = (w_eff * _eval_on_nodes(g, t)).sum()
+        if prev is not None:
+            gap = abs(cur - prev)
+            if gap <= QUAD_RTOL * max(abs(cur), 1e-300):
+                return cur
+            if n >= QUAD_MAX_NODES:
+                raise ConvergenceError(
+                    f"integral not settled at {n} Gauss-Legendre nodes: last "
+                    f"two levels differ by {gap:.3e}", residual=gap)
+        prev = cur
+        n *= 2
+
+
+def rectangle_integral(c, g) -> complex:
+    """oint g(xi) dxi over the rectangle c, on c.nodes(level) doubled until
+    two levels agree; raises ContourError if the finest level still
+    disagrees."""
+    prev = None
+    for level in range(NODE_LEVELS):
+        xi, w = c.nodes(level)
+        cur = complex((np.asarray(g(xi), dtype=complex) * w).sum())
+        if prev is not None and \
+                abs(cur - prev) <= QUAD_ATOL + QUAD_RTOL * abs(cur):
+            return cur
+        prev = cur
+    raise ContourError(f"rectangle integral not settled at {NODE_LEVELS} "
+                       f"levels")
 
 
 def mp_edges(r: float) -> tuple[float, float]:

@@ -21,18 +21,17 @@ import numpy as np
 import pytest
 
 from freemp.contour import (Polynomial, RectContour, build_contour,
-                            clt_variance, contour_integral, default_contour)
+                            clt_variance, default_contour)
 from freemp.freeconv import (FreeConvolution, stieltjes_batch,
                              stieltjes_derivative_batch, density_batch,
                              support_edges)
-from freemp.measures import (SpectralMeasure, UniformLaw, integrate,
-                             sample_population)
+from freemp.measures import SpectralMeasure, UniformLaw, sample_population
 from freemp.rmt import (DataMatrixSpec, eigenvalues, hat_fc,
                         sample_data_matrix)
 from freemp.verify import (ExperimentConfig, check_edges, check_hat_rate,
                            check_local_law, run_clt_experiment)
 
-from oracles import mp_stieltjes
+from oracles import integrate, mp_stieltjes, rectangle_integral
 
 SEED = 20240817
 F_SQUARE = Polynomial((0.0, 0.0, 1.0))
@@ -155,9 +154,10 @@ def test_04_contour_calculus(fc_half):
     c = RectContour(d=0.4, L_minus=6.0, L_plus=8.0)
     inside = 7.0 + 0.3j
     errs = (
-        abs(contour_integral(c, lambda z: 1.0 / (z - inside)) - 2j * np.pi),
-        abs(contour_integral(c, lambda z: 1.0 / (z + 1.0))),
-        abs(contour_integral(c, lambda z: z * z)),
+        abs(rectangle_integral(c, lambda z: 1.0 / (z - inside))
+            - 2j * np.pi),
+        abs(rectangle_integral(c, lambda z: 1.0 / (z + 1.0))),
+        abs(rectangle_integral(c, lambda z: z * z)),
     )
     edges = support_edges(fc_half)
     d0 = default_contour(fc_half).d

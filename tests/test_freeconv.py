@@ -7,17 +7,17 @@ from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import (SpectralMeasure, empirical_measure, integrate,
+from freemp.measures import (SpectralMeasure, empirical_measure,
                              sample_population)
 from freemp.rmt import hat_fc
 
-from oracles import (DensityLaw, mp_density, mp_edge_roots, mp_edges,
-                     mp_stieltjes, mp_stieltjes_derivative)
+from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
+                     mp_edges, mp_stieltjes, mp_stieltjes_derivative)
 
 
 def contract_residual(fc, m, z):
-    """Residual measured with the public adaptive quadrature (independent of
-    the solver's internal fixed rule)."""
+    """Residual measured with the oracle's adaptive quadrature (independent
+    of the solver's fixed rule)."""
     s = integrate(fc.base, lambda t: t / (1.0 + m * t))
     return abs(1.0 / m + z - fc.ratio * s)
 
@@ -170,7 +170,7 @@ class TestDensity:
 
     def test_zero_outside_support(self, mp_quarter):
         for x in (2.5, 3.0, 0.1, 0.15):
-            assert density(mp_quarter, x, warn=False) == pytest.approx(0.0, abs=1e-6)
+            assert density(mp_quarter, x) == pytest.approx(0.0, abs=1e-6)
 
     def test_mass_and_first_moment(self, mp_quarter):
         lo, hi = mp_edges(0.25)

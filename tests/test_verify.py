@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import freemp
 from freemp.errors import DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
 from freemp.measures import PointLaw, UniformLaw, sample_population
@@ -156,6 +161,18 @@ class TestRunClt:
         assert err.value.index == 3
         with pytest.raises(ReplicateError):
             _map_tasks(_boom, [0, 1, 2, 3, 4], workers=2)
+
+    def test_import_loads_no_pool_machinery(self):
+        # the pool modules load only where a pool starts (workers > 1)
+        src = str(Path(freemp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, freemp; print(sorted(m for m in ("
+                "'multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCltGates:
