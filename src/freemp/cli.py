@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 error, 2 gate failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import build_contour, clt_variance, default_contour
-from .errors import FreempError
+from .errors import DomainError, FreempError
 from .freeconv import FreeConvolution, density_batch, support_edges
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import sample_population
@@ -85,8 +86,26 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok, 10) for tok in raw.split(","))
 
 
+def _finite(raw: str) -> float:
+    # NaN passes every comparison-based check downstream, so it stops here
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+def _workers(raw: str) -> int:
+    # a fork pool starts all its processes at once, so cap them here,
+    # before any pool exists
+    value = _positive_int(raw)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise DomainError(f"{value} workers exceed the {cpus} CPU(s)")
+    return value
+
+
 _COMMON = {
-    "gamma0": Key(float, "a positive real != 1",
+    "gamma0": Key(_finite, "a positive real != 1",
                   help="dimension ratio M/N limit"),
     "nu": Key(parse_law, "a law spec dirac:c | uniform:a,b | linear:a,b,slope",
               help="population spectral law"),
@@ -98,21 +117,22 @@ _COMMON = {
 
 _F_KEY = Key(parse_func, "a function spec poly:c0,c1,... | exp:s | ratshift:p",
              help="test function applied to the eigenvalues")
-_D_KEY = Key(float, "a positive real", default=None,
+_D_KEY = Key(_finite, "a positive real", default=None,
              help="contour margin (default: min(L_minus/20, 0.05))")
 _ENTRY_KEY = Key(str, "one of " + "|".join(ENTRY_LAWS), default="gaussian",
                  help="entry distribution of the data matrix")
-_WORKERS_KEY = Key(_int, "a positive integer", default=None,
-                   help="worker processes (default: 1)")
+_WORKERS_KEY = Key(_workers, "a positive integer", default=None,
+                   help="worker processes, at most the CPU count "
+                        "(default: 1)")
 
 SUBCOMMAND_KEYS = {
     "density": {
         **_COMMON,
         "points": Key(_positive_int, "a positive integer", default=200,
                       help="grid size"),
-        "xmin": Key(float, "a real", default=None,
+        "xmin": Key(_finite, "a real", default=None,
                     help="grid start (default: lower support edge)"),
-        "xmax": Key(float, "a real", default=None,
+        "xmax": Key(_finite, "a real", default=None,
                     help="grid end (default: upper support edge)"),
     },
     "edges": {**_COMMON},
@@ -134,9 +154,9 @@ SUBCOMMAND_KEYS = {
     "locallaw": {
         **_COMMON,
         "n": Key(_int, "an integer >= 2", help="matrix dimension N"),
-        "tau": Key(float, "a real in (0, 0.5)", default=0.1,
+        "tau": Key(_finite, "a real in (0, 0.5)", default=0.1,
                    help="spectral-domain parameter"),
-        "eps": Key(float, "a positive real", default=0.1,
+        "eps": Key(_finite, "a positive real", default=0.1,
                    help="deviation exponent"),
         "entry_law": _ENTRY_KEY,
     },

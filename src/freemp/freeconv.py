@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EdgeBracketError,
                      EdgeProbeError, SingularDerivativeError)
-from .measures import PopulationLaw, SpectralMeasure
+from .measures import PopulationLaw
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
 RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
@@ -58,7 +58,7 @@ class SupportEdges:
 class FreeConvolution:
     """pi boxtimes MP_ratio for a population measure pi (the base)."""
 
-    base: PopulationLaw | SpectralMeasure
+    base: PopulationLaw
     ratio: float
 
     def __post_init__(self):

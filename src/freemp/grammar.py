@@ -3,15 +3,17 @@
 Laws:       dirac:c | uniform:a,b | linear:a,b,slope
 Functions:  poly:c0,c1,... | exp:s | ratshift:p
 
-The grammar is the exchange format between config files, CLI flags, and
-report artifacts; parse/format are inverse up to float round-trip (repr).
+dirac:c is the one-atom AtomicLaw; an AtomicLaw with more atoms (the
+realized spectrum of a sample) has no spec form.  The grammar is the
+exchange format between config files, CLI flags, and report artifacts;
+parse/format are inverse up to float round-trip (repr).
 """
 
 import math
 
 from .contour import Exponential, Polynomial, RationalShift, TestFunction
 from .errors import DomainError
-from .measures import LinearLaw, PointLaw, PopulationLaw, UniformLaw
+from .measures import AtomicLaw, LinearLaw, PopulationLaw, UniformLaw
 
 
 def _split(spec: str, kind: str) -> tuple[str, list[float]]:
@@ -37,7 +39,7 @@ def _arity(head: str, args: list[float], n: int, kind: str) -> list[float]:
 def parse_law(spec: str) -> PopulationLaw:
     head, args = _split(spec, "law")
     if head == "dirac":
-        return PointLaw(*_arity(head, args, 1, "law"))
+        return AtomicLaw(_arity(head, args, 1, "law"), [1.0])
     if head == "uniform":
         return UniformLaw(*_arity(head, args, 2, "law"))
     if head == "linear":
@@ -46,8 +48,8 @@ def parse_law(spec: str) -> PopulationLaw:
 
 
 def format_law(law: PopulationLaw) -> str:
-    if isinstance(law, PointLaw):
-        return f"dirac:{law.value!r}"
+    if isinstance(law, AtomicLaw) and law.locs.size == 1:
+        return f"dirac:{law.lo!r}"
     if isinstance(law, UniformLaw):
         return f"uniform:{law.lo!r},{law.hi!r}"
     if isinstance(law, LinearLaw):

@@ -1,15 +1,15 @@
 """Population laws: the base measures of the free convolution.
 
-A PopulationLaw has a bounded density on a compact interval [lo, hi] of
-(0, 1] and an inverse CDF.  The density weights the fixed Gauss-Legendre
-rules FreeConvolution sums over; the inverse CDF is what the Monte Carlo
-layer draws from.  A SpectralMeasure is a finite atomic measure (empirical
-spectra) whose rule is its atoms.  Both expose lo, hi and quad_rule(n).
+A PopulationLaw is a probability law on a compact interval [lo, hi] of
+(0, 1].  Its quad_rule(n) is the rule FreeConvolution sums over, and its
+inverse CDF is what the Monte Carlo layer draws from.  A law with a bounded
+density weights n Gauss-Legendre nodes on [lo, hi] by it; an AtomicLaw (a
+point mass dirac:c, or the realized spectrum of a sample) sums over its
+atoms.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
 import numpy as np
 
@@ -24,56 +24,13 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralMeasure:
-    """Finite atomic probability measure on (0, infinity).
-
-    locs are sorted and distinct, weights positive with total mass 1 within
-    MASS_TOL; discrete and empirical_measure build it.
-    """
-
-    locs: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def discrete(cls, atoms: Sequence[tuple[float, float]]) -> "SpectralMeasure":
-        """Atomic measure; duplicate locations merge on exact float equality."""
-        if len(atoms) == 0:
-            raise DomainError("discrete measure needs at least one atom")
-        locs = np.asarray([a[0] for a in atoms], dtype=float)
-        wts = np.asarray([a[1] for a in atoms], dtype=float)
-        if not np.all(np.isfinite(locs)) or np.any(locs <= 0.0):
-            raise DomainError("atom locations must be finite and positive")
-        if np.any(wts <= 0.0):
-            raise DomainError("atom weights must be positive")
-        total = float(wts.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise DomainError(f"atom weights sum to {total!r}, not 1")
-        uniq, inverse = np.unique(locs, return_inverse=True)
-        merged = np.zeros_like(uniq)
-        np.add.at(merged, inverse, wts)
-        return cls(locs=uniq, weights=merged)
-
-    @property
-    def lo(self) -> float:
-        return float(self.locs[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.locs[-1])
-
-    def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms and their weights, exact for every integrand; n is
-        ignored."""
-        return self.locs, self.weights
-
-
 class PopulationLaw:
-    """Absolutely continuous population law on [lo, hi].
+    """Population law on [lo, hi].
 
-    Subclasses provide density(t) (vectorized, positive and bounded on the
-    support) and quantile(u), the inverse CDF mapping [0, 1] onto [lo, hi].
-    The law is itself the measure whose rule FreeConvolution sums over.
+    Subclasses provide quantile(u), the inverse CDF mapping [0, 1] onto
+    [lo, hi], and either density(t) (vectorized, positive and bounded on
+    the support) or their own quad_rule.  The law is itself the measure
+    whose rule FreeConvolution sums over.
     """
 
     lo: float
@@ -160,35 +117,56 @@ class LinearLaw(PopulationLaw):
         return self.lo + x
 
 
-@dataclass(frozen=True)
-class PointLaw(PopulationLaw):
-    """Degenerate population: every entry equals `value`.
+@dataclass(frozen=True, eq=False)
+class AtomicLaw(PopulationLaw):
+    """Mass weights[i] at locs[i]: locs sorted, distinct and in (0, 1],
+    weights positive with total mass 1 within MASS_TOL.  dirac:c is the
+    one-atom law; empirical_measure builds the law of a sample."""
 
-    Useful as a closed-form reference (the free convolution reduces to a
-    rescaled Marchenko-Pastur law) and for exercising degenerate-input
-    guards; the width of the support is exactly zero.
-    """
-
-    value: float
+    locs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise DomainError(f"point mass at {self.value} must lie in (0, 1]")
+        locs = np.asarray(self.locs, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if locs.ndim != 1 or locs.size == 0 or weights.shape != locs.shape:
+            raise DomainError(f"atomic law needs an atom and one weight per "
+                              f"atom: got {locs.shape} and {weights.shape}")
+        # NaN fails every comparison, so these checks reject it too
+        if not np.all((locs > 0.0) & (locs <= 1.0)):
+            raise DomainError("atom locations must lie in (0, 1]")
+        if not np.all(locs[1:] > locs[:-1]):
+            raise DomainError("atom locations must be sorted and distinct")
+        if not np.all(weights > 0.0):
+            raise DomainError("atom weights must be positive")
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= MASS_TOL:
+            raise DomainError(f"atom weights sum to {total!r}, not 1")
+        object.__setattr__(self, "locs", locs)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        return (isinstance(other, AtomicLaw)
+                and np.array_equal(self.locs, other.locs)
+                and np.array_equal(self.weights, other.weights))
 
     @property
     def lo(self) -> float:
-        return self.value
+        return float(self.locs[0])
 
     @property
     def hi(self) -> float:
-        return self.value
+        return float(self.locs[-1])
 
     def quantile(self, u):
-        return np.full(np.shape(u), self.value, dtype=float)
+        """The first atom whose cumulative weight exceeds u."""
+        step = np.searchsorted(np.cumsum(self.weights), u, side="right")
+        return self.locs[np.minimum(step, self.locs.size - 1)]
 
     def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The one atom, exact for every integrand; n is ignored."""
-        return np.array([self.value], dtype=float), np.array([1.0])
+        """The atoms and their weights, exact for every integrand; n is
+        ignored."""
+        return self.locs, self.weights
 
 
 def sample_population(law: PopulationLaw, m: int,
@@ -202,13 +180,8 @@ def sample_population(law: PopulationLaw, m: int,
     return np.clip(out, law.lo, law.hi)
 
 
-def empirical_measure(samples: np.ndarray) -> SpectralMeasure:
-    """Equal-weight atomic measure of the samples (exact duplicates merged)."""
+def empirical_measure(samples: np.ndarray) -> AtomicLaw:
+    """Equal-weight atomic law of the samples (exact duplicates merged)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise DomainError("empirical measure of an empty sample")
     locs, counts = np.unique(samples, return_counts=True)
-    # np.unique sorts NaN last, so the two ends decide both checks
-    if not (locs[0] > 0.0 and np.isfinite(locs[-1])):
-        raise DomainError("samples must be finite and positive")
-    return SpectralMeasure(locs=locs, weights=counts / samples.size)
+    return AtomicLaw(locs, counts / samples.size)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from freemp.freeconv import FreeConvolution
-from freemp.measures import SpectralMeasure, UniformLaw
+from freemp.measures import AtomicLaw, UniformLaw
 
 
 @pytest.fixture(scope="session")
-def dirac_one() -> SpectralMeasure:
-    return SpectralMeasure.discrete([(1.0, 1.0)])
+def dirac_one() -> AtomicLaw:
+    return AtomicLaw([1.0], [1.0])
 
 
 @pytest.fixture(scope="session")

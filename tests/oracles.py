@@ -29,7 +29,7 @@ import numpy as np
 
 from freemp.errors import ContourError, ConvergenceError, DomainError
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
-from freemp.measures import PopulationLaw, SpectralMeasure
+from freemp.measures import PopulationLaw
 
 QUAD_START_NODES = 32
 QUAD_MAX_NODES = 4096
@@ -63,8 +63,7 @@ def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
     return vals
 
 
-def integrate(measure: "PopulationLaw | SpectralMeasure",
-              g: Callable) -> complex | float:
+def integrate(measure: PopulationLaw, g: Callable) -> complex | float:
     """Integral of g against the measure.
 
     The measure's quad_rule is doubled from QUAD_START_NODES nodes until two

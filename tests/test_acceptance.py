@@ -25,7 +25,7 @@ from freemp.contour import (Polynomial, RectContour, build_contour,
 from freemp.freeconv import (FreeConvolution, stieltjes_batch,
                              stieltjes_derivative_batch, density_batch,
                              support_edges)
-from freemp.measures import SpectralMeasure, UniformLaw, sample_population
+from freemp.measures import AtomicLaw, UniformLaw, sample_population
 from freemp.rmt import (DataMatrixSpec, eigenvalues, hat_fc,
                         sample_data_matrix)
 from freemp.verify import (ExperimentConfig, check_edges, check_hat_rate,
@@ -81,7 +81,7 @@ def clt_gaussian(clt_config):
 
 def test_01_mp_closed_form():
     t0 = time.perf_counter()
-    dirac_one = SpectralMeasure.discrete([(1.0, 1.0)])
+    dirac_one = AtomicLaw([1.0], [1.0])
     rng = np.random.default_rng(SEED)
     edge_err = 0.0
     stj_err = 0.0

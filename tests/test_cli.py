@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ class TestParseConfig:
         cfg = parse_config(["edges", "--gamma0", "0.25", "--nu", "dirac:1"])
         assert cfg.subcommand == "edges"
         assert cfg.parameters["gamma0"] == 0.25
-        assert cfg.parameters["nu"].value == 1.0
+        assert cfg.parameters["nu"].locs.tolist() == [1.0]
         assert cfg.seed == 0
 
     def test_clt_flags(self):
@@ -59,6 +60,24 @@ class TestParseConfig:
         config.write_text("gamma0 0.25\n")
         with pytest.raises(UsageError, match="key=value"):
             parse_config(["edges", "--config", str(config)])
+
+    # a fork pool starts every worker at its first task, so the count is
+    # capped at parse time; only parse_config runs here, never a pool
+    @pytest.mark.parametrize("cmd", [
+        ["rate", "--n_list", "100,200,800", "--reps", "3"],
+        ["clt", "--f", "poly:0,1", "--n", "100", "--reps", "100"]],
+        ids=["rate", "clt"])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cmd):
+        args = cmd + ["--gamma0", "0.5", "--nu", "uniform:0.5,1", "--workers"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert parse_config(args + ["2"]).parameters["workers"] == 2
+        for bad in ("3", "5000", "0"):
+            with pytest.raises(UsageError, match="key 'workers'"):
+                parse_config(args + [bad])
+        monkeypatch.setattr(os, "cpu_count", lambda: None)   # unknown: 1
+        assert parse_config(args + ["1"]).parameters["workers"] == 1
+        with pytest.raises(UsageError, match="key 'workers'"):
+            parse_config(args + ["2"])
 
     # NaN passes every comparison-based check downstream, so the grammar
     # rejects it (and infinities) itself, quoting the spec
@@ -185,12 +204,30 @@ class TestDispatch:
             assert len(err.strip().splitlines()) == 1
         assert blocker.read_text() == "occupied\n"
 
+    # real-valued keys and spec arguments alike: NaN would pass every
+    # comparison downstream, and inf would reach the solver or the artifact
     @pytest.mark.parametrize("args, key", [
-        (["edges", "--nu", "linear:0.2,1,nan"], "nu"),
-        (["variance", "--nu", "uniform:0.5,1", "--f", "poly:nan"], "f")],
-        ids=["edges", "variance"])
+        (["edges", "--gamma0", "0.5", "--nu", "linear:0.2,1,nan"], "nu"),
+        (["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--f", "poly:nan"], "f"),
+        (["edges", "--gamma0", "nan", "--nu", "uniform:0.5,1"], "gamma0"),
+        (["edges", "--gamma0", "inf", "--nu", "uniform:0.5,1"], "gamma0"),
+        (["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--f", "poly:0,0,1", "--d", "inf"], "d"),
+        (["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--xmin", "nan"], "xmin"),
+        (["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--xmax", "inf"], "xmax"),
+        (["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--xmin=-inf"], "xmin"),
+        (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--n", "100", "--tau", "nan"], "tau"),
+        (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--n", "100", "--eps", "inf"], "eps")],
+        ids=["edges", "variance", "gamma0-nan", "gamma0-inf", "d", "xmin",
+             "xmax", "xmin-neg-inf", "tau", "eps"])
     def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args, key):
-        code = main(args + ["--gamma0", "0.5", "--output", str(tmp_path)])
+        code = main(args + ["--output", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"usage error: key '{key}'")
         assert not any(tmp_path.iterdir())

@@ -7,8 +7,7 @@ from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import (SpectralMeasure, empirical_measure,
-                             sample_population)
+from freemp.measures import empirical_measure, sample_population
 from freemp.rmt import hat_fc
 
 from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
@@ -303,9 +302,9 @@ class TestGuards:
             FreeConvolution(dirac_one, 1.0)
 
     def test_base_support_outside_unit_interval_rejected(self):
-        m = SpectralMeasure.discrete([(1.5, 1.0)])
-        with pytest.raises(DomainError):
-            FreeConvolution(m, 0.5)
+        base = DensityLaw(0.5, 1.5, lambda t: np.ones_like(t))
+        with pytest.raises(DomainError, match="inside"):
+            FreeConvolution(base, 0.5)
 
     def test_base_mass_must_be_one(self):
         base = DensityLaw(0.5, 1.0, lambda t: 3.0 * np.ones_like(t))

@@ -6,40 +6,82 @@ from scipy import integrate as sp_integrate
 
 from freemp.errors import DomainError
 from freemp.freeconv import FreeConvolution
-from freemp.measures import (LinearLaw, PointLaw, SpectralMeasure, UniformLaw,
+from freemp.grammar import format_law, parse_law
+from freemp.measures import (MASS_TOL, AtomicLaw, LinearLaw, UniformLaw,
                              empirical_measure, sample_population)
 
 from oracles import DensityLaw, integrate
 
 
-class TestSpectralMeasure:
-    def test_discrete_merges_exact_duplicates(self):
-        m = SpectralMeasure.discrete([(0.5, 0.5), (0.5, 0.3), (0.7, 0.2)])
-        assert m.locs.tolist() == [0.5, 0.7]
-        assert m.weights.tolist() == [0.8, 0.2]
-
-    def test_discrete_sorted_by_location(self):
-        m = SpectralMeasure.discrete([(0.9, 0.25), (0.2, 0.75)])
-        assert m.locs.tolist() == [0.2, 0.9]
-        assert m.weights.tolist() == [0.75, 0.25]
-        assert m.lo == 0.2 and m.hi == 0.9
+class TestAtomicLaw:
+    @pytest.mark.parametrize("locs, weights", [
+        ([], []), ([0.5, 0.7], [1.0]), ([[0.5]], [[1.0]]),
+        ([0.7, 0.5], [0.5, 0.5]), ([0.5, 0.5], [0.5, 0.5]),
+        ([0.0], [1.0]), ([-1.0], [1.0]), ([1.5], [1.0]),
+        ([np.nan], [1.0]), ([0.2, np.nan, 0.9], [0.25, 0.5, 0.25]),
+        ([0.5, 0.7], [1.0, 0.0]), ([0.5, 0.7], [1.5, -0.5]),
+        ([0.5, 0.7], [np.nan, 1.0])],
+        ids=["empty", "shape", "2d", "unsorted", "duplicate", "zero",
+             "negative", "above-one", "nan", "inner-nan", "zero-weight",
+             "negative-weight", "nan-weight"])
+    def test_constructor_rejects(self, locs, weights):
+        with pytest.raises(DomainError):
+            AtomicLaw(locs, weights)
 
     def test_mass_must_be_one(self):
-        with pytest.raises(DomainError):
-            SpectralMeasure.discrete([(1.0, 0.5)])
+        for off in (-0.25, 2 * MASS_TOL, -2 * MASS_TOL):
+            with pytest.raises(DomainError, match="sum to"):
+                AtomicLaw([0.5, 1.0], [0.5, 0.5 + off])
+        law = AtomicLaw([1.0], [1.0 + 0.5 * MASS_TOL])
+        assert law.weights.tolist() == [1.0 + 0.5 * MASS_TOL]
 
-    def test_nonpositive_locations_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralMeasure.discrete([(0.0, 1.0)])
-        with pytest.raises(DomainError):
-            SpectralMeasure.discrete([(-1.0, 1.0)])
-
-    def test_point_law_rule_is_its_atom(self):
-        atom = SpectralMeasure.discrete([(0.7, 1.0)])
+    def test_rule_is_its_atoms(self):
+        law = AtomicLaw([0.2, 0.9], [0.75, 0.25])
+        assert law.lo == 0.2 and law.hi == 0.9
         for n in (1, 32, 256):
-            t, w = PointLaw(0.7).quad_rule(n)
-            t_ref, w_ref = atom.quad_rule(n)
-            assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+            t, w = law.quad_rule(n)
+            assert t.tolist() == [0.2, 0.9] and w.tolist() == [0.75, 0.25]
+            t, w = parse_law("dirac:0.7").quad_rule(n)
+            assert t.tolist() == [0.7] and w.tolist() == [1.0]
+
+    def test_quantile_steps_at_cumulative_weights(self):
+        law = AtomicLaw([0.2, 0.5, 0.9], [0.25, 0.5, 0.25])
+        u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25,
+                      np.nextafter(0.75, 0.0), 0.75, np.nextafter(1.0, 0.0),
+                      1.0])
+        assert law.quantile(u).tolist() == [0.2, 0.2, 0.5, 0.5, 0.9, 0.9,
+                                            0.9]
+
+    def test_two_atom_draw_frequencies(self, rng):
+        law = AtomicLaw([0.25, 1.0], [0.25, 0.75])
+        m = 100_000
+        draws = sample_population(law, m, rng)
+        assert set(np.unique(draws).tolist()) == {0.25, 1.0}
+        se = np.sqrt(0.25 * 0.75 / m)
+        assert abs(np.mean(draws == 0.25) - 0.25) < 3.0 * se
+
+    # a one-atom law draws the constant and consumes exactly m uniforms,
+    # so seeded dirac:c runs keep their generator streams
+    def test_one_atom_draws_are_the_atom(self):
+        m = 257
+        rng = np.random.default_rng(3)
+        draws = sample_population(parse_law("dirac:0.7"), m, rng)
+        assert np.array_equal(draws, np.full(m, 0.7))
+        ref = np.random.default_rng(3)
+        ref.random(m)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_atom_law_parsed_twice_compares_equal(self):
+        assert parse_law("dirac:0.7") == parse_law("dirac:0.7")
+        assert parse_law("dirac:0.7") == AtomicLaw([0.7], [1.0])
+        assert parse_law("dirac:0.7") != parse_law("dirac:0.8")
+        assert parse_law("dirac:1") != UniformLaw(0.5, 1.0)
+
+    def test_format_law_round_trip(self):
+        assert format_law(parse_law("dirac:0.7")) == "dirac:0.7"
+        assert format_law(parse_law("dirac:1")) == "dirac:1.0"
+        with pytest.raises(DomainError, match="no spec form"):
+            format_law(AtomicLaw([0.2, 0.9], [0.75, 0.25]))
 
 
 class TestIntegrate:
@@ -136,7 +178,7 @@ class TestPopulationLaws:
         assert np.array_equal(w_eff, 0.5 * (b - a) * w * law.density(t_ref))
 
     @pytest.mark.parametrize("law", [
-        UniformLaw(0.5, 1.0), LinearLaw(0.2, 1.0, 1.0), PointLaw(0.7)],
+        UniformLaw(0.5, 1.0), LinearLaw(0.2, 1.0, 1.0), AtomicLaw([0.7], [1.0])],
         ids=["uniform", "linear", "point"])
     def test_law_is_its_own_measure(self, law):
         assert law.as_measure() is law
@@ -180,15 +222,26 @@ class TestSampling:
         assert emp.locs.tolist() == [0.5, 0.75, 1.0]
         assert emp.weights.tolist() == [0.5, 0.25, 0.25]
 
+    # repeated draws of one location pool their weight into a single atom
+    def test_empirical_measure_merges_exact_duplicates(self):
+        emp = empirical_measure(np.array([0.5] * 8 + [0.7] * 2))
+        assert emp.locs.tolist() == [0.5, 0.7]
+        assert emp.weights.tolist() == [0.8, 0.2]
+
+    def test_empirical_measure_sorted_by_location(self):
+        emp = empirical_measure(np.array([0.9, 0.2, 0.2, 0.2]))
+        assert emp.locs.tolist() == [0.2, 0.9]
+        assert emp.weights.tolist() == [0.75, 0.25]
+        assert emp.lo == 0.2 and emp.hi == 0.9
+
+    # distinct draws: the equal-weight atomic law, bit for bit
     def test_empirical_measure_is_discrete_bit_for_bit(self, uniform_half,
                                                          rng):
         draws = sample_population(uniform_half, 1000, rng)
-        emp = empirical_measure(draws)
-        ref = SpectralMeasure.discrete([(x, 1.0 / draws.size) for x in draws])
-        assert np.array_equal(emp.locs, ref.locs)
-        assert np.array_equal(emp.weights, ref.weights)
+        ref = AtomicLaw(np.sort(draws), np.full(draws.size, 1.0 / draws.size))
+        assert empirical_measure(draws) == ref
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5, 1.5])
     def test_empirical_measure_rejects_bad_samples(self, bad):
         with pytest.raises(DomainError):
             empirical_measure(np.array([0.5, bad, 0.75]))

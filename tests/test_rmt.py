@@ -9,7 +9,7 @@ from freemp.rmt import (DataMatrixSpec, EigenSample, _certify_psd,
                         empirical_stieltjes, eigenvalues, hat_fc,
                         linear_statistic, sample_data_matrix)
 from freemp.freeconv import FreeConvolution, density_batch, stieltjes
-from freemp.measures import SpectralMeasure
+from freemp.measures import AtomicLaw
 
 
 class TestDataMatrixSpec:
@@ -162,7 +162,7 @@ class TestHatFc:
 
     def test_repeated_sample_is_degenerate(self):
         hat = hat_fc(np.full(25, 0.7), 10, 20)
-        ref = FreeConvolution(SpectralMeasure.discrete([(0.7, 1.0)]), 0.5)
+        ref = FreeConvolution(AtomicLaw([0.7], [1.0]), 0.5)
         eh, er = support_edges(hat), support_edges(ref)
         assert abs(eh.L_minus - er.L_minus) < 1e-10
         assert abs(eh.L_plus - er.L_plus) < 1e-10

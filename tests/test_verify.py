@@ -12,7 +12,7 @@ from scipy.stats import norm
 import freemp
 from freemp.errors import DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import PointLaw, UniformLaw, sample_population
+from freemp.measures import AtomicLaw, UniformLaw, sample_population
 from freemp.rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, sample_data_matrix)
 from freemp.freeconv import stieltjes, support_edges
@@ -291,7 +291,7 @@ class TestHatRate:
 
     def test_dispersionless_population_rejected(self):
         with pytest.raises(DomainError):
-            check_hat_rate(PointLaw(0.7), 0.5, (250, 500, 2000), 5, 1)
+            check_hat_rate(AtomicLaw([0.7], [1.0]), 0.5, (250, 500, 2000), 5, 1)
 
     def test_gap_decays(self, uniform_half):
         report = check_hat_rate(uniform_half, 0.5, (100, 200, 800),
