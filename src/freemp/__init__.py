@@ -19,7 +19,7 @@ from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
                        stieltjes_derivative, stieltjes_derivative_batch,
                        support_edges)
 from .grammar import format_func, format_law, parse_func, parse_law
-from .measures import (AtomicLaw, LinearLaw, PopulationLaw, UniformLaw,
+from .measures import (AtomicLaw, LinearLaw, PopulationLaw,
                        empirical_measure, sample_population)
 from .rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                   empirical_stieltjes, hat_fc, linear_statistic,

@@ -43,6 +43,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # argparse reads only plain decimals such as -0.5 as negative numbers,
+    # so -1e-3 or -inf after a flag would be taken for an unknown option;
+    # any token float() parses is a value
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 @dataclass(frozen=True)
 class Key:

@@ -4,16 +4,17 @@ Laws:       dirac:c | uniform:a,b | linear:a,b,slope
 Functions:  poly:c0,c1,... | exp:s | ratshift:p
 
 dirac:c is the one-atom AtomicLaw; an AtomicLaw with more atoms (the
-realized spectrum of a sample) has no spec form.  The grammar is the
-exchange format between config files, CLI flags, and report artifacts;
-parse/format are inverse up to float round-trip (repr).
+realized spectrum of a sample) has no spec form.  uniform:a,b is the
+LinearLaw of slope 0, so linear:a,b,0 formats as uniform:a,b.  The
+grammar is the exchange format between config files, CLI flags, and
+report artifacts; parse/format are inverse up to float round-trip (repr).
 """
 
 import math
 
 from .contour import Exponential, Polynomial, RationalShift, TestFunction
 from .errors import DomainError
-from .measures import AtomicLaw, LinearLaw, PopulationLaw, UniformLaw
+from .measures import AtomicLaw, LinearLaw, PopulationLaw
 
 
 def _split(spec: str, kind: str) -> tuple[str, list[float]]:
@@ -41,7 +42,7 @@ def parse_law(spec: str) -> PopulationLaw:
     if head == "dirac":
         return AtomicLaw(_arity(head, args, 1, "law"), [1.0])
     if head == "uniform":
-        return UniformLaw(*_arity(head, args, 2, "law"))
+        return LinearLaw(*_arity(head, args, 2, "law"))
     if head == "linear":
         return LinearLaw(*_arity(head, args, 3, "law"))
     raise DomainError(f"unknown law {head!r} (expected dirac|uniform|linear)")
@@ -50,7 +51,7 @@ def parse_law(spec: str) -> PopulationLaw:
 def format_law(law: PopulationLaw) -> str:
     if isinstance(law, AtomicLaw) and law.locs.size == 1:
         return f"dirac:{law.lo!r}"
-    if isinstance(law, UniformLaw):
+    if isinstance(law, LinearLaw) and law.slope == 0.0:
         return f"uniform:{law.lo!r},{law.hi!r}"
     if isinstance(law, LinearLaw):
         return f"linear:{law.lo!r},{law.hi!r},{law.slope!r}"

@@ -54,44 +54,23 @@ class PopulationLaw:
         """The law itself: a law is already a measure."""
         return self
 
-    def _validate_interval(self):
-        if not (0.0 < self.lo < self.hi <= 1.0):
-            raise DomainError(
-                f"population support [{self.lo}, {self.hi}] must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class UniformLaw(PopulationLaw):
-    """Uniform density on [lo, hi]."""
-
-    lo: float
-    hi: float = 1.0
-
-    def __post_init__(self):
-        self._validate_interval()
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= self.lo) & (t <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def quantile(self, u):
-        return self.lo + (self.hi - self.lo) * np.asarray(u, dtype=float)
-
 
 @dataclass(frozen=True)
 class LinearLaw(PopulationLaw):
     """Density alpha + slope*(t - lo) on [lo, hi], normalized to mass 1.
 
-    Positivity at both endpoints requires |slope| < 2 / (hi - lo)^2.
+    Slope 0 is the uniform law uniform:lo,hi.  Positivity at both endpoints
+    requires |slope| < 2 / (hi - lo)^2.
     """
 
     lo: float
     hi: float
-    slope: float
+    slope: float = 0.0
 
     def __post_init__(self):
-        self._validate_interval()
+        if not (0.0 < self.lo < self.hi <= 1.0):
+            raise DomainError(
+                f"population support [{self.lo}, {self.hi}] must lie in (0, 1]")
         if not abs(self.slope) < 2.0 / (self.hi - self.lo) ** 2:
             raise DomainError(
                 f"slope {self.slope} makes the density vanish inside "
@@ -110,7 +89,7 @@ class LinearLaw(PopulationLaw):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if self.slope == 0.0:
-            return self.lo + u / self._alpha
+            return self.lo + (self.hi - self.lo) * u
         a = self._alpha
         # stable root of (slope/2) x^2 + a x - u = 0 with x = t - lo
         x = 2.0 * u / (a + np.sqrt(a * a + 2.0 * self.slope * u))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freemp.freeconv import FreeConvolution
-from freemp.measures import AtomicLaw, UniformLaw
+from freemp.measures import AtomicLaw, LinearLaw
 
 
 @pytest.fixture(scope="session")
@@ -11,8 +11,8 @@ def dirac_one() -> AtomicLaw:
 
 
 @pytest.fixture(scope="session")
-def uniform_half() -> UniformLaw:
-    return UniformLaw(0.5, 1.0)
+def uniform_half() -> LinearLaw:
+    return LinearLaw(0.5, 1.0)
 
 
 @pytest.fixture(scope="session")

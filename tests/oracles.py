@@ -10,6 +10,12 @@ Edges are the zeros of the discriminant z^2 - 2 z (1 + r) + (1 - r)^2, i.e.
 (1 -+ sqrt(r))^2, and the density follows from the imaginary part of the
 upper-half-plane root on the cut.
 
+For a uniform base measure on [lo, hi] the edge functions are elementary:
+with u = x t, h(x) = int (x t/(1 - x t))^2 dt/(hi - lo) integrates to
+1/(1-u) + 2 ln|1-u| - (1-u), and the edge value's int t/(1 - x t) to
+-u - ln|1-u| (over x^2).  uniform_edges bisects h = 1/r on these to the
+last float, with no quadrature rule.
+
 integrate and rectangle_integral are the adaptive references for the
 library's fixed rules: each doubles its nodes until two levels agree, on a
 measure's quad_rule and on a RectContour's nodes.  The rectangle
@@ -116,6 +122,41 @@ def mp_edge_roots(r: float) -> tuple[float, float]:
     """
     s = np.sqrt(r)
     return 1.0 / (1.0 - s), 1.0 / (1.0 + s)
+
+
+def _bisect(g, below, above) -> float:
+    """Root of g between below, where g < 0, and above, where g >= 0 or g
+    has a pole; halves until the midpoint no longer splits the bracket."""
+    while True:
+        mid = 0.5 * (below + above)
+        if mid in (below, above):
+            return mid
+        if g(mid) < 0.0:
+            below = mid
+        else:
+            above = mid
+
+
+def uniform_edges(lo: float, hi: float,
+                  r: float) -> tuple[float, float, float, float]:
+    """L_minus, L_plus, x_minus, x_plus for the uniform law on [lo, hi] at
+    ratio r < 1, from the closed-form antiderivatives.
+
+    x_plus lies below the pole 1/hi.  x_minus lies beyond the pole 1/lo and
+    before the root 1/(lo (1 - sqrt(r))) of a point mass at lo.
+    """
+    def h(x):
+        F = lambda u: 1.0 / (1.0 - u) + 2.0 * np.log(abs(1.0 - u)) - (1.0 - u)
+        return (F(x * hi) - F(x * lo)) / (x * (hi - lo))
+
+    def edge_value(x):
+        G = lambda u: -u - np.log(abs(1.0 - u))
+        return 1.0 / x + r * (G(x * hi) - G(x * lo)) / (x * x * (hi - lo))
+
+    g = lambda x: h(x) - 1.0 / r
+    x_plus = _bisect(g, 0.0, 1.0 / hi)
+    x_minus = _bisect(g, 1.0 / (lo * (1.0 - np.sqrt(r))), 1.0 / lo)
+    return edge_value(x_minus), edge_value(x_plus), x_minus, x_plus
 
 
 def _mp_roots(z: complex, r: float) -> tuple[complex, complex]:

@@ -25,7 +25,7 @@ from freemp.contour import (Polynomial, RectContour, build_contour,
 from freemp.freeconv import (FreeConvolution, stieltjes_batch,
                              stieltjes_derivative_batch, density_batch,
                              support_edges)
-from freemp.measures import AtomicLaw, UniformLaw, sample_population
+from freemp.measures import AtomicLaw, LinearLaw, sample_population
 from freemp.rmt import (DataMatrixSpec, eigenvalues, hat_fc,
                         sample_data_matrix)
 from freemp.verify import (ExperimentConfig, check_edges, check_hat_rate,
@@ -59,7 +59,7 @@ def _random_z(rng, n):
 
 @pytest.fixture(scope="module")
 def nu_uniform():
-    return UniformLaw(0.5, 1.0)
+    return LinearLaw(0.5, 1.0)
 
 
 @pytest.fixture(scope="module")

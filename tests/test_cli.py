@@ -9,7 +9,7 @@ from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
 from freemp.errors import DomainError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import UniformLaw
+from freemp.measures import LinearLaw
 from freemp.verify import run_clt_experiment
 
 
@@ -54,6 +54,16 @@ class TestParseConfig:
                           "--format", "csv"])
         with pytest.raises(UsageError):
             parse_config(["edges", "--config", str(tmp_path / "nope.cfg")])
+
+    # argparse alone reads only plain decimals such as -0.5 as negative
+    # numbers; an exponent or a bare trailing point must not turn the value
+    # into an unknown option
+    @pytest.mark.parametrize("raw", ["-1e-3", "-1.", "-0.001", "-2E+1"])
+    def test_negative_real_after_flag(self, raw):
+        args = ["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1"]
+        assert parse_config(args + ["--xmin", raw]).parameters["xmin"] == \
+            parse_config(args + [f"--xmin={raw}"]).parameters["xmin"] == \
+            float(raw)
 
     def test_malformed_file_line(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -220,12 +230,14 @@ class TestDispatch:
           "--xmax", "inf"], "xmax"),
         (["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
           "--xmin=-inf"], "xmin"),
+        (["density", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+          "--xmin", "-inf"], "xmin"),
         (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
           "--n", "100", "--tau", "nan"], "tau"),
         (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
           "--n", "100", "--eps", "inf"], "eps")],
         ids=["edges", "variance", "gamma0-nan", "gamma0-inf", "d", "xmin",
-             "xmax", "xmin-neg-inf", "tau", "eps"])
+             "xmax", "xmin-neg-inf", "xmin-neg-inf-word", "tau", "eps"])
     def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args, key):
         code = main(args + ["--output", str(tmp_path)])
         assert code == 1
@@ -285,7 +297,7 @@ class TestShippedConfig:
         path = Path(__file__).resolve().parents[1] / "configs/clt_default.cfg"
         cfg = parse_config(["clt", "--config", str(path)])
         assert cfg.parameters["gamma0"] == 0.5
-        assert cfg.parameters["nu"] == UniformLaw(0.5, 1.0)
+        assert cfg.parameters["nu"] == LinearLaw(0.5, 1.0)
         assert cfg.parameters["f"].coeffs == (0.0, 0.0, 1.0)
         assert cfg.parameters["reps"] == 500
         assert cfg.seed > 0

@@ -11,7 +11,8 @@ from freemp.measures import empirical_measure, sample_population
 from freemp.rmt import hat_fc
 
 from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
-                     mp_edges, mp_stieltjes, mp_stieltjes_derivative)
+                     mp_edges, mp_stieltjes, mp_stieltjes_derivative,
+                     uniform_edges)
 
 
 def contract_residual(fc, m, z):
@@ -235,6 +236,15 @@ class TestSupportEdges:
         for x in (e.x_plus, e.x_minus):
             h = integrate(fc.base, lambda t: (x * t / (1.0 - x * t)) ** 2)
             assert abs(ratio * h - 1.0) < 1e-10
+
+    # the 512-node edge rule pins roots next to the pole 1/lo = 20 that the
+    # 256-node solver rule misses by 5e-8 and the adaptive integrate does
+    # not settle on even at 4096 nodes
+    def test_uniform_closed_form_near_pole(self):
+        e = support_edges(FreeConvolution(parse_law("uniform:0.05,1"), 0.05))
+        L_minus, L_plus, _, _ = uniform_edges(0.05, 1.0, 0.05)
+        assert e.L_minus == pytest.approx(L_minus, rel=1e-12, abs=0.0)
+        assert e.L_plus == pytest.approx(L_plus, rel=1e-12, abs=0.0)
 
     def test_h_monotone_on_right_branch(self, fc_uniform):
         from freemp.freeconv import _h_value

@@ -7,7 +7,7 @@ from scipy import integrate as sp_integrate
 from freemp.errors import DomainError
 from freemp.freeconv import FreeConvolution
 from freemp.grammar import format_law, parse_law
-from freemp.measures import (MASS_TOL, AtomicLaw, LinearLaw, UniformLaw,
+from freemp.measures import (MASS_TOL, AtomicLaw, LinearLaw,
                              empirical_measure, sample_population)
 
 from oracles import DensityLaw, integrate
@@ -75,7 +75,7 @@ class TestAtomicLaw:
         assert parse_law("dirac:0.7") == parse_law("dirac:0.7")
         assert parse_law("dirac:0.7") == AtomicLaw([0.7], [1.0])
         assert parse_law("dirac:0.7") != parse_law("dirac:0.8")
-        assert parse_law("dirac:1") != UniformLaw(0.5, 1.0)
+        assert parse_law("dirac:1") != LinearLaw(0.5, 1.0)
 
     def test_format_law_round_trip(self):
         assert format_law(parse_law("dirac:0.7")) == "dirac:0.7"
@@ -135,11 +135,29 @@ class TestIntegrate:
 
 
 class TestPopulationLaws:
+    # uniform:a,b is the slope-0 LinearLaw; its quantile and density are
+    # the uniform expressions bit for bit, so seeded draws and rules keep
+    # their bytes
     def test_uniform_quantile_roundtrip(self, uniform_half):
         u = np.linspace(0.0, 1.0, 101)
         t = uniform_half.quantile(u)
         cdf = (t - 0.5) / 0.5
         assert np.max(np.abs(cdf - u)) < 1e-14
+        u = np.random.default_rng(5).random(1000)
+        for lo, hi in ((0.3, 0.7), (0.05, 1.0), (0.9, 1.0), (0.5, 1.0)):
+            law = parse_law(f"uniform:{lo},{hi}")
+            assert law == LinearLaw(lo, hi, 0.0)
+            assert np.array_equal(law.quantile(u), lo + (hi - lo) * u)
+            assert np.array_equal(law.density(law.quantile(u)),
+                                  np.full(u.size, 1.0 / (hi - lo)))
+
+    def test_slope_zero_formats_as_uniform(self):
+        law = parse_law("linear:0.5,1,0")
+        assert law == parse_law("uniform:0.5,1")
+        assert format_law(law) == "uniform:0.5,1.0"
+        for spec in ("uniform:0.3,0.7", "linear:0.2,1.0,1.0"):
+            assert format_law(parse_law(spec)) == spec
+            assert parse_law(format_law(parse_law(spec))) == parse_law(spec)
 
     def test_linear_law_normalized_and_positive(self):
         law = LinearLaw(0.5, 1.0, slope=3.0)
@@ -167,7 +185,7 @@ class TestPopulationLaws:
 
     # the same expressions as the explicit Gauss-Legendre mapping, bit for bit
     @pytest.mark.parametrize("law, n", [
-        (UniformLaw(0.5, 1.0), 256), (LinearLaw(0.2, 1.0, 1.0), 512)],
+        (LinearLaw(0.5, 1.0), 256), (LinearLaw(0.2, 1.0, 1.0), 512)],
         ids=["uniform", "linear"])
     def test_quad_rule_is_mapped_gauss_legendre(self, law, n):
         x, w = np.polynomial.legendre.leggauss(n)
@@ -178,16 +196,16 @@ class TestPopulationLaws:
         assert np.array_equal(w_eff, 0.5 * (b - a) * w * law.density(t_ref))
 
     @pytest.mark.parametrize("law", [
-        UniformLaw(0.5, 1.0), LinearLaw(0.2, 1.0, 1.0), AtomicLaw([0.7], [1.0])],
+        LinearLaw(0.5, 1.0), LinearLaw(0.2, 1.0, 1.0), AtomicLaw([0.7], [1.0])],
         ids=["uniform", "linear", "point"])
     def test_law_is_its_own_measure(self, law):
         assert law.as_measure() is law
 
     def test_support_bounds_validated(self):
         with pytest.raises(DomainError):
-            UniformLaw(0.0, 1.0)
+            LinearLaw(0.0, 1.0)
         with pytest.raises(DomainError):
-            UniformLaw(0.5, 1.2)
+            LinearLaw(0.5, 1.2)
 
 
 class TestSampling:

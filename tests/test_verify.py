@@ -12,7 +12,7 @@ from scipy.stats import norm
 import freemp
 from freemp.errors import DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import AtomicLaw, UniformLaw, sample_population
+from freemp.measures import AtomicLaw, sample_population
 from freemp.rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, sample_data_matrix)
 from freemp.freeconv import stieltjes, support_edges
