@@ -24,8 +24,7 @@ from .errors import DomainError, FreempError
 from .freeconv import FreeConvolution, density_batch, support_edges
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import sample_population
-from .rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
-                  sample_data_matrix)
+from .rmt import ENTRY_LAWS, DataMatrixSpec, draw_sample, sample_data_matrix
 from .verify import (ExperimentConfig, check_hat_rate, check_local_law,
                      csv_artifact, json_artifact, report_to_csv,
                      report_to_json, run_clt_experiment)
@@ -333,7 +332,7 @@ def _cmd_simulate(cfg: CliConfig) -> int:
     spec = DataMatrixSpec.from_ratio(p["gamma0"], p["n"], p["entry_law"])
     rng = np.random.default_rng(cfg.seed)
     sigma = sample_population(p["nu"], spec.M, rng)
-    sample = eigenvalues(sigma, sample_data_matrix(spec, rng))
+    sample = draw_sample(sigma, spec, rng)
     rows = (f"{i},{float(v)!r}" for i, v in enumerate(sample.values))
     _write(cfg.output, "simulate.csv",
            csv_artifact(_echo(p), "index,eigenvalue", rows))

@@ -105,10 +105,13 @@ def _sums(fc: FreeConvolution, m: np.ndarray, want_t: bool = False):
     wt2 = w * t * t
     for i in range(0, m.size, step):
         sl = slice(i, min(i + step, m.size))
-        den = 1.0 + np.multiply.outer(m[sl], t)
-        s[sl] = (wt / den).sum(axis=-1)
+        # the quotients overwrite their denominators: two temporaries at most
+        den = np.multiply.outer(m[sl], t)
+        den += 1.0
         if want_t:
-            tt[sl] = (wt2 / (den * den)).sum(axis=-1)
+            q = den * den
+            tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
+        s[sl] = np.divide(wt, den, out=den).sum(axis=-1)
     return (s, tt) if want_t else s
 
 

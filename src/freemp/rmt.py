@@ -11,6 +11,11 @@ A linear statistic of a polynomial of degree at most 2 needs no spectrum:
 sum_i lambda_i = tr G and sum_i lambda_i^2 = |G|_F^2 (Jonsson, J. Multivariate
 Anal. 12, 1982).  G reaches the symmetric eigensolver only when something
 reads the eigenvalues themselves.
+
+A Monte Carlo draw holds one M x N array: draw_sample() scales its fresh X
+by 1/sqrt(N) and then by sqrt(sigma) in place and forms G from it.
+eigenvalues() takes a caller's X, never writes to it, and shares the same
+Gram step.
 """
 
 from __future__ import annotations
@@ -57,15 +62,22 @@ class DataMatrixSpec:
 
 
 def sample_data_matrix(spec: DataMatrixSpec, rng: np.random.Generator) -> np.ndarray:
-    """M x N matrix of iid entries with mean 0 and variance 1/N."""
+    """M x N matrix of iid entries with mean 0 and variance 1/N.
+
+    The draw is scaled in place, so the returned array is the only M x N
+    float array made.
+    """
     shape = (spec.M, spec.N)
     if spec.entry_law == "gaussian":
-        raw = rng.standard_normal(shape)
+        X = rng.standard_normal(shape)
     elif spec.entry_law == "rademacher":
-        raw = 2.0 * rng.integers(0, 2, shape).astype(float) - 1.0
+        X = rng.integers(0, 2, shape).astype(float)
+        X *= 2.0
+        X -= 1.0
     else:  # uniform on [-sqrt(3), sqrt(3)], unit variance
-        raw = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)
-    return raw / np.sqrt(spec.N)
+        X = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), shape)
+    X /= np.sqrt(spec.N)
+    return X
 
 
 class EigenSample:
@@ -137,22 +149,20 @@ def _certify_psd(gram: np.ndarray, trace: float, K: int) -> None:
             f"G + {EIG_CLAMP} I failed") from None
 
 
-def eigenvalues(sigma, X: np.ndarray) -> EigenSample:
-    """Spectrum of X^T diag(sigma) X via the smaller Gram form G.
-
-    G is certified positive semidefinite to -EIG_CLAMP (see _certify_psd)
-    before anything reads it.  The eigenvalues are computed only when
-    `values` is read; eigenvalues in (-EIG_CLAMP, 0) are then clamped to 0
-    and anything lower raises.
-    """
+def _population(sigma, M: int) -> np.ndarray:
+    """sigma as a flat float array of M values in (0, 1]."""
     sigma = np.asarray(sigma, dtype=float).ravel()
-    M, N = X.shape
     if sigma.size != M:
         raise DomainError(
             f"{sigma.size} population values for {M} rows of X")
     if not np.all((sigma > 0.0) & (sigma <= 1.0)):
         raise DomainError("population values must lie in (0, 1]")
-    A = np.sqrt(sigma)[:, None] * X
+    return sigma
+
+
+def _gram_sample(A: np.ndarray) -> EigenSample:
+    """EigenSample of the smaller Gram form of A = Sigma^(1/2) X."""
+    M, N = A.shape
     gram = A @ A.T if M <= N else A.T @ A
     e = EigenSample._of_gram(gram, M, N)
     # tr G = |A|_F^2 is finite iff every entry of X is
@@ -162,13 +172,37 @@ def eigenvalues(sigma, X: np.ndarray) -> EigenSample:
     return e
 
 
+def eigenvalues(sigma, X: np.ndarray) -> EigenSample:
+    """Spectrum of X^T diag(sigma) X via the smaller Gram form G.
+
+    G is certified positive semidefinite to -EIG_CLAMP (see _certify_psd)
+    before anything reads it.  The eigenvalues are computed only when
+    `values` is read; eigenvalues in (-EIG_CLAMP, 0) are then clamped to 0
+    and anything lower raises.  X itself is never written to.
+    """
+    M, _ = X.shape
+    sigma = _population(sigma, M)
+    return _gram_sample(np.sqrt(sigma)[:, None] * X)
+
+
+def draw_sample(sigma, spec: DataMatrixSpec,
+                rng: np.random.Generator) -> EigenSample:
+    """eigenvalues(sigma, sample_data_matrix(spec, rng)), bit for bit, on
+    one M x N array: the fresh X is multiplied by sqrt(sigma) in place."""
+    sigma = _population(sigma, spec.M)
+    A = sample_data_matrix(spec, rng)
+    A *= np.sqrt(sigma)[:, None]
+    return _gram_sample(A)
+
+
 def empirical_stieltjes(e: EigenSample, z):
     """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z."""
     z_arr = np.asarray(z, dtype=complex)
     on_axis = z_arr.imag == 0.0
     if np.any(on_axis & np.isin(z_arr.real, e.values)):
         raise DomainError("z coincides with an eigenvalue on the real axis")
-    out = np.mean(1.0 / (e.values - z_arr[..., None]), axis=-1)
+    diff = e.values - z_arr[..., None]
+    out = np.mean(np.divide(1.0, diff, out=diff), axis=-1)
     return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 

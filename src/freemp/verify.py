@@ -21,9 +21,8 @@ from .errors import DomainError, FreempError, ReplicateError
 from .freeconv import FreeConvolution, stieltjes_batch, support_edges
 from .grammar import format_func, format_law
 from .measures import PopulationLaw, sample_population
-from .rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
-                  empirical_stieltjes, hat_fc, linear_statistic,
-                  sample_data_matrix)
+from .rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, draw_sample,
+                  eigenvalues, empirical_stieltjes, hat_fc, linear_statistic)
 
 DEGENERATE_VARIANCE = 1e-12
 DEGENERATE_SAMPLE_TOL = 1e-6
@@ -142,8 +141,8 @@ def _clt_replicate(task):
     seed, M, N, entry_law, nu, f, mean_inside, gamma0 = task
     rng = np.random.default_rng(seed)
     sigma = sample_population(nu, M, rng)
-    X = sample_data_matrix(DataMatrixSpec(M, N, entry_law), rng)
-    return linear_statistic(eigenvalues(sigma, X), f, mean_inside, gamma0)
+    e = draw_sample(sigma, DataMatrixSpec(M, N, entry_law), rng)
+    return linear_statistic(e, f, mean_inside, gamma0)
 
 
 def _map_tasks(worker, tasks, workers: int) -> np.ndarray:
@@ -292,16 +291,17 @@ class LocalLawReport:
     N: int
 
 
-def check_local_law(sigma, X: np.ndarray, tau: float,
-                    eps: float) -> LocalLawReport:
+def check_local_law(sigma, X: np.ndarray, tau: float, eps: float,
+                    tolerances: GateTolerances = GateTolerances()
+                    ) -> LocalLawReport:
     """Compare the empirical Stieltjes transform with the deterministic
     equivalent built from the realized population.
 
     The lattice covers eta in [N^(tau-1), 1/tau] and E in [tau, 1/tau]
     (log-spaced, restricted to |z| >= tau); each point contributes
     |m_N - m_hat| * N * eta / N^eps, and the check passes when the max
-    ratio stays under the generous constant in GateTolerances.  Solver
-    failures are recorded and the point skipped.
+    ratio stays under tolerances.local_law_ratio.  Solver failures are
+    recorded and the point skipped.  X is not written to.
     """
     if not (0.0 < tau < 0.5):
         raise DomainError(f"tau {tau!r} must lie in (0, 0.5)")
@@ -334,7 +334,6 @@ def check_local_law(sigma, X: np.ndarray, tau: float,
                 abs(mk - m_hat_k) * N * zk.imag / N ** eps))
     ratio = np.concatenate(ratios) if ratios else np.array([np.inf])
     max_ratio = float(ratio.max())
-    tolerances = GateTolerances()
     return LocalLawReport(max_ratio=max_ratio,
                           passed=max_ratio <= tolerances.local_law_ratio,
                           points=int(ratio.size), skipped=tuple(skipped),
@@ -375,14 +374,16 @@ def _rate_replicate(task):
 
 
 def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
-                   seed: int, workers: int | None = None) -> RateReport:
+                   seed: int, workers: int | None = None,
+                   tolerances: GateTolerances = GateTolerances()
+                   ) -> RateReport:
     """Fit the decay exponent of E[sup_Gamma |m_hat - m_fc|] against N.
 
     The gap is a centered average of M population draws, so its size should
-    shrink like N^(-1/2); the gate accepts slopes in the band recorded in
-    GateTolerances.  Dispersionless nu is rejected: with every draw equal,
-    the gap reflects only the M/N rounding error and says nothing about
-    the sampling rate.
+    shrink like N^(-1/2); the gate accepts slopes in the band
+    [tolerances.rate_slope_lo, tolerances.rate_slope_hi].  Dispersionless
+    nu is rejected: with every draw equal, the gap reflects only the M/N
+    rounding error and says nothing about the sampling rate.
     """
     n_values = tuple(sorted(int(n) for n in N_list))
     if len(n_values) < RATE_MIN_SIZES:
@@ -417,7 +418,6 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
         averages.append(float(np.mean(sups)))
 
     slope = float(np.polyfit(np.log(n_values), np.log(averages), 1)[0])
-    tolerances = GateTolerances()
     passed = tolerances.rate_slope_lo <= slope <= tolerances.rate_slope_hi
     return RateReport(N_values=n_values, averages=tuple(averages),
                       slope=slope, passed=passed)

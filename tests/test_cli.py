@@ -9,7 +9,9 @@ from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
 from freemp.errors import DomainError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import LinearLaw
+from freemp.measures import LinearLaw, sample_population
+from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
+                        sample_data_matrix)
 from freemp.verify import run_clt_experiment
 
 
@@ -189,6 +191,24 @@ class TestDispatch:
         main(args + ["--output", str(tmp_path / "b")])
         assert (tmp_path / "a" / "simulate.csv").read_bytes() == \
                (tmp_path / "b" / "simulate.csv").read_bytes()
+
+    @pytest.mark.parametrize("entry_law", ENTRY_LAWS)
+    @pytest.mark.parametrize("gamma0", [0.5, 2.0])
+    def test_simulate_rows_are_the_two_step_spectrum(self, tmp_path,
+                                                     entry_law, gamma0):
+        # the one-array draw must write the spectrum of
+        # eigenvalues(sigma, sample_data_matrix(spec, rng)) bit for bit
+        main(["simulate", "--gamma0", str(gamma0), "--nu", "uniform:0.5,1",
+              "--n", "60", "--entry_law", entry_law, "--seed", "13",
+              "--output", str(tmp_path)])
+        rows = [line for line in
+                (tmp_path / "simulate.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        spec = DataMatrixSpec.from_ratio(gamma0, 60, entry_law)
+        rng = np.random.default_rng(13)
+        sigma = sample_population(LinearLaw(0.5, 1.0), spec.M, rng)
+        values = eigenvalues(sigma, sample_data_matrix(spec, rng)).values
+        assert rows == [f"{i},{float(v)!r}" for i, v in enumerate(values)]
 
     def test_gamma_one_rejected(self, tmp_path, capsys):
         code = main(["clt", "--gamma0", "1.0", "--nu", "dirac:1",

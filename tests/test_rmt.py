@@ -5,9 +5,10 @@ from freemp.contour import Exponential, Polynomial, RationalShift
 from freemp.errors import DomainError, PsdViolationError
 from freemp.freeconv import support_edges
 from freemp.measures import sample_population
-from freemp.rmt import (DataMatrixSpec, EigenSample, _certify_psd,
-                        empirical_stieltjes, eigenvalues, hat_fc,
-                        linear_statistic, sample_data_matrix)
+from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample,
+                        _certify_psd, draw_sample, empirical_stieltjes,
+                        eigenvalues, hat_fc, linear_statistic,
+                        sample_data_matrix)
 from freemp.freeconv import FreeConvolution, density_batch, stieltjes
 from freemp.measures import AtomicLaw
 
@@ -111,6 +112,32 @@ class TestEigenvalues:
         X[1, 2] = np.inf
         with pytest.raises(DomainError, match="non-finite"):
             eigenvalues([0.5, 0.5, 0.5], X)
+
+    @pytest.mark.parametrize("shape", [(40, 80), (80, 40)])
+    def test_leaves_x_unchanged(self, rng, shape):
+        X = sample_data_matrix(DataMatrixSpec(*shape), rng)
+        before = X.tobytes()
+        eigenvalues(rng.uniform(0.5, 1.0, shape[0]), X).values
+        assert X.tobytes() == before
+
+
+class TestDrawSample:
+    @pytest.mark.parametrize("entry_law", ENTRY_LAWS)
+    @pytest.mark.parametrize("shape", [(40, 80), (160, 80)])
+    def test_bit_identical_to_two_steps(self, entry_law, shape):
+        spec = DataMatrixSpec(*shape, entry_law)
+        sigma = np.random.default_rng(3).uniform(0.5, 1.0, spec.M)
+        one = draw_sample(sigma, spec, np.random.default_rng(29))
+        two = eigenvalues(sigma, sample_data_matrix(spec,
+                                                    np.random.default_rng(29)))
+        assert one.power_sums == two.power_sums
+        assert one.values.tobytes() == two.values.tobytes()
+
+    def test_population_validated(self, rng):
+        with pytest.raises(DomainError):
+            draw_sample([0.5, 0.5], DataMatrixSpec(3, 4), rng)
+        with pytest.raises(DomainError):
+            draw_sample([0.5, 1.5, 0.5], DataMatrixSpec(3, 4), rng)
 
 
 class TestEmpiricalStieltjes:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,15 @@ import freemp
 from freemp.errors import DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
 from freemp.measures import AtomicLaw, sample_population
-from freemp.rmt import (DataMatrixSpec, EigenSample, eigenvalues,
-                        empirical_stieltjes, hat_fc, sample_data_matrix)
+from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
+                        empirical_stieltjes, hat_fc, linear_statistic,
+                        sample_data_matrix)
 from freemp.freeconv import stieltjes, support_edges
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
-                           _clt_gates, _kolmogorov_sf, _map_tasks, check_edges,
-                           check_hat_rate, check_local_law, ks_normality,
-                           report_to_csv, report_to_json, run_clt_experiment)
+                           _clt_gates, _clt_replicate, _kolmogorov_sf,
+                           _map_tasks, check_edges, check_hat_rate,
+                           check_local_law, ks_normality, report_to_csv,
+                           report_to_json, run_clt_experiment)
 from oracles import kolmogorov_sf, mp_stieltjes
 
 F_IDENTITY = parse_func("poly:0.0,1.0")
@@ -175,6 +178,41 @@ class TestRunClt:
         assert out.stdout.strip() == "[]"
 
 
+class TestCltReplicate:
+    @pytest.mark.parametrize("entry_law", ENTRY_LAWS)
+    @pytest.mark.parametrize("shape", [(40, 80), (160, 80)])
+    @pytest.mark.parametrize("f", ["poly:0,0,1", "exp:0.5"])
+    def test_equals_two_step_statistic(self, uniform_half, entry_law, shape,
+                                       f):
+        M, N = shape
+        f = parse_func(f)
+        gamma0 = M / N
+        got = _clt_replicate((77, M, N, entry_law, uniform_half, f, 0.3,
+                              gamma0))
+        rng = np.random.default_rng(77)
+        sigma = sample_population(uniform_half, M, rng)
+        X = sample_data_matrix(DataMatrixSpec(M, N, entry_law), rng)
+        want = linear_statistic(eigenvalues(sigma, X), f, 0.3, gamma0)
+        assert got == want
+
+    @pytest.mark.parametrize("entry_law, bound", [
+        ("gaussian", 1.6), ("uniform", 1.6), ("rademacher", 2.1)])
+    def test_one_matrix_per_draw(self, uniform_half, entry_law, bound):
+        # one M x N array plus the M x M Gram form (0.5 M N); rademacher's
+        # int64 draw briefly lives next to its float copy
+        M, N = 400, 800
+        task = (5, M, N, entry_law, uniform_half, parse_func("poly:0,0,1"),
+                0.0, 0.5)
+        _clt_replicate(task)
+        tracemalloc.start()
+        try:
+            _clt_replicate(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * M * N * 8
+
+
 class TestCltGates:
     def test_mean_gate_alone_fails(self):
         V, n, tol = 0.05, 500, GateTolerances()
@@ -215,7 +253,9 @@ class TestCltInvariants:
 class TestLocalLaw:
     def test_ratio_bounded(self, local_law_sample):
         sigma, X = local_law_sample
+        before = X.tobytes()
         report = check_local_law(sigma, X, tau=0.1, eps=0.1)
+        assert X.tobytes() == before        # callers reuse X across checks
         assert report.passed
         assert report.max_ratio <= 10.0
         assert report.skipped == ()
@@ -241,6 +281,15 @@ class TestLocalLaw:
         for z in (1.0 + 0.3j, 0.4 + 0.05j, 3.0 + 1.0j):
             assert stieltjes(fc, z) == pytest.approx(
                 mp_stieltjes(z, 0.5), abs=1e-10)
+
+    def test_caller_tolerance_gates(self, local_law_sample):
+        sigma, X = local_law_sample
+        loose = check_local_law(sigma, X, tau=0.1, eps=0.1)
+        strict = check_local_law(
+            sigma, X, tau=0.1, eps=0.1,
+            tolerances=GateTolerances(local_law_ratio=0.5 * loose.max_ratio))
+        assert loose.passed and not strict.passed
+        assert strict.max_ratio == loose.max_ratio
 
     def test_guards(self, local_law_sample):
         sigma, X = local_law_sample
@@ -300,6 +349,15 @@ class TestHatRate:
         assert all(a > 0.0 for a in report.averages)
         assert report.averages[0] > report.averages[-1]
         assert report.slope < -0.15
+
+    def test_caller_tolerance_gates(self, uniform_half):
+        args = (uniform_half, 0.5, (50, 100, 400), 8, 2024)
+        loose = check_hat_rate(*args)
+        # a band that stops just short of the fitted slope
+        band = GateTolerances(rate_slope_lo=loose.slope + 0.01)
+        strict = check_hat_rate(*args, tolerances=band)
+        assert loose.passed and not strict.passed
+        assert strict.slope == loose.slope
 
 
 class TestSerializers:
