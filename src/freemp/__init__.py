@@ -21,7 +21,7 @@ from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import (AtomicLaw, LinearLaw, PopulationLaw,
                        empirical_measure, sample_population)
-from .rmt import (DataMatrixSpec, EigenSample, draw_sample, eigenvalues,
+from .rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                   empirical_stieltjes, hat_fc, linear_statistic,
                   sample_data_matrix)
 from .verify import (CltReport, ExperimentConfig, GateTolerances,

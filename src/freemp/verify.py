@@ -53,6 +53,11 @@ class GateTolerances:
     rate_slope_hi: float = -0.35
 
 
+# the gates of the checks that take no ExperimentConfig: check_local_law and
+# check_hat_rate
+GATES = GateTolerances()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a CLT Monte Carlo run."""
@@ -291,16 +296,15 @@ class LocalLawReport:
     N: int
 
 
-def check_local_law(sigma, X: np.ndarray, tau: float, eps: float,
-                    tolerances: GateTolerances = GateTolerances()
-                    ) -> LocalLawReport:
+def check_local_law(sigma, X: np.ndarray, tau: float,
+                    eps: float) -> LocalLawReport:
     """Compare the empirical Stieltjes transform with the deterministic
     equivalent built from the realized population.
 
     The lattice covers eta in [N^(tau-1), 1/tau] and E in [tau, 1/tau]
     (log-spaced, restricted to |z| >= tau); each point contributes
     |m_N - m_hat| * N * eta / N^eps, and the check passes when the max
-    ratio stays under tolerances.local_law_ratio.  Solver failures are
+    ratio stays under GATES.local_law_ratio.  Solver failures are
     recorded and the point skipped.  X is not written to.
     """
     if not (0.0 < tau < 0.5):
@@ -335,7 +339,7 @@ def check_local_law(sigma, X: np.ndarray, tau: float, eps: float,
     ratio = np.concatenate(ratios) if ratios else np.array([np.inf])
     max_ratio = float(ratio.max())
     return LocalLawReport(max_ratio=max_ratio,
-                          passed=max_ratio <= tolerances.local_law_ratio,
+                          passed=max_ratio <= GATES.local_law_ratio,
                           points=int(ratio.size), skipped=tuple(skipped),
                           tau=tau, eps=eps, N=N)
 
@@ -374,16 +378,14 @@ def _rate_replicate(task):
 
 
 def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
-                   seed: int, workers: int | None = None,
-                   tolerances: GateTolerances = GateTolerances()
-                   ) -> RateReport:
+                   seed: int, workers: int | None = None) -> RateReport:
     """Fit the decay exponent of E[sup_Gamma |m_hat - m_fc|] against N.
 
     The gap is a centered average of M population draws, so its size should
     shrink like N^(-1/2); the gate accepts slopes in the band
-    [tolerances.rate_slope_lo, tolerances.rate_slope_hi].  Dispersionless
-    nu is rejected: with every draw equal, the gap reflects only the M/N
-    rounding error and says nothing about the sampling rate.
+    [GATES.rate_slope_lo, GATES.rate_slope_hi].  Dispersionless nu is
+    rejected: with every draw equal, the gap reflects only the M/N rounding
+    error and says nothing about the sampling rate.
     """
     n_values = tuple(sorted(int(n) for n in N_list))
     if len(n_values) < RATE_MIN_SIZES:
@@ -418,7 +420,7 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
         averages.append(float(np.mean(sups)))
 
     slope = float(np.polyfit(np.log(n_values), np.log(averages), 1)[0])
-    passed = tolerances.rate_slope_lo <= slope <= tolerances.rate_slope_hi
+    passed = GATES.rate_slope_lo <= slope <= GATES.rate_slope_hi
     return RateReport(N_values=n_values, averages=tuple(averages),
                       slope=slope, passed=passed)
 

@@ -282,12 +282,13 @@ class TestLocalLaw:
             assert stieltjes(fc, z) == pytest.approx(
                 mp_stieltjes(z, 0.5), abs=1e-10)
 
-    def test_caller_tolerance_gates(self, local_law_sample):
+    def test_gates_on_shared_tolerances(self, local_law_sample, monkeypatch):
         sigma, X = local_law_sample
         loose = check_local_law(sigma, X, tau=0.1, eps=0.1)
-        strict = check_local_law(
-            sigma, X, tau=0.1, eps=0.1,
-            tolerances=GateTolerances(local_law_ratio=0.5 * loose.max_ratio))
+        monkeypatch.setattr(
+            "freemp.verify.GATES",
+            GateTolerances(local_law_ratio=0.5 * loose.max_ratio))
+        strict = check_local_law(sigma, X, tau=0.1, eps=0.1)
         assert loose.passed and not strict.passed
         assert strict.max_ratio == loose.max_ratio
 
@@ -350,12 +351,13 @@ class TestHatRate:
         assert report.averages[0] > report.averages[-1]
         assert report.slope < -0.15
 
-    def test_caller_tolerance_gates(self, uniform_half):
+    def test_gates_on_shared_tolerances(self, uniform_half, monkeypatch):
         args = (uniform_half, 0.5, (50, 100, 400), 8, 2024)
         loose = check_hat_rate(*args)
         # a band that stops just short of the fitted slope
-        band = GateTolerances(rate_slope_lo=loose.slope + 0.01)
-        strict = check_hat_rate(*args, tolerances=band)
+        monkeypatch.setattr("freemp.verify.GATES",
+                            GateTolerances(rate_slope_lo=loose.slope + 0.01))
+        strict = check_hat_rate(*args)
         assert loose.passed and not strict.passed
         assert strict.slope == loose.slope
 
