@@ -14,12 +14,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .contour import build_contour, clt_variance, default_contour
+from .contour import build_contour, clt_variance
 from .errors import DomainError, FreempError
 from .freeconv import FreeConvolution, density_batch, support_edges
 from .grammar import format_func, format_law, parse_func, parse_law
@@ -311,18 +311,11 @@ def _cmd_edges(cfg: CliConfig) -> int:
 def _cmd_variance(cfg: CliConfig) -> int:
     p = cfg.parameters
     fc = FreeConvolution(p["nu"], p["gamma0"])
-    if p["d"] is None:
-        contour = default_contour(fc)
-    else:
-        contour = build_contour(support_edges(fc), d=p["d"])
+    contour = build_contour(support_edges(fc), d=p["d"])
     v = clt_variance(fc, p["f"], contour=contour)
     resolved = dict(p)
     resolved["d"] = contour.d
-    body = {
-        "V_derivation": v,
-        "contour_params": {"d": contour.d, "L_minus": contour.L_minus,
-                           "L_plus": contour.L_plus},
-    }
+    body = {"V_derivation": v, "contour_params": asdict(contour)}
     _write(cfg.output, "variance.json", json_artifact(_echo(resolved), body))
     return 0
 

@@ -160,12 +160,8 @@ def build_contour(edges, d: float | None = None) -> RectContour:
 
 
 def default_contour(fc: FreeConvolution) -> RectContour:
-    """The per-convolution default contour, built once and cached on fc."""
-    c = getattr(fc, "_default_contour", None)
-    if c is None:
-        c = build_contour(support_edges(fc))
-        object.__setattr__(fc, "_default_contour", c)
-    return c
+    """build_contour on the edges of fc, with the default margin."""
+    return build_contour(support_edges(fc))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,9 @@ def _margin(circle, values) -> float:
 
 
 def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
-    """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c, with
-    S(m) and (if want_t) T(m) = int t^2/(1+tm)^2 dpi from one _sums pass.
+    """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c (the
+    default contour if None), with S(m) and (if want_t) T(m) = int
+    t^2/(1+tm)^2 dpi from one _sums pass.  f must validate against c.
 
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
@@ -205,6 +202,9 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     the result must come out real, with |Im| below IMAG_TOL; a sum not
     settled at MAX_CIRCLE_NODES raises ContourError.
     """
+    if c is None:
+        c = default_contour(fc)
+    f.validate(c)
     circle = center, radius, turn = _m_circle(fc, c)
     margin = _margin(circle, clear_of) if len(clear_of) else np.inf
     if margin <= DENOM_FLOOR:
@@ -262,9 +262,7 @@ def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
             contour: RectContour | None = None) -> float:
     """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi,
     evaluated as (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm."""
-    c = default_contour(fc) if contour is None else contour
-    f.validate(c)
-    return float(_f_values(fc, c, f, np.array([float(sigma)]))[0])
+    return float(_f_values(fc, contour, f, np.array([float(sigma)]))[0])
 
 
 def clt_variance(fc: FreeConvolution, f: TestFunction,
@@ -275,10 +273,8 @@ def clt_variance(fc: FreeConvolution, f: TestFunction,
     measure pi of fc, the variance of the iid-over-populations sum that the
     statistic reduces to.
     """
-    c = default_contour(fc) if contour is None else contour
-    f.validate(c)
     sig, wts = fc.base.quad_rule(SIGMA_NODES)
-    F = _f_values(fc, c, f, sig)
+    F = _f_values(fc, contour, f, sig)
     mean = float((wts * F).sum())
     second = float((wts * F * F).sum())
     v = fc.ratio * (second - mean * mean)
@@ -293,9 +289,8 @@ def mean_statistic(fc: FreeConvolution, f: TestFunction,
     -(1/2 pi i) oint f(xi) m(xi) dxi = -(1/2 pi i) oint f(z(m)) m z'(m) dm
     with z'(m) = 1/m^2 - ratio T(m).  For f = 1 this is the mass of the
     absolutely continuous part, 1 - (1 - ratio)^+."""
-    c = default_contour(fc) if contour is None else contour
-    f.validate(c)
     return float(_circle_trapezoid(
-        fc, c, f, lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
+        fc, contour, f,
+        lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
         "mean", want_t=True))
 

@@ -206,10 +206,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
     N = cfg.N_list[0]
     spec = DataMatrixSpec.from_ratio(cfg.gamma0, N, cfg.entry_law)
     fc = FreeConvolution(cfg.nu, cfg.gamma0)
-    if cfg.d is None:
-        contour = default_contour(fc)
-    else:
-        contour = build_contour(support_edges(fc), d=cfg.d)
+    contour = build_contour(support_edges(fc), d=cfg.d)
     mean_inside = mean_statistic(fc, cfg.f, contour=contour)
     theoretical = clt_variance(fc, cfg.f, contour=contour)
 

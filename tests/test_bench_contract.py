@@ -2,24 +2,67 @@
 
 perfbench/workloads.py is frozen with the benchmark and imports freemp
 names directly (default_contour, build_contour, CltReport, ...).  Importing
-it resolves every one of them, and one untraced pass of the limit workload
-runs its calls and correctness checks, so a library change that breaks the
+it resolves every one of them.  One untraced pass of the limit workload,
+and shrunken untraced and traced passes of clt and hat, run its calls,
+replays and correctness checks, so a library change that breaks the
 benchmark fails here rather than at benchmark time.
 """
 
 import time
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+SMALL_CLT_CFG = """\
+gamma0=0.5
+nu=uniform:0.5,1.0
+f=poly:0,0,1
+n=50
+reps=100
+entry_law=gaussian
+seed=20240817
+"""
 
-def test_limit_workload_pass(monkeypatch):
+
+@pytest.fixture
+def workloads(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    record = workloads.run_pass("limit", 0, "pass", time.monotonic())
+    cfg = tmp_path / "clt_small.cfg"
+    cfg.write_text(SMALL_CLT_CFG, encoding="utf-8")
+    monkeypatch.setattr(workloads, "CLT_CONFIG", cfg)
+    monkeypatch.setattr(workloads, "HAT_N", (50, 100, 400))
+    monkeypatch.setattr(workloads, "HAT_REPS", 1)
+    monkeypatch.setattr(workloads, "LOCAL_LAW_N", 100)
+    monkeypatch.setattr(workloads, "LOCAL_LAW_DRAWS", 1)
+    monkeypatch.setattr(workloads, "SCRATCH", tmp_path / "scratch")
+    return workloads
+
+
+def _clean_pass(workloads, name: str, mode: str) -> dict:
+    record = workloads.run_pass(name, 0, mode, time.monotonic())
     assert record["errors"] == []
     assert record["checks"]
     failed = [c for c in record["checks"] if c["failed"]]
     assert failed == []
+    return record
 
+
+def test_limit_workload_pass(workloads):
+    _clean_pass(workloads, "limit", "pass")
+
+
+def test_clt_workload_pass_and_replay(workloads):
+    # no key equality: the replay's passed leaves out the mean gate, so
+    # its clt.json may differ from the command line's on some seeds
+    _clean_pass(workloads, "clt", "pass")
+    _clean_pass(workloads, "clt", "traced")
+
+
+def test_hat_workload_replay_reproduces_pass(workloads):
+    untraced = _clean_pass(workloads, "hat", "pass")
+    traced = _clean_pass(workloads, "hat", "traced")
+    assert traced["key"] == untraced["key"]

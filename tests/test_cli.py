@@ -8,6 +8,7 @@ import pytest
 from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
 from freemp.errors import DomainError
+from freemp.freeconv import FreeConvolution
 from freemp.grammar import parse_func, parse_law
 from freemp.measures import LinearLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
@@ -169,6 +170,24 @@ class TestDispatch:
         assert doc["V_derivation"] == pytest.approx(1.0 / 96.0, abs=1e-8)
         assert doc["contour_params"]["d"] > 0.0
         assert doc["config"]["d"] == doc["contour_params"]["d"]
+
+    @pytest.mark.parametrize("gamma0,law,f", [
+        ("0.5", "uniform:0.5,1", "poly:0,0,1"),
+        ("2", "linear:0.2,1,1", "exp:1")])
+    def test_variance_default_d_is_explicit_default(self, tmp_path, gamma0,
+                                                    law, f):
+        # omitting --d and passing the default margin write the same bytes
+        args = ["variance", "--gamma0", gamma0, "--nu", law, "--f", f]
+        fc = FreeConvolution(parse_law(law), float(gamma0))
+        d = contour.default_contour(fc).d
+        assert main(args + ["--output", str(tmp_path / "a")]) == 0
+        assert main(args + ["--d", repr(d),
+                            "--output", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "a" / "variance.json").read_bytes()
+        assert text == (tmp_path / "b" / "variance.json").read_bytes()
+        params = json.loads(text)["contour_params"]
+        assert list(params) == ["d", "L_minus", "L_plus"]
+        assert params["d"] == d
 
     def test_simulate_artifact(self, tmp_path):
         code = main(["simulate", "--gamma0", "0.5", "--nu", "uniform:0.5,1",

@@ -43,12 +43,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             build_contour(e, d=0.0)
 
-    def test_thin_default_cached_per_instance(self, fc_uniform):
-        # L_minus ~ 0.06 forces a sliver rectangle, built once per
-        # convolution
+    def test_thin_default_rebuilt_equal(self, fc_uniform):
+        # L_minus ~ 0.06 forces a sliver rectangle, rebuilt from the
+        # cached edges on every call
         c = default_contour(fc_uniform)
         assert c.d < 0.004
-        assert default_contour(fc_uniform) is c
+        assert default_contour(fc_uniform) == c
 
     def test_node_closure_exact(self, c_mpq, fc_uniform):
         # oint dxi = 0 and (1/2i) oint conj(xi) dxi = area: both integrands
@@ -285,6 +285,16 @@ class TestMCircle:
             want = stieltjes(fc, x)
             assert want.imag == 0.0
             assert abs(got - want.real) <= 1e-12 * abs(want.real)
+
+    def test_functionals_share_one_circle(self):
+        # the default contour is rebuilt per call, but equal contours hit
+        # the same cached circle: one landing serves the mean and the
+        # variance of a fresh convolution
+        fc = FreeConvolution(parse_law("uniform:0.5,1"), 0.5)
+        misses = _m_circle.cache_info().misses
+        mean_statistic(fc, SQ)
+        clt_variance(fc, SQ)
+        assert _m_circle.cache_info().misses == misses + 1
 
     def test_margin_below_the_real_axis_guard(self, fc_uniform):
         # d = 1e-9 puts the crossings inside stieltjes_batch's 1e-6 guard;

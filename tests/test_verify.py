@@ -17,7 +17,8 @@ from freemp.measures import AtomicLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
                         sample_data_matrix)
-from freemp.freeconv import stieltjes, support_edges
+from freemp.contour import default_contour
+from freemp.freeconv import FreeConvolution, stieltjes, support_edges
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
                            _clt_gates, _clt_replicate, _kolmogorov_sf,
                            _map_tasks, check_edges, check_hat_rate,
@@ -128,6 +129,17 @@ class TestRunClt:
         pooled = run_clt_experiment(cfg, workers=2)
         assert np.array_equal(serial.samples, pooled.samples)
         assert np.array_equal(serial.replicate_seeds, pooled.replicate_seeds)
+
+    def test_default_d_is_explicit_default(self, uniform_half):
+        base = dict(gamma0=0.5, nu=uniform_half, f=F_IDENTITY, N_list=(50,),
+                    replicates=100, seed=271)
+        d = default_contour(FreeConvolution(uniform_half, 0.5)).d
+        omitted = run_clt_experiment(ExperimentConfig(**base), workers=1)
+        explicit = run_clt_experiment(ExperimentConfig(d=d, **base),
+                                      workers=1)
+        assert np.array_equal(omitted.samples, explicit.samples)
+        assert omitted.theoretical_variance == explicit.theoretical_variance
+        assert omitted.d == explicit.d == d
 
     def test_variance_and_normality_gates(self, clt_small):
         _, report = clt_small
