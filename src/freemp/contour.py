@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContourError, DomainError, NearSingularityError
-from .freeconv import FreeConvolution, _solve, _sums, support_edges
+from .freeconv import FreeConvolution, _solve, support_edges
 from .measures import _leggauss
 
 NODES_PER_SIDE = 128
@@ -173,7 +173,7 @@ def _m_circle(fc: FreeConvolution, c: RectContour):
     m(c.right)], counterclockwise (turn 1) for ratio < 1.  The crossings
     are the solver's real-axis landing at c.left and c.right; _solve, not
     stieltjes_batch, so that no edge-distance guard limits the margin d.
-    A landing costs about twice the _sums work of a bisection, so circles
+    A landing costs about twice the transform work of a bisection, so circles
     are kept per (fc, c): every functional on one contour shares them."""
     m = _solve(fc, np.array([c.left, c.right], dtype=complex))
     if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
@@ -194,7 +194,8 @@ def _margin(circle, values) -> float:
 def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c (the
     default contour if None), with S(m) and (if want_t) T(m) = int
-    t^2/(1+tm)^2 dpi from one _sums pass.  f must validate against c.
+    t^2/(1+tm)^2 dpi from one call of the base law's transforms.  f must
+    validate against c.
 
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
@@ -216,7 +217,8 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     while True:
         u = np.exp(1j * turn * theta)
         m = center + radius * u
-        S, T = _sums(fc, m, want_t=True) if want_t else (_sums(fc, m), None)
+        S, T = (fc.base.transforms(m, want_t=True) if want_t
+                else (fc.base.transforms(m), None))
         vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
                 * (1j * turn * radius * u))
         bad = ~np.isfinite(vals)

@@ -9,6 +9,9 @@ with Im m > 0 for Im z > 0.  The convolution equals (1 - r)^+ delta_0 plus an
 absolutely continuous part supported on [L_minus, L_plus]; the edges come from
 the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r, bisected on
 closed-form brackets (Silverstein & Choi, J. Multivariate Anal. 54, 1995).
+Every integral against pi is one of the base law's own transforms, S(m) =
+int t/(1+mt) dpi and T(m) = int t^2/(1+mt)^2 dpi; freeconv does not choose
+how to integrate.
 
 The solver is Newton's method on the defining equation, batched over arrays
 of z; a point keeps a full step only where its residual drops.  A point
@@ -37,11 +40,8 @@ POLISH_TOL = 1e-14            # target of the two final Newton steps
 NEWTON_ITERS = 12             # Newton iterations per solve attempt
 FIRST_STEP_RATIO = 0.1        # first eta step of a continuation
 MAX_STEP_RATIO = 0.99         # a step ratio rejected up to this stalls
-AC_QUAD_NODES = 256           # fixed rule for solver-side integrals
-EDGE_QUAD_NODES = 512         # fixed rule for edge-side integrals
 EDGE_BISECT_XTOL = 1e-12
 DERIV_SINGULAR_TOL = 1e-14
-_CHUNK_ELEMS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,10 @@ class FreeConvolution:
             raise DomainError("ratio 1 is excluded (support reaches 0)")
         if self.base.lo <= 0.0 or self.base.hi > 1.0 + 1e-12:
             raise DomainError("base measure support must lie inside (0, 1]")
-        mass = float(self._rule[1].sum())
-        if abs(mass - 1.0) > 1e-8:
-            raise DomainError(f"base measure has mass {mass!r} on the "
-                              f"{AC_QUAD_NODES}-node solver rule, not 1")
 
     @cached_property
     def _edge_data(self) -> SupportEdges:
         return _find_edges(self)
-
-    # the fixed rules of the solver and of the edge search, built once
-    @cached_property
-    def _rule(self):
-        return self.base.quad_rule(AC_QUAD_NODES)
-
-    @cached_property
-    def _edge_rule(self):
-        return self.base.quad_rule(EDGE_QUAD_NODES)
 
 
 def atom_at_zero(fc: FreeConvolution) -> float:
@@ -95,28 +82,8 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 # ---------------------------------------------------------------------------
 # solver core
 
-def _sums(fc: FreeConvolution, m: np.ndarray, want_t: bool = False):
-    """S(m) = int t/(1+mt) dpi and optionally T(m) = int t^2/(1+mt)^2 dpi."""
-    t, w = fc._rule
-    s = np.empty(m.shape, dtype=complex)
-    tt = np.empty(m.shape, dtype=complex) if want_t else None
-    step = max(16, _CHUNK_ELEMS // max(t.size, 1))
-    wt = w * t
-    wt2 = w * t * t
-    for i in range(0, m.size, step):
-        sl = slice(i, min(i + step, m.size))
-        # the quotients overwrite their denominators: two temporaries at most
-        den = np.multiply.outer(m[sl], t)
-        den += 1.0
-        if want_t:
-            q = den * den
-            tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
-        s[sl] = np.divide(wt, den, out=den).sum(axis=-1)
-    return (s, tt) if want_t else s
-
-
 def _residual(fc: FreeConvolution, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.abs(1.0 / m + z - fc.ratio * _sums(fc, m))
+    return np.abs(1.0 / m + z - fc.ratio * fc.base.transforms(m))
 
 
 def _newton(fc, z, m, tol, iters):
@@ -129,7 +96,7 @@ def _newton(fc, z, m, tol, iters):
         if idx.size == 0:
             break
         ma, za = m[idx], z[idx]
-        s, t2 = _sums(fc, ma, want_t=True)
+        s, t2 = fc.base.transforms(ma, want_t=True)
         phi = 1.0 / ma + za - fc.ratio * s
         dphi = -1.0 / (ma * ma) + fc.ratio * t2
         trial = ma - np.where(dphi != 0, phi / dphi, 0.0)
@@ -273,7 +240,7 @@ def stieltjes_derivative_batch(fc: FreeConvolution, z, m=None) -> np.ndarray:
     if m is None:
         m = stieltjes_batch(fc, z)
     m = np.asarray(m, dtype=complex).ravel()
-    _, t2 = _sums(fc, m, want_t=True)
+    _, t2 = fc.base.transforms(m, want_t=True)
     den = 1.0 - fc.ratio * m * m * t2
     if np.any(np.abs(den) < DERIV_SINGULAR_TOL):
         bad = z[int(np.argmin(np.abs(den)))]
@@ -315,14 +282,14 @@ def density(fc: FreeConvolution, x: float) -> float:
 # support edges
 
 def _h_value(fc, x: float) -> float:
-    t, w = fc._edge_rule
-    q = x * t / (1.0 - x * t)
-    return float((w * q * q).sum())
+    """h(x) = x^2 T(-x)."""
+    _, t2 = fc.base.transforms(np.array([-x]), want_t=True)
+    return float(x * x * t2[0])
 
 
 def _edge_value(fc, x: float) -> float:
-    t, w = fc._edge_rule
-    return float(1.0 / x + fc.ratio * (w * t / (1.0 - x * t)).sum())
+    """z(-x) = 1/x + ratio S(-x), the edge at the root x."""
+    return float(1.0 / x + fc.ratio * fc.base.transforms(np.array([-x]))[0])
 
 
 def _bisect_h(fc, a, b, pole, what):

@@ -1,11 +1,17 @@
 """Population laws: the base measures of the free convolution.
 
 A PopulationLaw is a probability law on a compact interval [lo, hi] of
-(0, 1].  Its quad_rule(n) is the rule FreeConvolution sums over, and its
-inverse CDF is what the Monte Carlo layer draws from.  A law with a bounded
-density weights n Gauss-Legendre nodes on [lo, hi] by it; an AtomicLaw (a
-point mass dirac:c, or the realized spectrum of a sample) sums over its
-atoms.
+(0, 1].  Its transforms(m) are the two integrals the free convolution needs,
+
+    S(m) = int t/(1+mt) dnu(t)   and   T(m) = int t^2/(1+mt)^2 dnu(t),
+
+and its inverse CDF is what the Monte Carlo layer draws from.  An AtomicLaw
+(a point mass dirac:c, or the realized spectrum of a sample) sums over its
+atoms.  A LinearLaw integrates in closed form away from m = 0, and on a
+32-node Gauss-Legendre rule near it, where the closed forms cancel but the
+pole -1/m lies far from the support.  quad_rule(n) weights n Gauss-Legendre
+nodes on [lo, hi] by a law's density; it is the rule of integrals other
+than S and T.
 """
 
 from dataclasses import dataclass
@@ -16,6 +22,9 @@ import numpy as np
 from .errors import DomainError
 
 MASS_TOL = 1e-9
+CLOSED_FORM_MIN = 0.75        # closed forms where |m| hi reaches this
+NEAR_NODES = 32               # rule of the transforms where it does not
+_CHUNK_ELEMS = 4_000_000
 
 
 @cache
@@ -24,19 +33,43 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray,
+               want_t: bool = False):
+    """S(m) = sum w t/(1+mt) and optionally T(m) = sum w t^2/(1+mt)^2 over
+    the nodes t with weights w, in chunks of at most _CHUNK_ELEMS terms."""
+    dtype = np.result_type(m, w)
+    s = np.empty(m.shape, dtype=dtype)
+    tt = np.empty(m.shape, dtype=dtype) if want_t else None
+    step = max(16, _CHUNK_ELEMS // max(t.size, 1))
+    wt = w * t
+    wt2 = w * t * t
+    for i in range(0, m.size, step):
+        sl = slice(i, min(i + step, m.size))
+        # the quotients overwrite their denominators: two temporaries at most
+        den = np.multiply.outer(m[sl], t)
+        den += 1.0
+        if want_t:
+            q = den * den
+            tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
+        s[sl] = np.divide(wt, den, out=den).sum(axis=-1)
+    return (s, tt) if want_t else s
+
+
 class PopulationLaw:
     """Population law on [lo, hi].
 
     Subclasses provide quantile(u), the inverse CDF mapping [0, 1] onto
-    [lo, hi], and either density(t) (vectorized, positive and bounded on
-    the support) or their own quad_rule.  The law is itself the measure
-    whose rule FreeConvolution sums over.
+    [lo, hi], transforms(m, want_t), the law's S(m) and optionally T(m) at
+    an array of m, and density(t) (vectorized, positive and bounded on the
+    support) or their own quad_rule.  The law is itself the measure
+    FreeConvolution integrates against.
     """
 
     lo: float
     hi: float
 
-    def density(self, t):
+    def transforms(self, m: np.ndarray, want_t: bool = False):
+        """S(m), or (S(m), T(m)) if want_t, elementwise over the array m."""
         raise NotImplementedError
 
     def quantile(self, u):
@@ -85,6 +118,42 @@ class LinearLaw(PopulationLaw):
         t = np.asarray(t, dtype=float)
         inside = (t >= self.lo) & (t <= self.hi)
         return np.where(inside, self._alpha + self.slope * (t - self.lo), 0.0)
+
+    def transforms(self, m: np.ndarray, want_t: bool = False):
+        """S and T in closed form where |m| hi >= CLOSED_FORM_MIN.  Nearer
+        m = 0 the closed forms cancel, but the pole -1/m lies beyond
+        (4/3) hi, so the NEAR_NODES rule is exact to rounding there.  Each
+        value depends on its own m only, alone or inside a batch."""
+        near = np.abs(m) * self.hi < CLOSED_FORM_MIN
+        out = np.empty((1 + want_t,) + m.shape, np.result_type(m, float))
+        out[:, near] = _rule_sums(*self.quad_rule(NEAR_NODES), m[near], want_t)
+        out[:, ~near] = self._closed_forms(m[~near], want_t)
+        return tuple(out) if want_t else out[0]
+
+    def _closed_forms(self, x: np.ndarray, want_t: bool):
+        """S and, if want_t, T of the density a0 + a1 t.  With u = 1 + x t,
+        w = hi - lo, L = log(u(hi)/u(lo)) and D the change from lo to hi,
+
+            x^2 S = a0 (w x - L) + a1 ((hi^2 - lo^2) x^2/2 - w x + L) / x
+            x^3 T = a0 (D u - 2 L - D(1/u))
+                    + a1 (D(u^2)/2 - 3 D u + 3 L + D(1/u)) / x.
+
+        Off the poles [-1/lo, -1/hi] the segment u([lo, hi]) misses 0, so L
+        is the principal log of the ratio."""
+        lo, hi, a1 = self.lo, self.hi, self.slope
+        a0 = self._alpha - a1 * lo
+        u_lo, u_hi = 1.0 + x * lo, 1.0 + x * hi
+        wx = (hi - lo) * x
+        L = np.log(u_hi / u_lo)
+        s = (a0 * (wx - L)
+             + a1 * (0.5 * (hi * hi - lo * lo) * x * x - wx + L) / x) / (x * x)
+        if not want_t:
+            return s
+        dinv = 1.0 / u_hi - 1.0 / u_lo
+        t = (a0 * (wx - 2.0 * L - dinv)
+             + a1 * (0.5 * wx * (u_hi + u_lo) - 3.0 * wx + 3.0 * L + dinv) / x
+             ) / (x * x * x)
+        return s, t
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -146,6 +215,10 @@ class AtomicLaw(PopulationLaw):
         """The atoms and their weights, exact for every integrand; n is
         ignored."""
         return self.locs, self.weights
+
+    def transforms(self, m: np.ndarray, want_t: bool = False):
+        """The sums over the atoms."""
+        return _rule_sums(self.locs, self.weights, m, want_t)
 
 
 def sample_population(law: PopulationLaw, m: int,

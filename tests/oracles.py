@@ -24,18 +24,26 @@ solves on the Gauss-Legendre nodes of a RectContour, refined level by
 level.  It shares no code with the m-plane evaluation in freemp.contour
 beyond the contour geometry.
 
+quad_transforms and quad_density reference a density law's transforms and
+the density of its free convolution with scipy's adaptive quad, split at
+the real part of the integrand's pole -1/m.  quad_density is a Newton
+solve of z(m) = -1/m + r S(m) = x marched along the real axis; it shares
+no code with freemp.freeconv.
+
 DensityLaw is a population law given by nothing but a density on [lo, hi],
-for inputs the shipped laws reject: unnormalized or singular densities.
+for inputs the shipped laws reject, such as densities that vanish to high
+order at an end of the support.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import integrate as sp_integrate
 
 from freemp.errors import ContourError, ConvergenceError, DomainError
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
-from freemp.measures import PopulationLaw
+from freemp.measures import PopulationLaw, _rule_sums
 
 QUAD_START_NODES = 32
 QUAD_MAX_NODES = 4096
@@ -44,6 +52,9 @@ QUAD_ATOL = 1e-12
 NODE_LEVELS = 4
 RECT_RTOL = 1e-9
 RECT_ATOL = 1e-10
+DENSITY_LAW_NODES = 512
+SPLIT_QUAD_RTOL = 1e-12
+SPLIT_QUAD_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,9 @@ class DensityLaw(PopulationLaw):
 
     def density(self, t):
         return self.fn(np.asarray(t, dtype=float))
+
+    def transforms(self, m, want_t=False):
+        return _rule_sums(*self.quad_rule(DENSITY_LAW_NODES), m, want_t)
 
 
 def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:
@@ -107,6 +121,73 @@ def rectangle_integral(c, g) -> complex:
         prev = cur
     raise ContourError(f"rectangle integral not settled at {NODE_LEVELS} "
                        f"levels")
+
+
+def _split_quad(g: Callable, lo: float, hi: float, pole: complex,
+                rtol: float) -> complex:
+    """Complex integral of g over [lo, hi] by scipy's quad to rtol, split at
+    the real part of the pole where it falls inside."""
+    cut = [lo, pole.real, hi] if lo < pole.real < hi else [lo, hi]
+    return sum(sp_integrate.quad(g, a, b, epsabs=SPLIT_QUAD_ATOL, epsrel=rtol,
+                                 limit=200, complex_func=True)[0]
+               for a, b in zip(cut, cut[1:]))
+
+
+def quad_transforms(p: Callable, lo: float, hi: float, m: complex,
+                    t_rtol: float = SPLIT_QUAD_RTOL) -> tuple[complex, complex]:
+    """S(m) = int t/(1+mt) p(t) dt and T(m) = int t^2/(1+mt)^2 p(t) dt over
+    [lo, hi] for a scalar density p, by _split_quad at the pole -1/m; T to
+    t_rtol."""
+    m = complex(m)
+    pole = -1.0 / m if m != 0 else complex(np.inf)
+    return (_split_quad(lambda t: p(t) * t / (1.0 + m * t),
+                        lo, hi, pole, SPLIT_QUAD_RTOL),
+            _split_quad(lambda t: p(t) * t * t / (1.0 + m * t) ** 2,
+                        lo, hi, pole, t_rtol))
+
+
+def _quad_newton(p, lo, hi, r: float, z: complex, m: complex) -> complex:
+    """Newton on z(m) = -1/m + r S(m) from m, with S and T from
+    quad_transforms, until a step falls below 1e-10 |m|: the error left is
+    of the order of its square.  The root depends on S alone, so T, which
+    only sets the step, is taken to 1e-8."""
+    for _ in range(50):
+        s, t2 = quad_transforms(p, lo, hi, m, t_rtol=1e-8)
+        step = (-1.0 / m + r * s - z) / (1.0 / (m * m) - r * t2)
+        m -= step
+        if abs(step) <= 1e-10 * abs(m):
+            return m
+    raise ConvergenceError(f"quad Newton did not settle at z = {z!r}")
+
+
+def quad_density(p: Callable, lo: float, hi: float, r: float,
+                 xs) -> np.ndarray:
+    """Density |Im m(x + i0)| / pi of the free convolution of the population
+    density p on [lo, hi] at ratio r, on increasing interior points xs of
+    the support.
+
+    The boundary value at the middle point comes from Newton continuation
+    down eta = 2(1 + r) 4^-k to eta = 0, where -1/z starts it; from there
+    the solve marches outward point by point, each started at the linear
+    extrapolation of its two neighbours' roots, and every root must keep
+    Im m > 0.
+    """
+    xs = np.asarray(xs, dtype=float)
+    mid = xs.size // 2
+    m = -1.0 / complex(xs[mid], 2.0 * (1.0 + r))
+    for eta in [2.0 * (1.0 + r) * 0.25 ** k for k in range(20)] + [0.0]:
+        m = _quad_newton(p, lo, hi, r, complex(xs[mid], eta), m)
+    out = np.empty(xs.size, dtype=complex)
+    out[mid] = m
+    for step in (1, -1):
+        prev = m = out[mid]
+        for i in range(mid + step, xs.size if step > 0 else -1, step):
+            guess = 2.0 * m - prev
+            prev, m = m, _quad_newton(p, lo, hi, r, complex(xs[i]), guess)
+            out[i] = m
+    if not np.all(out.imag > 0.0):
+        raise ConvergenceError("quad Newton left the upper half plane")
+    return out.imag / np.pi
 
 
 def mp_edges(r: float) -> tuple[float, float]:

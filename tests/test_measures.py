@@ -1,16 +1,13 @@
-import time
-
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from freemp.errors import DomainError
-from freemp.freeconv import FreeConvolution
 from freemp.grammar import format_law, parse_law
-from freemp.measures import (MASS_TOL, AtomicLaw, LinearLaw,
+from freemp.measures import (CLOSED_FORM_MIN, MASS_TOL, AtomicLaw, LinearLaw,
                              empirical_measure, sample_population)
 
-from oracles import DensityLaw, integrate
+from oracles import integrate, quad_transforms
 
 
 class TestAtomicLaw:
@@ -120,19 +117,6 @@ class TestIntegrate:
             lambda t: (2.0 / (t - z)).imag, 0.5, 1.0, epsabs=1e-13)[0]
         assert abs(val - ref) < 1e-10
 
-    # the mass check runs on the solver's own fixed rule: a normalized
-    # density with an endpoint singularity misses mass 1 there by 1.7e-3,
-    # and an unnormalized one by its excess, and both raise at once
-    def test_unsettled_integral_raises(self):
-        singular = DensityLaw(0.5, 1.0,
-                              lambda t: 1.0 / np.sqrt(2.0 * (t - 0.5)))
-        flat = DensityLaw(0.5, 1.0, lambda t: 1.8 * np.ones_like(t))
-        for base in (singular, flat):
-            t0 = time.perf_counter()
-            with pytest.raises(DomainError, match="mass"):
-                FreeConvolution(base, 0.5)
-            assert time.perf_counter() - t0 < 1.0
-
 
 class TestPopulationLaws:
     # uniform:a,b is the slope-0 LinearLaw; its quantile and density are
@@ -206,6 +190,68 @@ class TestPopulationLaws:
             LinearLaw(0.0, 1.0)
         with pytest.raises(DomainError):
             LinearLaw(0.5, 1.2)
+
+
+def transform_points(lo: float, hi: float) -> np.ndarray:
+    """m = 0; real m on both sides of |m| hi = CLOSED_FORM_MIN; real m next
+    to the poles -1/hi and -1/lo and beyond -1/lo; off-axis m next to the
+    poles and around circles that straddle the threshold."""
+    edge = CLOSED_FORM_MIN / hi
+    real = [0.0, 0.1 / hi, 0.7 * edge, 0.99 * edge, edge, 1.01 * edge,
+            1.3 * edge, 5.0 / hi, 40.0, -0.99 * edge, -1.01 * edge,
+            -(1.0 - 1e-3) / hi, -(1.0 + 1e-3) / lo, -2.0 / lo]
+    poles = [-(1.0 + 1e-2j) / hi, -(1.0 - 1e-2j) / lo,
+             -(1.0 + 0.1j) / (0.5 * (lo + hi))]
+    circle = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
+    rings = [k * edge * circle for k in (0.5, 0.98, 1.02, 2.0, 8.0)]
+    return np.concatenate([np.array(real + poles, dtype=complex)] + rings)
+
+
+class TestLinearLawTransforms:
+    # S and T against scipy's quad split at the pole -1/m, within 1e-13
+    # relative, on both branches of the law's evaluation
+    @pytest.mark.parametrize("lo, hi, slope", [
+        (0.5, 1.0, 0.0), (0.2, 1.0, 1.0), (0.05, 1.0, 0.0),
+        (0.001, 1.0, -1.5), (0.3, 0.7, 5.0)])
+    def test_against_quad(self, lo, hi, slope):
+        law = LinearLaw(lo, hi, slope)
+        p = lambda t: 1.0 / (hi - lo) + slope * (t - 0.5 * (lo + hi))
+        m = transform_points(lo, hi)
+        S, T = law.transforms(m, want_t=True)
+        for k, mk in enumerate(m):
+            s_ref, t_ref = quad_transforms(p, lo, hi, mk)
+            assert abs(S[k] - s_ref) <= 1e-13 * abs(s_ref), mk
+            assert abs(T[k] - t_ref) <= 1e-13 * abs(t_ref), mk
+
+    # a value does not depend on its neighbours in the batch, which the
+    # solver's accept-if-the-residual-drops step relies on
+    @pytest.mark.parametrize("lo, hi, slope", [
+        (0.5, 1.0, 0.0), (0.05, 1.0, 0.0), (0.2, 1.0, 1.0)])
+    def test_batch_bit_identical_to_alone(self, lo, hi, slope, rng):
+        law = LinearLaw(lo, hi, slope)
+        m = np.concatenate([transform_points(lo, hi),
+                            rng.normal(size=200) + 1j * rng.normal(size=200)])
+        S, T = law.transforms(m, want_t=True)
+        assert np.array_equal(law.transforms(m), S)
+        for k in range(m.size):
+            s1, t1 = law.transforms(m[k:k + 1], want_t=True)
+            assert s1[0] == S[k] and t1[0] == T[k]
+        # real m, as the edge search passes them, stay in real arithmetic
+        on_axis = m.imag == 0.0
+        real = law.transforms(m.real[on_axis])
+        assert real.dtype == float
+        assert np.allclose(real, S.real[on_axis], rtol=1e-14, atol=0.0)
+
+    # an AtomicLaw's transforms are the weighted sums over its atoms
+    def test_atomic_law_sums_its_atoms(self):
+        law = AtomicLaw([0.5, 0.75], [0.25, 0.75])
+        m = np.array([0.0, 1.0 + 2.0j, -3.0])
+        S, T = law.transforms(m, want_t=True)
+        u = np.multiply.outer(m, law.locs) + 1.0
+        assert np.allclose(S, (law.weights * law.locs / u).sum(-1),
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(T, (law.weights * law.locs ** 2 / u ** 2).sum(-1),
+                           rtol=1e-15, atol=0.0)
 
 
 class TestSampling:
