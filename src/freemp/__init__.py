@@ -11,8 +11,8 @@ from .contour import (Exponential, Polynomial, RationalShift, RectContour,
                       TestFunction, build_contour, clt_variance,
                       default_contour, f_sigma, mean_statistic)
 from .errors import (ContourError, ConvergenceError, DomainError,
-                     EdgeBracketError, EdgeProbeError, FreempError,
-                     NearSingularityError, PsdViolationError, ReplicateError,
+                     EdgeBracketError, FreempError, NearSingularityError,
+                     PsdViolationError, ReplicateError,
                      SingularDerivativeError)
 from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
                        density_batch, stieltjes, stieltjes_batch,

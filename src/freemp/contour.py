@@ -191,11 +191,11 @@ def _margin(circle, values) -> float:
     return float(np.min(v * np.abs(radius - np.abs(center + 1.0 / v))))
 
 
-def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
+def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
     """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c (the
-    default contour if None), with S(m) and (if want_t) T(m) = int
-    t^2/(1+tm)^2 dpi from one call of the base law's transforms.  f must
-    validate against c.
+    default contour if None), with S(m) and T(m) = int t^2/(1+tm)^2 dpi
+    from one call of the base law's transforms.  f must validate against
+    c.
 
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
@@ -217,8 +217,7 @@ def _circle_trapezoid(fc, c, f, weight, what: str, want_t=False, clear_of=()):
     while True:
         u = np.exp(1j * turn * theta)
         m = center + radius * u
-        S, T = (fc.base.transforms(m, want_t=True) if want_t
-                else (fc.base.transforms(m), None))
+        S, T = fc.base.transforms(m)
         vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
                 * (1j * turn * radius * u))
         bad = ~np.isfinite(vals)
@@ -294,5 +293,5 @@ def mean_statistic(fc: FreeConvolution, f: TestFunction,
     return float(_circle_trapezoid(
         fc, contour, f,
         lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
-        "mean", want_t=True))
+        "mean"))
 

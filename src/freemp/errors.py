@@ -21,10 +21,6 @@ class EdgeBracketError(FreempError):
     """h never reaches 1/ratio before its pole; the message names the edge."""
 
 
-class EdgeProbeError(FreempError):
-    """Edge consistency probes (density inside/outside) failed."""
-
-
 class SingularDerivativeError(FreempError):
     """Stieltjes derivative denominator vanished; z sits at a spectral edge."""
 

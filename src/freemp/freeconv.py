@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EdgeBracketError,
-                     EdgeProbeError, SingularDerivativeError)
+                     SingularDerivativeError)
 from .measures import PopulationLaw
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
@@ -82,30 +82,35 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 # ---------------------------------------------------------------------------
 # solver core
 
-def _residual(fc: FreeConvolution, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.abs(1.0 / m + z - fc.ratio * fc.base.transforms(m))
+def _phi(fc: FreeConvolution, m: np.ndarray, z: np.ndarray):
+    """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m)."""
+    s, t2 = fc.base.transforms(m)
+    return 1.0 / m + z - fc.ratio * s, -1.0 / (m * m) + fc.ratio * t2
 
 
 def _newton(fc, z, m, tol, iters):
-    """Newton steps on 1/m + z - r S(m).  A point keeps a full step only if
-    its residual drops; otherwise it stops where it is, above tol."""
-    res = _residual(fc, m, z)
+    """Newton steps on phi(m) = 1/m + z - r S(m).  A point keeps a full step
+    only if its residual |phi| drops; otherwise it stops where it is, above
+    tol.  Each iteration makes one _phi call, on its trials: it gives their
+    residuals and, for the trials kept, the slopes of their next steps."""
+    phi, dphi = _phi(fc, m, z)
+    res = np.abs(phi)
     active = res > tol
     for _ in range(iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        ma, za = m[idx], z[idx]
-        s, t2 = fc.base.transforms(ma, want_t=True)
-        phi = 1.0 / ma + za - fc.ratio * s
-        dphi = -1.0 / (ma * ma) + fc.ratio * t2
-        trial = ma - np.where(dphi != 0, phi / dphi, 0.0)
+        trial = m[idx] - np.where(dphi[idx] != 0, phi[idx] / dphi[idx], 0.0)
         good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
-        tres = np.full(idx.shape, np.inf)
-        tres[good] = _residual(fc, trial[good], za[good])
+        active[idx] = False
+        idx, trial = idx[good], trial[good]
+        tphi, tdphi = _phi(fc, trial, z[idx])
+        tres = np.abs(tphi)
         better = tres < res[idx]
-        m[idx[better]], res[idx[better]] = trial[better], tres[better]
-        active[idx] = better & (tres > tol[idx])
+        k = idx[better]
+        m[k], res[k] = trial[better], tres[better]
+        phi[k], dphi[k] = tphi[better], tdphi[better]
+        active[k] = tres[better] > tol[k]
     return m, res
 
 
@@ -219,7 +224,7 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
         raise ConvergenceError("solution left the lower half plane")
     if is_real.any():
         zr, mr = z[is_real], m.real[is_real]
-        res = _residual(fc, mr, zr)
+        res = np.abs(_phi(fc, mr, zr)[0])
         if (res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr))).any():
             raise ConvergenceError(
                 f"real-axis value misses the residual tolerance: "
@@ -240,7 +245,7 @@ def stieltjes_derivative_batch(fc: FreeConvolution, z, m=None) -> np.ndarray:
     if m is None:
         m = stieltjes_batch(fc, z)
     m = np.asarray(m, dtype=complex).ravel()
-    _, t2 = fc.base.transforms(m, want_t=True)
+    _, t2 = fc.base.transforms(m)
     den = 1.0 - fc.ratio * m * m * t2
     if np.any(np.abs(den) < DERIV_SINGULAR_TOL):
         bad = z[int(np.argmin(np.abs(den)))]
@@ -283,13 +288,14 @@ def density(fc: FreeConvolution, x: float) -> float:
 
 def _h_value(fc, x: float) -> float:
     """h(x) = x^2 T(-x)."""
-    _, t2 = fc.base.transforms(np.array([-x]), want_t=True)
+    _, t2 = fc.base.transforms(np.array([-x]))
     return float(x * x * t2[0])
 
 
 def _edge_value(fc, x: float) -> float:
     """z(-x) = 1/x + ratio S(-x), the edge at the root x."""
-    return float(1.0 / x + fc.ratio * fc.base.transforms(np.array([-x]))[0])
+    s, _ = fc.base.transforms(np.array([-x]))
+    return float(1.0 / x + fc.ratio * s[0])
 
 
 def _bisect_h(fc, a, b, pole, what):
@@ -310,9 +316,8 @@ def _bisect_h(fc, a, b, pole, what):
 
 
 def _find_edges(fc: FreeConvolution) -> SupportEdges:
-    """Edge roots of h = 1/ratio by bisection on closed-form brackets, their
-    values, and two density probes: essentially zero just outside L_plus
-    and strictly positive at the midpoint."""
+    """Edge roots of h = 1/ratio by bisection on closed-form brackets, on
+    which h is monotone, and their values z(-x)."""
     t_min, t_max = fc.base.lo, fc.base.hi
     # right root: h(0) = 0 and h grows to its pole at 1/t_max
     x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
@@ -332,19 +337,10 @@ def _find_edges(fc: FreeConvolution) -> SupportEdges:
     if not (0.0 < edges.L_minus < edges.L_plus):
         raise DomainError(f"edge values out of order: L_minus="
                           f"{edges.L_minus}, L_plus={edges.L_plus}")
-    outside = density(fc, edges.L_plus + 0.05)
-    mid = density(fc, 0.5 * (edges.L_minus + edges.L_plus))
-    if outside >= 1e-4 or mid <= 0.0:
-        raise EdgeProbeError(
-            f"edge probes failed: density(L_plus + 0.05) = {outside:.3e}, "
-            f"density(midpoint) = {mid:.3e}")
     return edges
 
 
 def support_edges(fc: FreeConvolution) -> SupportEdges:
-    """Edges of the absolutely continuous support.
-
-    They are computed and checked against the density by two probes once
-    per FreeConvolution instance, on first use.
-    """
+    """Outer edges of the absolutely continuous support (any gaps lie
+    inside), computed once per FreeConvolution instance, on first use."""
     return fc._edge_data

@@ -1,7 +1,8 @@
 """Population laws: the base measures of the free convolution.
 
 A PopulationLaw is a probability law on a compact interval [lo, hi] of
-(0, 1].  Its transforms(m) are the two integrals the free convolution needs,
+(0, 1].  One call of its transforms(m) returns both integrals the free
+convolution needs,
 
     S(m) = int t/(1+mt) dnu(t)   and   T(m) = int t^2/(1+mt)^2 dnu(t),
 
@@ -33,13 +34,12 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray,
-               want_t: bool = False):
-    """S(m) = sum w t/(1+mt) and optionally T(m) = sum w t^2/(1+mt)^2 over
-    the nodes t with weights w, in chunks of at most _CHUNK_ELEMS terms."""
+def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray):
+    """S(m) = sum w t/(1+mt) and T(m) = sum w t^2/(1+mt)^2 over the nodes t
+    with weights w, in chunks of at most _CHUNK_ELEMS terms."""
     dtype = np.result_type(m, w)
     s = np.empty(m.shape, dtype=dtype)
-    tt = np.empty(m.shape, dtype=dtype) if want_t else None
+    tt = np.empty(m.shape, dtype=dtype)
     step = max(16, _CHUNK_ELEMS // max(t.size, 1))
     wt = w * t
     wt2 = w * t * t
@@ -48,19 +48,18 @@ def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray,
         # the quotients overwrite their denominators: two temporaries at most
         den = np.multiply.outer(m[sl], t)
         den += 1.0
-        if want_t:
-            q = den * den
-            tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
+        q = den * den
+        tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
         s[sl] = np.divide(wt, den, out=den).sum(axis=-1)
-    return (s, tt) if want_t else s
+    return s, tt
 
 
 class PopulationLaw:
     """Population law on [lo, hi].
 
     Subclasses provide quantile(u), the inverse CDF mapping [0, 1] onto
-    [lo, hi], transforms(m, want_t), the law's S(m) and optionally T(m) at
-    an array of m, and density(t) (vectorized, positive and bounded on the
+    [lo, hi], transforms(m), the law's S(m) and T(m) from one call at an
+    array of m, and density(t) (vectorized, positive and bounded on the
     support) or their own quad_rule.  The law is itself the measure
     FreeConvolution integrates against.
     """
@@ -68,8 +67,8 @@ class PopulationLaw:
     lo: float
     hi: float
 
-    def transforms(self, m: np.ndarray, want_t: bool = False):
-        """S(m), or (S(m), T(m)) if want_t, elementwise over the array m."""
+    def transforms(self, m: np.ndarray):
+        """(S(m), T(m)), elementwise over the array m."""
         raise NotImplementedError
 
     def quantile(self, u):
@@ -119,19 +118,19 @@ class LinearLaw(PopulationLaw):
         inside = (t >= self.lo) & (t <= self.hi)
         return np.where(inside, self._alpha + self.slope * (t - self.lo), 0.0)
 
-    def transforms(self, m: np.ndarray, want_t: bool = False):
+    def transforms(self, m: np.ndarray):
         """S and T in closed form where |m| hi >= CLOSED_FORM_MIN.  Nearer
         m = 0 the closed forms cancel, but the pole -1/m lies beyond
         (4/3) hi, so the NEAR_NODES rule is exact to rounding there.  Each
         value depends on its own m only, alone or inside a batch."""
         near = np.abs(m) * self.hi < CLOSED_FORM_MIN
-        out = np.empty((1 + want_t,) + m.shape, np.result_type(m, float))
-        out[:, near] = _rule_sums(*self.quad_rule(NEAR_NODES), m[near], want_t)
-        out[:, ~near] = self._closed_forms(m[~near], want_t)
-        return tuple(out) if want_t else out[0]
+        out = np.empty((2,) + m.shape, np.result_type(m, float))
+        out[:, near] = _rule_sums(*self.quad_rule(NEAR_NODES), m[near])
+        out[:, ~near] = self._closed_forms(m[~near])
+        return tuple(out)
 
-    def _closed_forms(self, x: np.ndarray, want_t: bool):
-        """S and, if want_t, T of the density a0 + a1 t.  With u = 1 + x t,
+    def _closed_forms(self, x: np.ndarray):
+        """S and T of the density a0 + a1 t.  With u = 1 + x t,
         w = hi - lo, L = log(u(hi)/u(lo)) and D the change from lo to hi,
 
             x^2 S = a0 (w x - L) + a1 ((hi^2 - lo^2) x^2/2 - w x + L) / x
@@ -147,8 +146,6 @@ class LinearLaw(PopulationLaw):
         L = np.log(u_hi / u_lo)
         s = (a0 * (wx - L)
              + a1 * (0.5 * (hi * hi - lo * lo) * x * x - wx + L) / x) / (x * x)
-        if not want_t:
-            return s
         dinv = 1.0 / u_hi - 1.0 / u_lo
         t = (a0 * (wx - 2.0 * L - dinv)
              + a1 * (0.5 * wx * (u_hi + u_lo) - 3.0 * wx + 3.0 * L + dinv) / x
@@ -216,9 +213,9 @@ class AtomicLaw(PopulationLaw):
         ignored."""
         return self.locs, self.weights
 
-    def transforms(self, m: np.ndarray, want_t: bool = False):
+    def transforms(self, m: np.ndarray):
         """The sums over the atoms."""
-        return _rule_sums(self.locs, self.weights, m, want_t)
+        return _rule_sums(self.locs, self.weights, m)
 
 
 def sample_population(law: PopulationLaw, m: int,

@@ -208,6 +208,9 @@ def empirical_stieltjes(e: EigenSample, z):
 
 def hat_fc(sigma, M: int, N: int) -> FreeConvolution:
     """Free convolution of the realized population spectrum at ratio M/N."""
+    if M == N:
+        raise DomainError(f"M = {M} and N = {N} give ratio 1, which is "
+                          f"excluded (support reaches 0)")
     return FreeConvolution(empirical_measure(sigma), M / N)
 
 

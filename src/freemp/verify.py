@@ -400,6 +400,11 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
         raise DomainError(
             "population law has zero spread, so the sampled spectrum is "
             "exact and the gap measures only M/N rounding")
+    specs = [DataMatrixSpec.from_ratio(gamma0, N) for N in n_values]
+    tied = [spec.N for spec in specs if spec.M == spec.N]
+    if tied:
+        raise DomainError(f"round({gamma0} * N) = N at N = {tied}: realized "
+                          f"ratio 1 is excluded (support reaches 0)")
     workers = _resolve_workers(workers)
 
     fc = FreeConvolution(nu, gamma0)
@@ -409,10 +414,9 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
 
     averages = []
     children = np.random.SeedSequence(seed).spawn(len(n_values))
-    for child, N in zip(children, n_values):
-        spec = DataMatrixSpec.from_ratio(gamma0, N)
+    for child, spec in zip(children, specs):
         seeds = child.generate_state(reps, np.uint64)
-        tasks = [(int(s), spec.M, N, nu, xi, m_pop) for s in seeds]
+        tasks = [(int(s), spec.M, spec.N, nu, xi, m_pop) for s in seeds]
         sups = _map_tasks(_rate_replicate, tasks, workers)
         averages.append(float(np.mean(sups)))
 

@@ -68,8 +68,8 @@ class DensityLaw(PopulationLaw):
     def density(self, t):
         return self.fn(np.asarray(t, dtype=float))
 
-    def transforms(self, m, want_t=False):
-        return _rule_sums(*self.quad_rule(DENSITY_LAW_NODES), m, want_t)
+    def transforms(self, m):
+        return _rule_sums(*self.quad_rule(DENSITY_LAW_NODES), m)
 
 
 def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 perfbench/workloads.py is frozen with the benchmark and imports freemp
 names directly (default_contour, build_contour, CltReport, ...).  Importing
-it resolves every one of them.  One untraced pass of the limit workload,
-and shrunken untraced and traced passes of clt and hat, run its calls,
-replays and correctness checks, so a library change that breaks the
+it resolves every one of them.  Untraced and traced passes of the limit
+workload, and shrunken ones of clt and hat, run its calls, replays and
+correctness checks, so a library change that breaks the
 benchmark fails here rather than at benchmark time.
 """
 
@@ -52,7 +52,9 @@ def _clean_pass(workloads, name: str, mode: str) -> dict:
 
 
 def test_limit_workload_pass(workloads):
-    _clean_pass(workloads, "limit", "pass")
+    untraced = _clean_pass(workloads, "limit", "pass")
+    traced = _clean_pass(workloads, "limit", "traced")
+    assert traced["key"] == untraced["key"]
 
 
 def test_clt_workload_pass_and_replay(workloads):

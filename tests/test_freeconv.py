@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from freemp import freeconv
-from freemp.errors import DomainError, EdgeBracketError, EdgeProbeError
+from freemp.errors import DomainError, EdgeBracketError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import LinearLaw, empirical_measure, sample_population
+from freemp.measures import (AtomicLaw, LinearLaw, empirical_measure,
+                             sample_population)
 from freemp.rmt import hat_fc
 
 from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
@@ -138,10 +139,32 @@ class TestSelfConsistency:
               "conj": lambda: np.conj(stieltjes_batch(fc, zs)),
               "neg": lambda: -stieltjes_batch(fc, zs)}[start]()
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        res0 = freeconv._residual(fc, m0, zs)
+        res0 = np.abs(freeconv._phi(fc, m0, zs)[0])
         m, res = freeconv._newton(fc, zs, m0.copy(), tol, freeconv.NEWTON_ITERS)
         assert np.all(res <= res0)
-        assert np.array_equal(res, freeconv._residual(fc, m, zs))
+        assert np.array_equal(res, np.abs(freeconv._phi(fc, m, zs)[0]))
+
+    # phi and phi' of the current iterate are kept, so each iteration
+    # evaluates the transforms once, on its trials, after one call at the
+    # start
+    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500"])
+    @pytest.mark.parametrize("iters", [1, 3, freeconv.NEWTON_ITERS])
+    def test_newton_one_transforms_call_per_iterate(self, request, name,
+                                                    iters, rng, monkeypatch):
+        fc = request.getfixturevalue(name)
+        zs = random_z(rng, 100)
+        m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
+        law = type(fc.base)
+        transforms, calls = law.transforms, []
+
+        def counted(self, m):
+            calls.append(m.size)
+            return transforms(self, m)
+
+        monkeypatch.setattr(law, "transforms", counted)
+        tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
+        freeconv._newton(fc, zs, m0, tol, iters)
+        assert 1 < len(calls) <= iters + 1
 
 
 class TestDerivative:
@@ -300,11 +323,37 @@ class TestSupportEdges:
         with pytest.raises(EdgeBracketError, match=edge):
             support_edges(FreeConvolution(base, ratio))
 
-    def test_failed_probe_raises(self, dirac_one, monkeypatch):
-        # a fresh instance: the probes run once, inside the cached edges
-        monkeypatch.setattr(freeconv, "density", lambda fc, x: 1.0)
-        with pytest.raises(EdgeProbeError, match="L_plus"):
-            support_edges(FreeConvolution(dirac_one, 0.25))
+    # atomic laws whose support has gaps: the edges are the outer ones, the
+    # roots of h = 1/ratio nearest the poles 1/hi and 1/lo, here checked
+    # against brentq on h summed over the atoms.  At the small ratios the
+    # density is below 1e-12 (but positive) at the midpoint of
+    # [L_minus, L_plus]: a gap, which lies inside the outer edges
+    @pytest.mark.parametrize("locs, weights, ratio, gap", [
+        ([0.2, 1.0], [0.5, 0.5], 0.01, True),
+        ([0.2, 1.0], [0.5, 0.5], 4.0, False),
+        ([0.3, 0.31, 1.0], [0.3, 0.3, 0.4], 0.02, True)])
+    def test_multi_atom_outer_edges(self, locs, weights, ratio, gap):
+        from scipy.optimize import brentq
+        t, w = np.array(locs), np.array(weights)
+        fc = FreeConvolution(AtomicLaw(t, w), ratio)
+
+        def g(x):
+            return float((w * (x * t / (1.0 - x * t)) ** 2).sum()) - 1.0 / ratio
+
+        def edge(x):
+            return 1.0 / x + ratio * float((w * t / (1.0 - x * t)).sum())
+
+        near_pole = 1.0 - 1e-9
+        far = 1.0 / (t[0] * (1.0 - np.sqrt(ratio)))
+        x_plus = brentq(g, 0.0, near_pole / t[-1], xtol=1e-15)
+        x_minus = (brentq(g, far, 1.0 / (near_pole * t[0]), xtol=1e-15)
+                   if ratio < 1.0 else brentq(g, far, 0.0, xtol=1e-15))
+        e = support_edges(fc)
+        assert abs(e.L_plus - edge(x_plus)) <= 1e-12
+        assert abs(e.L_minus - edge(x_minus)) <= 1e-12
+        assert abs(e.x_plus - x_plus) <= 1e-12
+        assert abs(e.x_minus - x_minus) <= 1e-12
+        assert (density(fc, 0.5 * (e.L_minus + e.L_plus)) < 1e-12) == gap
 
 
 class TestGuards:

@@ -217,7 +217,7 @@ class TestLinearLawTransforms:
         law = LinearLaw(lo, hi, slope)
         p = lambda t: 1.0 / (hi - lo) + slope * (t - 0.5 * (lo + hi))
         m = transform_points(lo, hi)
-        S, T = law.transforms(m, want_t=True)
+        S, T = law.transforms(m)
         for k, mk in enumerate(m):
             s_ref, t_ref = quad_transforms(p, lo, hi, mk)
             assert abs(S[k] - s_ref) <= 1e-13 * abs(s_ref), mk
@@ -231,22 +231,21 @@ class TestLinearLawTransforms:
         law = LinearLaw(lo, hi, slope)
         m = np.concatenate([transform_points(lo, hi),
                             rng.normal(size=200) + 1j * rng.normal(size=200)])
-        S, T = law.transforms(m, want_t=True)
-        assert np.array_equal(law.transforms(m), S)
+        S, T = law.transforms(m)
         for k in range(m.size):
-            s1, t1 = law.transforms(m[k:k + 1], want_t=True)
+            s1, t1 = law.transforms(m[k:k + 1])
             assert s1[0] == S[k] and t1[0] == T[k]
         # real m, as the edge search passes them, stay in real arithmetic
         on_axis = m.imag == 0.0
-        real = law.transforms(m.real[on_axis])
-        assert real.dtype == float
-        assert np.allclose(real, S.real[on_axis], rtol=1e-14, atol=0.0)
+        real_s, real_t = law.transforms(m.real[on_axis])
+        assert real_s.dtype == float and real_t.dtype == float
+        assert np.allclose(real_s, S.real[on_axis], rtol=1e-14, atol=0.0)
 
     # an AtomicLaw's transforms are the weighted sums over its atoms
     def test_atomic_law_sums_its_atoms(self):
         law = AtomicLaw([0.5, 0.75], [0.25, 0.75])
         m = np.array([0.0, 1.0 + 2.0j, -3.0])
-        S, T = law.transforms(m, want_t=True)
+        S, T = law.transforms(m)
         u = np.multiply.outer(m, law.locs) + 1.0
         assert np.allclose(S, (law.weights * law.locs / u).sum(-1),
                            rtol=1e-15, atol=0.0)

@@ -194,6 +194,11 @@ class TestHatFc:
         assert abs(eh.L_minus - er.L_minus) < 1e-10
         assert abs(eh.L_plus - er.L_plus) < 1e-10
 
+    # M = round(0.999 * 100) = N: the realized ratio is 1, not gamma0
+    def test_realized_ratio_one_names_m_and_n(self):
+        with pytest.raises(DomainError, match="M = 100 and N = 100"):
+            hat_fc(np.full(100, 0.7), 100, 100)
+
     def test_sampled_edges_near_population_edges(self, uniform_half, fc_uniform):
         rng = np.random.default_rng(11)
         sigma = sample_population(uniform_half, 1000, rng)

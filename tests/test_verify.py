@@ -355,6 +355,16 @@ class TestHatRate:
         with pytest.raises(DomainError):
             check_hat_rate(AtomicLaw([0.7], [1.0]), 0.5, (250, 500, 2000), 5, 1)
 
+    # round(0.995 N) = N at N = 50 and 100: rejected by size before a draw
+    def test_realized_ratio_one_names_the_sizes(self, uniform_half,
+                                                 monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr("freemp.verify._map_tasks", no_draws)
+        with pytest.raises(DomainError, match=r"N = \[50, 100\]"):
+            check_hat_rate(uniform_half, 0.995, (50, 100, 400), 2, 1)
+
     def test_gap_decays(self, uniform_half):
         report = check_hat_rate(uniform_half, 0.5, (100, 200, 800),
                                 reps=12, seed=2024)
