@@ -8,9 +8,12 @@ convolution needs,
 
 and its inverse CDF is what the Monte Carlo layer draws from.  An AtomicLaw
 (a point mass dirac:c, or the realized spectrum of a sample) sums over its
-atoms.  A LinearLaw integrates in closed form away from m = 0, and on a
-32-node Gauss-Legendre rule near it, where the closed forms cancel but the
-pole -1/m lies far from the support.  quad_rule(n) weights n Gauss-Legendre
+atoms: one complex reciprocal 1/(1+mt) per term, reduced by numpy rather
+than BLAS, in cache-sized chunks of at most _CHUNK_ELEMS terms, so a value
+depends only on its own m, not on its batch or the BLAS thread count.  A
+LinearLaw integrates in closed form away from m = 0, and on a 32-node
+Gauss-Legendre rule near it, where the closed forms cancel but the pole
+-1/m lies far from the support.  quad_rule(n) weights n Gauss-Legendre
 nodes on [lo, hi] by a law's density; it is the rule of integrals other
 than S and T.
 """
@@ -25,7 +28,7 @@ from .errors import DomainError
 MASS_TOL = 1e-9
 CLOSED_FORM_MIN = 0.75        # closed forms where |m| hi reaches this
 NEAR_NODES = 32               # rule of the transforms where it does not
-_CHUNK_ELEMS = 4_000_000
+_CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 
 
 @cache
@@ -36,21 +39,25 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray):
     """S(m) = sum w t/(1+mt) and T(m) = sum w t^2/(1+mt)^2 over the nodes t
-    with weights w, in chunks of at most _CHUNK_ELEMS terms."""
+    with weights w, in chunks of at most _CHUNK_ELEMS terms.
+
+    Each term takes one reciprocal r = 1/(1+mt), inverted in place, and the
+    sums are r.(w t) and (r r).(w t^2).  einsum forms and reduces each m's
+    row in the same order whatever the batch, where a BLAS product or a
+    one-element multiply would not; real m keep real arithmetic."""
     dtype = np.result_type(m, w)
     s = np.empty(m.shape, dtype=dtype)
     tt = np.empty(m.shape, dtype=dtype)
-    step = max(16, _CHUNK_ELEMS // max(t.size, 1))
+    step = max(1, _CHUNK_ELEMS // max(t.size, 1))
     wt = w * t
-    wt2 = w * t * t
+    wt2 = wt * t
     for i in range(0, m.size, step):
         sl = slice(i, min(i + step, m.size))
-        # the quotients overwrite their denominators: two temporaries at most
-        den = np.multiply.outer(m[sl], t)
-        den += 1.0
-        q = den * den
-        tt[sl] = np.divide(wt2, q, out=q).sum(axis=-1)
-        s[sl] = np.divide(wt, den, out=den).sum(axis=-1)
+        r = np.multiply.outer(m[sl], t)
+        r += 1.0
+        np.reciprocal(r, out=r)
+        s[sl] = np.einsum("pk,k->p", r, wt)
+        tt[sl] = np.einsum("pk,pk,k->p", r, r, wt2)
     return s, tt
 
 

@@ -10,7 +10,9 @@ is the Gram form G that eigenvalues() builds.
 A linear statistic of a polynomial of degree at most 2 needs no spectrum:
 sum_i lambda_i = tr G and sum_i lambda_i^2 = |G|_F^2 (Jonsson, J. Multivariate
 Anal. 12, 1982).  G reaches the symmetric eigensolver only when something
-reads the eigenvalues themselves.
+reads the eigenvalues themselves.  The power sums are numpy reductions, not
+BLAS dot products, which split long sums across threads, so they do not
+depend on the BLAS thread count.
 
 A Monte Carlo draw holds one M x N array: draw_sample() scales its fresh X
 by 1/sqrt(N) and then by sqrt(sigma) in place and forms G from it.
@@ -27,7 +29,7 @@ import numpy as np
 from .contour import Polynomial
 from .errors import DomainError, PsdViolationError
 from .freeconv import FreeConvolution
-from .measures import empirical_measure
+from .measures import _CHUNK_ELEMS, empirical_measure
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform")
 EIG_CLAMP = 1e-10
@@ -98,14 +100,16 @@ class EigenSample:
         values.flags.writeable = False
         self.M, self.N = M, N
         self._values, self._gram = values, None
-        self.power_sums = (float(np.sum(values)), float(np.dot(values, values)))
+        self.power_sums = (float(np.sum(values)),
+                           float(np.einsum("i,i->", values, values)))
 
     @classmethod
     def _of_gram(cls, gram: np.ndarray, M: int, N: int) -> "EigenSample":
         e = cls.__new__(cls)
         e.M, e.N = M, N
         e._values, e._gram = None, gram
-        e.power_sums = (float(np.trace(gram)), float(np.vdot(gram, gram)))
+        e.power_sums = (float(np.trace(gram)),
+                        float(np.einsum("ij,ij->", gram, gram)))
         return e
 
     @property
@@ -196,13 +200,21 @@ def draw_sample(sigma, spec: DataMatrixSpec,
 
 
 def empirical_stieltjes(e: EigenSample, z):
-    """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z."""
+    """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z, one reciprocal
+    per term, in chunks of at most _CHUNK_ELEMS terms."""
     z_arr = np.asarray(z, dtype=complex)
     on_axis = z_arr.imag == 0.0
     if np.any(on_axis & np.isin(z_arr.real, e.values)):
         raise DomainError("z coincides with an eigenvalue on the real axis")
-    diff = e.values - z_arr[..., None]
-    out = np.mean(np.divide(1.0, diff, out=diff), axis=-1)
+    flat = z_arr.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _CHUNK_ELEMS // e.values.size)
+    for i in range(0, flat.size, step):
+        sl = slice(i, min(i + step, flat.size))
+        r = e.values - flat[sl, None]
+        np.reciprocal(r, out=r)
+        out[sl] = np.mean(r, axis=-1)
+    out = out.reshape(z_arr.shape)
     return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import freemp
 from freemp.freeconv import FreeConvolution
 from freemp.measures import AtomicLaw, LinearLaw
 
@@ -36,3 +42,21 @@ def fc_uniform(uniform_half) -> FreeConvolution:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def run_at_threads():
+    """run(code, threads): the stdout of `python -c code` in a fresh
+    interpreter whose BLAS and OpenMP pools have `threads` threads."""
+    src = str(Path(freemp.__file__).resolve().parents[1])
+
+    def run(code: str, threads: int) -> str:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads),
+                   MKL_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+    return run

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from freemp.errors import DomainError
 from freemp.grammar import format_law, parse_law
-from freemp.measures import (CLOSED_FORM_MIN, MASS_TOL, AtomicLaw, LinearLaw,
+from freemp.measures import (_CHUNK_ELEMS, CLOSED_FORM_MIN, MASS_TOL,
+                             AtomicLaw, LinearLaw, _rule_sums,
                              empirical_measure, sample_population)
 
 from oracles import integrate, quad_transforms
@@ -251,6 +254,106 @@ class TestLinearLawTransforms:
                            rtol=1e-15, atol=0.0)
         assert np.allclose(T, (law.weights * law.locs ** 2 / u ** 2).sum(-1),
                            rtol=1e-15, atol=0.0)
+
+
+def random_atomic_law(atoms: int, seed: int) -> AtomicLaw:
+    """atoms distinct atoms on [0.05, 1] with unequal weights, two of them
+    at 0.25 and 0.5, where m = -(1 +- d)/t gives 1 + m t exactly."""
+    rng = np.random.default_rng(seed)
+    locs = np.unique(np.concatenate([rng.uniform(0.05, 1.0, atoms - 2),
+                                     [0.25, 0.5]]))
+    weights = rng.uniform(0.5, 1.5, locs.size)
+    return AtomicLaw(locs, weights / weights.sum())
+
+
+def longdouble_sums(t, w, m):
+    """S and T of the division form w t/(1+mt), w t^2/(1+mt)^2 in long
+    double."""
+    t, w = t.astype(np.longdouble), w.astype(np.longdouble)
+    u = 1.0 + np.multiply.outer(np.asarray(m, dtype=np.clongdouble), t)
+    return (w * t / u).sum(-1), (w * t * t / (u * u)).sum(-1)
+
+
+class TestAtomicLawTransforms:
+    # a value does not depend on its neighbours in the batch, across the
+    # chunks of the atom sums too
+    @pytest.mark.parametrize("atoms", [125, 1000])
+    def test_batch_bit_identical_to_alone(self, atoms, rng):
+        law = random_atomic_law(atoms, atoms)
+        step = _CHUNK_ELEMS // law.locs.size
+        base = transform_points(law.lo, law.hi)
+        extra = max(2 * step + 3 - base.size, 200)
+        m = np.concatenate([base, rng.normal(size=extra)
+                            + 1j * rng.normal(size=extra)])
+        S, T = law.transforms(m)
+        sizes = {1: range(m.size), 2: range(m.size - 1)}
+        for size in (step - 1, step, step + 1, 2 * step + 1):
+            sizes[size] = (0, 1, step // 2, m.size - size)
+        for size, starts in sizes.items():
+            for i in starts:
+                s, t = law.transforms(m[i:i + size])
+                assert np.array_equal(s, S[i:i + size]), (size, i)
+                assert np.array_equal(t, T[i:i + size]), (size, i)
+        # real m, as the edge search passes them, stay in real arithmetic
+        real = m.real[m.imag == 0.0]
+        real_s, real_t = law.transforms(real)
+        assert real_s.dtype == float and real_t.dtype == float
+        for k in range(real.size):
+            s, t = law.transforms(real[k:k + 1])
+            assert s[0] == real_s[k] and t[0] == real_t[k]
+
+    # numpy multiplies a one-element complex array on another path than a
+    # longer one, so squaring r in place broke this for a point mass
+    def test_one_atom_batch_bit_identical_to_alone(self, dirac_one, rng):
+        m = np.concatenate([rng.normal(size=300) + 1j * rng.normal(size=300),
+                            rng.normal(size=300)])
+        S, T = dirac_one.transforms(m)
+        for size in (1, 2, 3):
+            for i in range(m.size - size + 1):
+                s, t = dirac_one.transforms(m[i:i + size])
+                assert np.array_equal(s, S[i:i + size]), (size, i)
+                assert np.array_equal(t, T[i:i + size]), (size, i)
+
+    def test_same_bits_at_one_and_two_blas_threads(self, run_at_threads):
+        code = ("import numpy as np\n"
+                "from freemp.measures import empirical_measure\n"
+                "rng = np.random.default_rng(4)\n"
+                "law = empirical_measure(rng.uniform(0.05, 1.0, 1000))\n"
+                "m = rng.normal(size=512) + 1j * rng.uniform(1e-3, 1.0, 512)\n"
+                "S, T = law.transforms(m)\n"
+                "print(S.tobytes().hex(), T.tobytes().hex())\n")
+        assert run_at_threads(code, 1) == run_at_threads(code, 2)
+
+    # the reciprocal form against the division form in long double: next
+    # to the exact poles -1/0.25 and -1/0.5, on the axis and just off it,
+    # at m = 0, off the axis outside the poles, and at large |m|
+    def test_reciprocal_form_accuracy(self):
+        law = random_atomic_law(1000, 3)
+        m = [-(1.0 + d) / tj for tj in (0.25, 0.5) for d in (1e-6, -1e-6)]
+        m += [-(1.0 + d) / tj + 1j * eta for tj in (0.25, 0.5)
+              for d in (0.0, 1e-6) for eta in (1e-6, 1e-9)]
+        m += [0.0, 0.7 + 1e-3j, -0.5 + 1e-6j, -3.0 + 1e-3j, 2.0 + 1e-9j,
+              1e8, -1e9, 1e8 + 1e8j, -1e10 + 1e3j, 1e12j]
+        m = np.array(m, dtype=complex)
+        S, T = _rule_sums(law.locs, law.weights, m)
+        s_ref, t_ref = longdouble_sums(law.locs, law.weights, m)
+        assert np.all(np.abs(S - s_ref) <= 1e-13 * np.abs(s_ref))
+        assert np.all(np.abs(T - t_ref) <= 1e-13 * np.abs(t_ref))
+
+    # one chunk of terms at a time: 1000 atoms at 512 points held whole
+    # would be an 8 MB array; the bound leaves room for a chunk and einsum's
+    # iteration buffers, about 0.8 MB together
+    def test_chunked_memory(self):
+        law = random_atomic_law(1000, 6)
+        m = np.random.default_rng(7).normal(size=512) + 0.5j
+        law.transforms(m)
+        tracemalloc.start()
+        try:
+            law.transforms(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20 + 2 * m.nbytes
 
 
 class TestSampling:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,43 @@ class TestEmpiricalStieltjes:
         gap = abs(empirical_stieltjes(e, z) - stieltjes(hat, z))
         assert gap < 5.0 * N ** (-0.9)
 
+    # the reciprocal form against 1/(lambda - z) in long double, next to an
+    # eigenvalue, on the local-law lattice and far out
+    def test_reciprocal_form_accuracy(self, uniform_half):
+        rng = np.random.default_rng(43)
+        spec = DataMatrixSpec.from_ratio(0.5, 400)
+        e = draw_sample(sample_population(uniform_half, spec.M, rng), spec,
+                        rng)
+        lam = e.values[[0, 50, 150]]
+        z = np.concatenate([lam + 1e-6j, lam + 1e-9j,
+                            np.geomspace(0.1, 10.0, 9) + 1e-3j,
+                            [0.05 + 1j, -2.0 + 1e-3j, 1e8j, 1e9 + 1.0j]])
+        got = empirical_stieltjes(e, z)
+        diff = (e.values.astype(np.longdouble)
+                - z.astype(np.clongdouble)[:, None])
+        want = (1.0 / diff).mean(axis=-1)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    # chunked terms: the whole local-law lattice at N = 1000 would be one
+    # 12.8 MB array; a chunk and the reductions take about 0.8 MB
+    def test_chunked_memory(self, uniform_half):
+        rng = np.random.default_rng(47)
+        spec = DataMatrixSpec.from_ratio(0.5, 1000)
+        e = draw_sample(sample_population(uniform_half, spec.M, rng), spec,
+                        rng)
+        e.values  # the eigensolve is not part of the peak
+        etas = np.geomspace(1000 ** -0.9, 10.0, 40)
+        energies = np.geomspace(0.1, 10.0, 20)
+        z = (energies[:, None] + 1j * etas[None, :]).ravel()
+        empirical_stieltjes(e, z)
+        tracemalloc.start()
+        try:
+            empirical_stieltjes(e, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20 + 2 * z.nbytes
+
 
 class TestHatFc:
     def test_all_ones_reduces_to_point_mass(self):
@@ -294,6 +333,19 @@ class TestTraceRoute:
                   RationalShift(-1.0)):
             with pytest.raises(RuntimeError, match="eigvalsh called"):
                 linear_statistic(e, f, mean_inside=1.0, gamma0=0.5)
+
+    # |G|_F^2 is a numpy reduction, so it does not follow the BLAS
+    # library's split of a long dot product across threads
+    def test_same_bits_at_one_and_two_blas_threads(self, run_at_threads):
+        code = ("import numpy as np\n"
+                "from freemp.rmt import DataMatrixSpec, EigenSample, "
+                "draw_sample\n"
+                "rng = np.random.default_rng(20240817)\n"
+                "sigma = rng.uniform(0.5, 1.0, 400)\n"
+                "e = draw_sample(sigma, DataMatrixSpec(400, 800), rng)\n"
+                "v = EigenSample(rng.uniform(0.0, 2.0, 200_000), 400, 800)\n"
+                "print([x.hex() for x in e.power_sums + v.power_sums])\n")
+        assert run_at_threads(code, 1) == run_at_threads(code, 2)
 
 
 class TestPsdGuard:
