@@ -21,7 +21,10 @@ Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit & Wolf's
 QuEST).  Two final Newton steps land residuals near machine precision.  The
 same continuation lands on eta = 0 for real z: outside the support it gives
 the real value of m, and inside it the boundary value m(x + i0), whose
-|Im m| / pi is the density.
+|Im m| / pi is the density.  The transforms are evaluated once per new
+iterate: each accepted iterate carries its S and T into the next
+continuation step and into the polish, so no m is evaluated twice in one
+solve.
 """
 
 import math
@@ -82,18 +85,25 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 # ---------------------------------------------------------------------------
 # solver core
 
-def _phi(fc: FreeConvolution, m: np.ndarray, z: np.ndarray):
-    """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m)."""
-    s, t2 = fc.base.transforms(m)
+def _phi(fc: FreeConvolution, m: np.ndarray, z: np.ndarray, sums=None):
+    """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m), from the
+    sums (S, T) at m if the caller has them."""
+    s, t2 = fc.base.transforms(m) if sums is None else sums
     return 1.0 / m + z - fc.ratio * s, -1.0 / (m * m) + fc.ratio * t2
 
 
-def _newton(fc, z, m, tol, iters):
+def _newton(fc, z, m, tol, iters, sums=None):
     """Newton steps on phi(m) = 1/m + z - r S(m).  A point keeps a full step
     only if its residual |phi| drops; otherwise it stops where it is, above
-    tol.  Each iteration makes one _phi call, on its trials: it gives their
-    residuals and, for the trials kept, the slopes of their next steps."""
-    phi, dphi = _phi(fc, m, z)
+    tol.  sums, the (S, T) of the start if the caller has them, saves the
+    transforms call there; otherwise each iteration makes one, on its
+    trials: it gives their residuals and, for the trials kept, the slopes
+    of their next steps.  m and sums are updated in place and returned
+    with the residuals as (m, res, (S, T)), the sums of the final m."""
+    if sums is None:
+        sums = fc.base.transforms(m)
+    s, t2 = sums
+    phi, dphi = _phi(fc, m, z, sums)
     res = np.abs(phi)
     active = res > tol
     for _ in range(iters):
@@ -104,14 +114,16 @@ def _newton(fc, z, m, tol, iters):
         good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
         active[idx] = False
         idx, trial = idx[good], trial[good]
-        tphi, tdphi = _phi(fc, trial, z[idx])
+        ts, tt2 = fc.base.transforms(trial)
+        tphi, tdphi = _phi(fc, trial, z[idx], (ts, tt2))
         tres = np.abs(tphi)
         better = tres < res[idx]
         k = idx[better]
         m[k], res[k] = trial[better], tres[better]
+        s[k], t2[k] = ts[better], tt2[better]
         phi[k], dphi[k] = tphi[better], tdphi[better]
         active[k] = tres[better] > tol[k]
-    return m, res
+    return m, res, (s, t2)
 
 
 def _solved(z, m, res, tol):
@@ -127,14 +139,16 @@ def _continuation(fc, z, tol):
     ratio).  Every point steps eta down by its own ratio, squared after an
     accepted step and square-rooted after a rejected one; a step that would
     pass the target lands on it (for real z once it drops below the
-    resolution of z).
+    resolution of z).  Each point keeps S and T of its accepted iterate and
+    hands them to its next step, so a step evaluates only new iterates.
+    Returns m and its sums (S, T).
     """
     x, a = z.real, np.abs(z.imag)
     side = np.where(z.imag >= 0.0, 1.0, -1.0)
     floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
     eta = np.maximum(a, 2.0 * (1.0 + fc.ratio))
     zeta = x + 1j * side * eta
-    m, res = _newton(fc, zeta, -1.0 / zeta, tol, NEWTON_ITERS)
+    m, res, (s, t2) = _newton(fc, zeta, -1.0 / zeta, tol, NEWTON_ITERS)
     bad = ~_solved(zeta, m, res, tol)
     q = np.full(z.shape, FIRST_STEP_RATIO)
     while True:
@@ -146,13 +160,16 @@ def _continuation(fc, z, tol):
                 f"{float(res[k]):.3e}", residual=float(res[k]))
         idx = np.flatnonzero(eta > a)
         if idx.size == 0:
-            return m
+            return m, (s, t2)
         nxt = eta[idx] * q[idx]
         nxt = np.where(nxt <= floor[idx], a[idx], nxt)
         zt = x[idx] + 1j * side[idx] * nxt
-        mt, rt = _newton(fc, zt, m[idx].copy(), tol[idx], NEWTON_ITERS)
+        mt, rt, (st, tt2) = _newton(fc, zt, m[idx], tol[idx], NEWTON_ITERS,
+                                    (s[idx], t2[idx]))
         ok = _solved(zt, mt, rt, tol[idx])
-        eta[idx[ok]], m[idx[ok]], res[idx] = nxt[ok], mt[ok], rt
+        k = idx[ok]
+        eta[k], m[k], res[idx] = nxt[ok], mt[ok], rt
+        s[k], t2[k] = st[ok], tt2[ok]
         q[idx] = np.where(ok, q[idx] ** 2, np.sqrt(q[idx]))
         bad[idx] = q[idx] > MAX_STEP_RATIO
 
@@ -176,24 +193,25 @@ def _solve(fc, z, m0=None):
     With a warm start m0, each point first tries Newton at its own z; a
     point without m0, or whose Newton misses the tolerance or lands in the
     wrong half plane, is reached by _continuation.  Two polishing Newton
-    steps then aim at POLISH_TOL, and a point left above the tolerance
-    raises ConvergenceError.
+    steps then aim at POLISH_TOL, starting from the S and T that Newton or
+    the continuation computed at each m, and a point left above the
+    tolerance raises ConvergenceError.
     """
     # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
     # of order |z| eps, so the targets are relative to max(1, |z|).
     scale = np.maximum(1.0, np.abs(z))
     tol = RESIDUAL_TOL * scale
     if m0 is None:
-        m = _continuation(fc, z, tol)
+        m, (s, t2) = _continuation(fc, z, tol)
     else:
         m = np.asarray(m0, dtype=complex).ravel().copy()
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
         m[bad] = -1.0 / z[bad]
-        m, res = _newton(fc, z, m, tol, NEWTON_ITERS)
+        m, res, (s, t2) = _newton(fc, z, m, tol, NEWTON_ITERS)
         cold = ~_solved(z, m, res, tol)
         if cold.any():
-            m[cold] = _continuation(fc, z[cold], tol[cold])
-    m, res = _newton(fc, z, m, POLISH_TOL * scale, iters=2)
+            m[cold], (s[cold], t2[cold]) = _continuation(fc, z[cold], tol[cold])
+    m, res, _ = _newton(fc, z, m, POLISH_TOL * scale, 2, (s, t2))
     if (res > tol).any():
         raise ConvergenceError(
             f"stieltjes solve stalled at residual {float(res.max()):.3e} "

@@ -9,8 +9,9 @@ convolution needs,
 and its inverse CDF is what the Monte Carlo layer draws from.  An AtomicLaw
 (a point mass dirac:c, or the realized spectrum of a sample) sums over its
 atoms: one complex reciprocal 1/(1+mt) per term, reduced by numpy rather
-than BLAS, in cache-sized chunks of at most _CHUNK_ELEMS terms, so a value
-depends only on its own m, not on its batch or the BLAS thread count.  A
+than BLAS, in cache-sized chunks of at most _CHUNK_ELEMS terms that reuse
+one buffer per call, so a value depends only on its own m, not on its batch
+or the BLAS thread count.  A
 LinearLaw integrates in closed form away from m = 0, and on a 32-node
 Gauss-Legendre rule near it, where the closed forms cancel but the pole
 -1/m lies far from the support.  quad_rule(n) weights n Gauss-Legendre
@@ -44,16 +45,19 @@ def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray):
     Each term takes one reciprocal r = 1/(1+mt), inverted in place, and the
     sums are r.(w t) and (r r).(w t^2).  einsum forms and reduces each m's
     row in the same order whatever the batch, where a BLAS product or a
-    one-element multiply would not; real m keep real arithmetic."""
+    one-element multiply would not; real m keep real arithmetic.  One chunk
+    buffer per call holds the m t of each chunk in turn."""
     dtype = np.result_type(m, w)
     s = np.empty(m.shape, dtype=dtype)
     tt = np.empty(m.shape, dtype=dtype)
     step = max(1, _CHUNK_ELEMS // max(t.size, 1))
     wt = w * t
     wt2 = wt * t
+    tc = t.astype(dtype, copy=False)
+    buf = np.empty((min(step, m.size), t.size), dtype=dtype)
     for i in range(0, m.size, step):
         sl = slice(i, min(i + step, m.size))
-        r = np.multiply.outer(m[sl], t)
+        r = np.multiply(m[sl, None], tc, out=buf[:sl.stop - i])
         r += 1.0
         np.reciprocal(r, out=r)
         s[sl] = np.einsum("pk,k->p", r, wt)

@@ -97,6 +97,9 @@ class EigenSample:
 
     def __init__(self, values, M: int, N: int):
         values = np.asarray(values, dtype=float)
+        if values.shape != (N,):
+            raise DomainError(f"EigenSample needs N = {N} values, one per "
+                              f"eigenvalue, got {values.size}")
         values.flags.writeable = False
         self.M, self.N = M, N
         self._values, self._gram = values, None

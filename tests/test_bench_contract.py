@@ -5,13 +5,18 @@ names directly (default_contour, build_contour, CltReport, ...).  Importing
 it resolves every one of them.  Untraced and traced passes of the limit
 workload, and shrunken ones of clt and hat, run its calls, replays and
 correctness checks, so a library change that breaks the
-benchmark fails here rather than at benchmark time.
+benchmark fails here rather than at benchmark time.  The traced limit and
+hat passes must also keep the worst backward error of their solves within
+the solver's own RESIDUAL_TOL, so a solver change that keeps the keys but
+loses accuracy fails too.
 """
 
 import time
 from pathlib import Path
 
 import pytest
+
+from freemp import freeconv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,6 +60,7 @@ def test_limit_workload_pass(workloads):
     untraced = _clean_pass(workloads, "limit", "pass")
     traced = _clean_pass(workloads, "limit", "traced")
     assert traced["key"] == untraced["key"]
+    assert traced["max_residual"] <= freeconv.RESIDUAL_TOL
 
 
 def test_clt_workload_pass_and_replay(workloads):
@@ -68,3 +74,4 @@ def test_hat_workload_replay_reproduces_pass(workloads):
     untraced = _clean_pass(workloads, "hat", "pass")
     traced = _clean_pass(workloads, "hat", "traced")
     assert traced["key"] == untraced["key"]
+    assert traced["max_residual"] <= freeconv.RESIDUAL_TOL

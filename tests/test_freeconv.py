@@ -30,6 +30,19 @@ def random_z(rng, n, eta_lo=1e-2, eta_hi=10.0):
     return re + 1j * im * sign
 
 
+def spy_transforms(monkeypatch, fc):
+    """Record a copy of every m array the base law's transforms gets."""
+    law = type(fc.base)
+    transforms, seen = law.transforms, []
+
+    def spy(self, m):
+        seen.append(m.copy())
+        return transforms(self, m)
+
+    monkeypatch.setattr(law, "transforms", spy)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def hat_500(uniform_half):
     """Empirical population of 500 atoms at ratio 1/2."""
@@ -140,9 +153,12 @@ class TestSelfConsistency:
               "neg": lambda: -stieltjes_batch(fc, zs)}[start]()
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
         res0 = np.abs(freeconv._phi(fc, m0, zs)[0])
-        m, res = freeconv._newton(fc, zs, m0.copy(), tol, freeconv.NEWTON_ITERS)
+        m, res, (s, t2) = freeconv._newton(fc, zs, m0.copy(), tol,
+                                           freeconv.NEWTON_ITERS)
         assert np.all(res <= res0)
         assert np.array_equal(res, np.abs(freeconv._phi(fc, m, zs)[0]))
+        S, T = fc.base.transforms(m)
+        assert np.array_equal(s, S) and np.array_equal(t2, T)
 
     # phi and phi' of the current iterate are kept, so each iteration
     # evaluates the transforms once, on its trials, after one call at the
@@ -154,17 +170,51 @@ class TestSelfConsistency:
         fc = request.getfixturevalue(name)
         zs = random_z(rng, 100)
         m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
-        law = type(fc.base)
-        transforms, calls = law.transforms, []
-
-        def counted(self, m):
-            calls.append(m.size)
-            return transforms(self, m)
-
-        monkeypatch.setattr(law, "transforms", counted)
+        calls = spy_transforms(monkeypatch, fc)
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
         freeconv._newton(fc, zs, m0, tol, iters)
         assert 1 < len(calls) <= iters + 1
+
+    # with the start's S and T handed in, Newton skips the call at the
+    # start and walks the same path to the same bits
+    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500"])
+    @pytest.mark.parametrize("iters", [1, 3, freeconv.NEWTON_ITERS])
+    def test_newton_with_start_sums(self, request, name, iters, rng,
+                                    monkeypatch):
+        fc = request.getfixturevalue(name)
+        zs = random_z(rng, 100)
+        m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
+        tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
+        m_ref, res_ref, sums_ref = freeconv._newton(fc, zs, m0.copy(), tol,
+                                                    iters)
+        sums0 = fc.base.transforms(m0)
+        calls = spy_transforms(monkeypatch, fc)
+        m, res, sums = freeconv._newton(fc, zs, m0.copy(), tol, iters, sums0)
+        assert 0 < len(calls) <= iters
+        assert np.array_equal(m, m_ref) and np.array_equal(res, res_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(sums, sums_ref))
+
+    # every accepted iterate hands its S and T on, to the next
+    # continuation step or to the polish: no m is evaluated twice in a
+    # solve, cold, warm or landing on the real axis
+    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500"])
+    @pytest.mark.parametrize("case", ["cold", "warm", "density"])
+    def test_no_m_evaluated_twice_in_a_solve(self, request, name, case, rng,
+                                             monkeypatch):
+        fc = request.getfixturevalue(name)
+        zs = random_z(rng, 300, eta_lo=1e-4)
+        e = support_edges(fc)
+        solve = {
+            "cold": lambda: stieltjes_batch(fc, zs),
+            "warm": lambda: stieltjes_batch(fc, zs, m0=warm),
+            "density": lambda: density_batch(
+                fc, np.linspace(e.L_minus, e.L_plus, 300)[1:-1])}[case]
+        warm = stieltjes_batch(fc, zs) * (1.0 + 1e-3)
+        seen = spy_transforms(monkeypatch, fc)
+        solve()
+        seen = np.concatenate(seen)
+        assert seen.size > zs.size
+        assert np.unique(seen).size == seen.size
 
 
 class TestDerivative:

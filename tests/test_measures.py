@@ -7,7 +7,7 @@ from scipy import integrate as sp_integrate
 from freemp.errors import DomainError
 from freemp.grammar import format_law, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CLOSED_FORM_MIN, MASS_TOL,
-                             AtomicLaw, LinearLaw, _rule_sums,
+                             NEAR_NODES, AtomicLaw, LinearLaw, _rule_sums,
                              empirical_measure, sample_population)
 
 from oracles import integrate, quad_transforms
@@ -301,6 +301,31 @@ class TestAtomicLawTransforms:
         for k in range(real.size):
             s, t = law.transforms(real[k:k + 1])
             assert s[0] == real_s[k] and t[0] == real_t[k]
+
+    # one chunk buffer serves every chunk of a call, the last one partial
+    # at all but the batch of exactly one chunk: each row matches the same
+    # m alone, on 500 atoms and on LinearLaw's near-zero rule, whose m sit
+    # inside |m| hi < CLOSED_FORM_MIN
+    @pytest.mark.parametrize("rule", ["atoms-500", "linear-near"])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_rule_sums_reused_buffer_per_point(self, rule, kind, rng):
+        if rule == "atoms-500":
+            t, w = random_atomic_law(500, 11).quad_rule(0)
+            scale = 3.0
+        else:
+            law = LinearLaw(0.2, 1.0, 1.0)
+            t, w = law.quad_rule(NEAR_NODES)
+            scale = 0.5 * CLOSED_FORM_MIN / law.hi
+        step = _CHUNK_ELEMS // t.size
+        for size in (step - 1, step, step + 1, 2 * step + 3):
+            m = scale * rng.uniform(-1.0, 1.0, size)
+            if kind == "complex":
+                m = m + 1j * scale * rng.uniform(-1.0, 1.0, size)
+            S, T = _rule_sums(t, w, m)
+            assert S.dtype == T.dtype == m.dtype
+            for k in range(size):
+                s, t2 = _rule_sums(t, w, m[k:k + 1])
+                assert s[0] == S[k] and t2[0] == T[k], (size, k)
 
     # numpy multiplies a one-element complex array on another path than a
     # longer one, so squaring r in place broke this for a point mass

@@ -304,6 +304,16 @@ class TestLazyValues:
         assert e.power_sums == (3.0, 5.0)
         assert not e.values.flags.writeable
 
+    # one value per eigenvalue of the N x N matrix: a statistic centred
+    # with N would otherwise sum over the wrong count
+    @pytest.mark.parametrize("values", [np.ones(2), np.ones(4),
+                                        np.ones((1, 3))],
+                             ids=["short", "long", "2d"])
+    def test_values_must_number_n(self, values):
+        with pytest.raises(DomainError, match=r"N = 3 .* got "
+                           + str(values.size)):
+            EigenSample(values=values, M=2, N=3)
+
 
 class TestTraceRoute:
     @pytest.mark.parametrize("ratio", [0.25, 0.5, 2.0, 4.0])
@@ -343,7 +353,8 @@ class TestTraceRoute:
                 "rng = np.random.default_rng(20240817)\n"
                 "sigma = rng.uniform(0.5, 1.0, 400)\n"
                 "e = draw_sample(sigma, DataMatrixSpec(400, 800), rng)\n"
-                "v = EigenSample(rng.uniform(0.0, 2.0, 200_000), 400, 800)\n"
+                "v = EigenSample(rng.uniform(0.0, 2.0, 200_000), 100_000, "
+                "200_000)\n"
                 "print([x.hex() for x in e.power_sums + v.power_sums])\n")
         assert run_at_threads(code, 1) == run_at_threads(code, 2)
 
