@@ -18,8 +18,11 @@ of z; a point keeps a full step only where its residual drops.  A point
 without a usable warm start is reached by per-point continuation in Im z from
 a height where -1/z is a good start, with the step ratio adapted to how
 Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit & Wolf's
-QuEST).  Two final Newton steps land residuals near machine precision.  The
-same continuation lands on eta = 0 for real z: outside the support it gives
+QuEST).  Each step is solved to the tolerance of its own height, so points
+that share a real part and a side share their steps until each leaves the
+common ladder for its own target, and a step is solved once per distinct
+(z, start).  Two final Newton steps land residuals near machine precision.
+The same continuation lands on eta = 0 for real z: outside the support it gives
 the real value of m, and inside it the boundary value m(x + i0), whose
 |Im m| / pi is the density.  The transforms are evaluated once per new
 iterate: each accepted iterate carries its S and T into the next
@@ -131,7 +134,27 @@ def _solved(z, m, res, tol):
     return (res <= tol) & ((z.imag == 0.0) | (m.imag * z.imag > 0.0))
 
 
-def _continuation(fc, z, tol):
+def _shared_newton(fc, zeta, m, sums, share):
+    """_newton at each zeta from m to the tolerance of its own height,
+    RESIDUAL_TOL max(1, |zeta|).  With share, it runs once per distinct bit
+    pattern of (zeta, m) and the results are scattered back; a row's result
+    depends only on its own zeta and m, so sharing is exact.  Returns
+    (m, res, (S, T), tol)."""
+    if share:
+        key = np.stack([zeta, m], axis=1).view(np.dtype((np.void, 32)))
+        _, first, back = np.unique(key.ravel(), return_index=True,
+                                   return_inverse=True)
+        zeta, m = zeta[first], m[first]
+        if sums is not None:
+            sums = (sums[0][first], sums[1][first])
+    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(zeta))
+    m, res, (s, t2) = _newton(fc, zeta, m, tol, NEWTON_ITERS, sums)
+    if share:
+        m, res, s, t2, tol = (v[back] for v in (m, res, s, t2, tol))
+    return m, res, (s, t2), tol
+
+
+def _continuation(fc, z):
     """Per-point Newton continuation in eta = |Im| down to the target.
 
     Each point starts at eta = max(|Im z|, 2(1 + ratio)), where -1/z is a
@@ -139,16 +162,24 @@ def _continuation(fc, z, tol):
     ratio).  Every point steps eta down by its own ratio, squared after an
     accepted step and square-rooted after a rejected one; a step that would
     pass the target lands on it (for real z once it drops below the
-    resolution of z).  Each point keeps S and T of its accepted iterate and
-    hands them to its next step, so a step evaluates only new iterates.
-    Returns m and its sums (S, T).
+    resolution of z).  Each step is solved to the tolerance of its own
+    height, RESIDUAL_TOL max(1, |zeta|), which at the landing step is the
+    target's.  Points that share a real part and a side thus climb down
+    one ladder until each leaves it for its own target, and each step is
+    solved once for all of them (_shared_newton); a batch in which no two
+    points share both skips the search for shared steps.  Each point keeps
+    S and T of its accepted iterate and hands them to its next step, so a
+    step evaluates only new iterates.  Returns m and its sums (S, T).
     """
     x, a = z.real, np.abs(z.imag)
     side = np.where(z.imag >= 0.0, 1.0, -1.0)
     floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
     eta = np.maximum(a, 2.0 * (1.0 + fc.ratio))
+    # only points with a common real part and side can share a step; a set
+    # finds them without the peak memory of numpy's first sort
+    share = len(set(zip(x.tolist(), side.tolist()))) < z.size
     zeta = x + 1j * side * eta
-    m, res, (s, t2) = _newton(fc, zeta, -1.0 / zeta, tol, NEWTON_ITERS)
+    m, res, (s, t2), tol = _shared_newton(fc, zeta, -1.0 / zeta, None, share)
     bad = ~_solved(zeta, m, res, tol)
     q = np.full(z.shape, FIRST_STEP_RATIO)
     while True:
@@ -164,9 +195,9 @@ def _continuation(fc, z, tol):
         nxt = eta[idx] * q[idx]
         nxt = np.where(nxt <= floor[idx], a[idx], nxt)
         zt = x[idx] + 1j * side[idx] * nxt
-        mt, rt, (st, tt2) = _newton(fc, zt, m[idx], tol[idx], NEWTON_ITERS,
-                                    (s[idx], t2[idx]))
-        ok = _solved(zt, mt, rt, tol[idx])
+        mt, rt, (st, tt2), tt = _shared_newton(fc, zt, m[idx],
+                                               (s[idx], t2[idx]), share)
+        ok = _solved(zt, mt, rt, tt)
         k = idx[ok]
         eta[k], m[k], res[idx] = nxt[ok], mt[ok], rt
         s[k], t2[k] = st[ok], tt2[ok]
@@ -202,7 +233,7 @@ def _solve(fc, z, m0=None):
     scale = np.maximum(1.0, np.abs(z))
     tol = RESIDUAL_TOL * scale
     if m0 is None:
-        m, (s, t2) = _continuation(fc, z, tol)
+        m, (s, t2) = _continuation(fc, z)
     else:
         m = np.asarray(m0, dtype=complex).ravel().copy()
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
@@ -210,7 +241,7 @@ def _solve(fc, z, m0=None):
         m, res, (s, t2) = _newton(fc, z, m, tol, NEWTON_ITERS)
         cold = ~_solved(z, m, res, tol)
         if cold.any():
-            m[cold], (s[cold], t2[cold]) = _continuation(fc, z[cold], tol[cold])
+            m[cold], (s[cold], t2[cold]) = _continuation(fc, z[cold])
     m, res, _ = _newton(fc, z, m, POLISH_TOL * scale, 2, (s, t2))
     if (res > tol).any():
         raise ConvergenceError(
@@ -228,7 +259,8 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
     solve natively), two polishing steps toward 1e-14 max(1, |z|), and the
     solution must lie in the half plane of z.  Real z must clear the support
     by the edge-distance guard; continuation lands on them at eta = 0 and
-    they keep the real part, whose residual is checked again.
+    they keep the real part, whose residual is checked again where dropping
+    the imaginary part moved m.
     ConvergenceError names the z and the eta where a continuation stalled.
     """
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
@@ -240,15 +272,18 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
         raise ConvergenceError("solution left the upper half plane")
     if np.any(m.imag[z.imag < 0] >= 0.0):
         raise ConvergenceError("solution left the lower half plane")
-    if is_real.any():
-        zr, mr = z[is_real], m.real[is_real]
+    # dropping Im m moves m only where it is not 0 already; elsewhere
+    # _solve has checked the residual of this very m
+    moved = is_real & (m.imag != 0.0)
+    if moved.any():
+        zr, mr = z[moved], m.real[moved]
         res = np.abs(_phi(fc, mr, zr)[0])
         if (res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr))).any():
             raise ConvergenceError(
                 f"real-axis value misses the residual tolerance: "
                 f"{float(res.max()):.3e} at z = {zr[int(np.argmax(res))]!r}",
                 residual=float(res.max()))
-        m[is_real] = mr
+    m[is_real] = m.real[is_real]
     return m
 
 

@@ -203,20 +203,26 @@ def draw_sample(sigma, spec: DataMatrixSpec,
 
 
 def empirical_stieltjes(e: EigenSample, z):
-    """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z, one reciprocal
-    per term, in chunks of at most _CHUNK_ELEMS terms."""
+    """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z.  The n0 exact
+    zeros among the eigenvalues add -n0/z in closed form; the others take
+    one reciprocal per term, in chunks of at most _CHUNK_ELEMS terms."""
     z_arr = np.asarray(z, dtype=complex)
     on_axis = z_arr.imag == 0.0
     if np.any(on_axis & np.isin(z_arr.real, e.values)):
         raise DomainError("z coincides with an eigenvalue on the real axis")
     flat = z_arr.ravel()
+    lam = e.values[e.values != 0.0]
+    n0 = e.N - lam.size
     out = np.empty(flat.shape, dtype=complex)
-    step = max(1, _CHUNK_ELEMS // e.values.size)
+    step = max(1, _CHUNK_ELEMS // max(lam.size, 1))
     for i in range(0, flat.size, step):
         sl = slice(i, min(i + step, flat.size))
-        r = e.values - flat[sl, None]
+        r = lam - flat[sl, None]
         np.reciprocal(r, out=r)
-        out[sl] = np.mean(r, axis=-1)
+        out[sl] = np.sum(r, axis=-1)
+    if n0:
+        out -= n0 / flat
+    out /= e.N
     out = out.reshape(z_arr.shape)
     return complex(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
@@ -237,7 +243,9 @@ def linear_statistic(e: EigenSample, f, mean_inside: float,
     c0 N + c1 tr G + c2 |G|_F^2, read from e.power_sums without an
     eigensolve; any other f is applied to e.values.  The integral of f
     against the limiting law splits into the part inside the contour
-    (mean_inside) plus the atom at 0 of mass (1 - gamma0)^+.
+    (mean_inside) plus the atom at 0 of mass (1 - gamma0)^+, where gamma0
+    is the ratio of the law the statistic is centred on (M/N for a sampled
+    M x N matrix).
     """
     if isinstance(f, Polynomial) and len(f.coeffs) <= 3:
         c0, c1, c2 = f.coeffs + (0.0,) * (3 - len(f.coeffs))

@@ -197,6 +197,11 @@ def run_clt_experiment(cfg: ExperimentConfig,
     """Sample `cfg.replicates` linear statistics at N = cfg.N_list[0] and
     gate them against the Gaussian limit.
 
+    The matrix has M = round(gamma0 N) rows, so each statistic is centred
+    on the free convolution at the sampled ratio M/N, not at gamma0, which
+    would shift the mean by O(N^-1/2); the predicted variance is the one at
+    gamma0.  M = N raises DomainError.
+
     pass requires the variance, KS and mean gates of _clt_gates, the
     gates acceptance check 06 applies.  When the predicted variance is
     numerically zero the distributional gates are meaningless; the report
@@ -205,15 +210,24 @@ def run_clt_experiment(cfg: ExperimentConfig,
     workers = _resolve_workers(workers)
     N = cfg.N_list[0]
     spec = DataMatrixSpec.from_ratio(cfg.gamma0, N, cfg.entry_law)
+    if spec.M == N:
+        raise DomainError(f"M = {spec.M} and N = {N}: the sampled matrix has "
+                          f"ratio 1, which is excluded (support reaches 0)")
     fc = FreeConvolution(cfg.nu, cfg.gamma0)
     contour = build_contour(support_edges(fc), d=cfg.d)
-    mean_inside = mean_statistic(fc, cfg.f, contour=contour)
+    ratio = spec.M / N
+    if ratio == cfg.gamma0:
+        fc_centre, contour_centre = fc, contour
+    else:
+        fc_centre = FreeConvolution(cfg.nu, ratio)
+        contour_centre = build_contour(support_edges(fc_centre), d=cfg.d)
+    mean_inside = mean_statistic(fc_centre, cfg.f, contour=contour_centre)
     theoretical = clt_variance(fc, cfg.f, contour=contour)
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         cfg.replicates, np.uint64)
     tasks = [(int(s), spec.M, N, cfg.entry_law, cfg.nu, cfg.f,
-              mean_inside, cfg.gamma0) for s in seeds]
+              mean_inside, ratio) for s in seeds]
     samples = _map_tasks(_clt_replicate, tasks, workers)
 
     degenerate = theoretical < DEGENERATE_VARIANCE

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freemp import freeconv
-from freemp.errors import DomainError, EdgeBracketError
+from freemp.errors import ConvergenceError, DomainError, EdgeBracketError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
                              stieltjes_derivative, support_edges)
@@ -41,6 +41,12 @@ def spy_transforms(monkeypatch, fc):
 
     monkeypatch.setattr(law, "transforms", spy)
     return seen
+
+
+@pytest.fixture(scope="module")
+def fc_linear():
+    """linear:0.2,1,1 at ratio 4, no point mass at 0."""
+    return FreeConvolution(LinearLaw(0.2, 1.0, 1.0), 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -196,25 +202,83 @@ class TestSelfConsistency:
 
     # every accepted iterate hands its S and T on, to the next
     # continuation step or to the polish: no m is evaluated twice in a
-    # solve, cold, warm or landing on the real axis
-    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500"])
-    @pytest.mark.parametrize("case", ["cold", "warm", "density"])
+    # solve, cold, warm or landing on the real axis, and the real-axis
+    # re-check evaluates only the m that dropping Im m moved
+    @pytest.mark.parametrize("name", ["fc_uniform", "hat_500", "fc_linear"])
+    @pytest.mark.parametrize("case", ["cold", "warm", "density", "real"])
     def test_no_m_evaluated_twice_in_a_solve(self, request, name, case, rng,
                                              monkeypatch):
         fc = request.getfixturevalue(name)
         zs = random_z(rng, 300, eta_lo=1e-4)
         e = support_edges(fc)
+        outside = np.concatenate([
+            np.linspace(-3.0, -0.01, 100),
+            np.linspace(0.01, e.L_minus - 0.01, 100),
+            np.linspace(e.L_plus + 0.01, 12.0, 100)]).astype(complex)
         solve = {
             "cold": lambda: stieltjes_batch(fc, zs),
             "warm": lambda: stieltjes_batch(fc, zs, m0=warm),
             "density": lambda: density_batch(
-                fc, np.linspace(e.L_minus, e.L_plus, 300)[1:-1])}[case]
+                fc, np.linspace(e.L_minus, e.L_plus, 300)[1:-1]),
+            "real": lambda: stieltjes_batch(fc, outside)}[case]
         warm = stieltjes_batch(fc, zs) * (1.0 + 1e-3)
         seen = spy_transforms(monkeypatch, fc)
         solve()
         seen = np.concatenate(seen)
         assert seen.size > zs.size
         assert np.unique(seen).size == seen.size
+
+
+class TestSharedContinuation:
+    """Points that share a real part and a side climb down one eta ladder
+    until each leaves it for its own target; each step is solved once."""
+
+    @staticmethod
+    def lattice():
+        """check_local_law's lattice at N = 1000, tau = 0.1."""
+        etas = np.geomspace(1000 ** -0.9, 10.0, 40)
+        energies = np.geomspace(0.1, 10.0, 20)
+        z = (energies[:, None] + 1j * etas[None, :]).ravel()
+        return z[np.abs(z) >= 0.1]
+
+    # sharing is exact: a batch gives each point the bits it gets alone
+    def test_lattice_equals_per_point_solves(self, hat_500):
+        e = support_edges(hat_500)
+        z = self.lattice()
+        real = np.array([e.L_minus / 2.0, e.L_plus + 0.5, 3.0 * e.L_plus,
+                         -0.2, -1.0], dtype=complex)
+        z = np.concatenate([z, np.conj(z), real])
+        batch = stieltjes_batch(hat_500, z)
+        alone = np.array([stieltjes_batch(hat_500, np.array([zk]))[0]
+                          for zk in z])
+        assert np.array_equal(batch.view(float), alone.view(float))
+
+    # 14.3 per point when each point climbed its own ladder
+    def test_lattice_evaluations_per_point(self, hat_500, monkeypatch):
+        z = self.lattice()
+        seen = spy_transforms(monkeypatch, hat_500)
+        stieltjes_batch(hat_500, z)
+        assert sum(m.size for m in seen) < 7 * z.size
+
+    # a step shared by three targets that stalls names one of them
+    def test_stalled_shared_step_names_a_target(self, hat_500, monkeypatch):
+        law = type(hat_500.base)
+        transforms = law.transforms
+
+        def blind(self, m):
+            s, t2 = transforms(self, m)
+            far = np.abs(m) > 0.6
+            return np.where(far, np.nan, s), np.where(far, np.nan, t2)
+
+        monkeypatch.setattr(law, "transforms", blind)
+        targets = 1.0 + 1j * np.array([1e-3, 1e-2, 1e-1])
+        with pytest.raises(ConvergenceError,
+                           match="continuation stalled") as err:
+            stieltjes_batch(hat_500, targets)
+        msg = str(err.value)
+        assert any(f"z = {complex(t)!r}" in msg for t in targets)
+        eta = float(msg.split("eta reached ")[1].split(",")[0])
+        assert eta > targets.imag.max()
 
 
 class TestDerivative:

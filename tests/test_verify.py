@@ -17,7 +17,7 @@ from freemp.measures import AtomicLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
                         sample_data_matrix)
-from freemp.contour import default_contour
+from freemp.contour import default_contour, mean_statistic
 from freemp.freeconv import FreeConvolution, stieltjes, support_edges
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
                            _clt_gates, _clt_replicate, _kolmogorov_sf,
@@ -157,6 +157,30 @@ class TestRunClt:
         _, report = clt_small
         bound = 3.0 * math.sqrt(report.theoretical_variance / 120.0)
         assert abs(report.mean) < bound
+
+    # N = 405 has M = round(0.3 N) = 122, so M/N = 0.3012; centring at 0.3
+    # shifted the mean by about 0.023 against N = 400, where M/N = 0.3
+    # exactly (each mean +- 0.004)
+    def test_centred_at_sampled_ratio(self, uniform_half):
+        f = parse_func("poly:0,0,1")
+        means = {}
+        for N in (400, 405):
+            cfg = ExperimentConfig(gamma0=0.3, nu=uniform_half, f=f,
+                                   N_list=(N,), replicates=2000, seed=7)
+            means[N] = run_clt_experiment(cfg).mean
+        fc_limit = FreeConvolution(uniform_half, 0.3)
+        fc_sampled = FreeConvolution(uniform_half, 122 / 405)
+        centre = [mean_statistic(fc, f) + (1.0 - fc.ratio) * f(0.0)
+                  for fc in (fc_limit, fc_sampled)]
+        shift = math.sqrt(405) * (centre[1] - centre[0])
+        assert shift == pytest.approx(0.023, abs=0.002)
+        assert abs(means[405] - means[400]) < shift / 2.0
+
+    def test_sampled_ratio_one_names_m_and_n(self, uniform_half):
+        cfg = ExperimentConfig(gamma0=0.999, nu=uniform_half, f=F_IDENTITY,
+                               N_list=(400,), replicates=100, seed=1)
+        with pytest.raises(DomainError, match="M = 400 and N = 400"):
+            run_clt_experiment(cfg)
 
     def test_constant_statistic_flagged_degenerate(self, clt_degenerate):
         _, report = clt_degenerate
