@@ -179,7 +179,7 @@ def _m_circle(fc: FreeConvolution, c: RectContour):
     if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
         raise ContourError(
             f"the real crossings {c.left!r} and {c.right!r} map to non-real "
-            f"m = {m[0]!r}, {m[1]!r}; the edges are off")
+            f"m = {complex(m[0])!r}, {complex(m[1])!r}; the edges are off")
     a, b = m.real
     return 0.5 * (a + b), 0.5 * abs(b - a), (1.0 if a < b else -1.0)
 
@@ -218,13 +218,15 @@ def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
         u = np.exp(1j * turn * theta)
         m = center + radius * u
         S, T = fc.base.transforms(m)
-        vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
-                * (1j * turn * radius * u))
+        # an overflow shows up as a non-finite value, checked next
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
+                    * (1j * turn * radius * u))
         bad = ~np.isfinite(vals)
         if bad.any():
             raise NearSingularityError(
                 f"{what} integrand is non-finite at m = "
-                f"{m[np.nonzero(bad)[-1][0]]!r}")
+                f"{complex(m[np.nonzero(bad)[-1][0]])!r}")
         total = total + vals.sum(axis=-1)
         n += theta.size
         cur = 2.0 * np.pi * total / n

@@ -10,11 +10,11 @@ class DomainError(FreempError, ValueError):
 
 
 class ConvergenceError(FreempError):
-    """An iterative solve did not reach its residual target."""
+    """An iterative solve did not reach its target at the points z."""
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, z=()):
         super().__init__(message)
-        self.residual = residual
+        self.z = z
 
 
 class EdgeBracketError(FreempError):

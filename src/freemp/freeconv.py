@@ -188,7 +188,7 @@ def _continuation(fc, z):
             raise ConvergenceError(
                 f"stieltjes continuation stalled at z = {complex(z[k])!r}: "
                 f"eta reached {float(eta[k]):.3e}, residual "
-                f"{float(res[k]):.3e}", residual=float(res[k]))
+                f"{float(res[k]):.3e}", z=z[bad])
         idx = np.flatnonzero(eta > a)
         if idx.size == 0:
             return m, (s, t2)
@@ -225,8 +225,8 @@ def _solve(fc, z, m0=None):
     point without m0, or whose Newton misses the tolerance or lands in the
     wrong half plane, is reached by _continuation.  Two polishing Newton
     steps then aim at POLISH_TOL, starting from the S and T that Newton or
-    the continuation computed at each m, and a point left above the
-    tolerance raises ConvergenceError.
+    the continuation computed at each m.  One rule, _solved, accepts each
+    point, and one ConvergenceError names the first point it rejects.
     """
     # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
     # of order |z| eps, so the targets are relative to max(1, |z|).
@@ -243,11 +243,12 @@ def _solve(fc, z, m0=None):
         if cold.any():
             m[cold], (s[cold], t2[cold]) = _continuation(fc, z[cold])
     m, res, _ = _newton(fc, z, m, POLISH_TOL * scale, 2, (s, t2))
-    if (res > tol).any():
+    bad = np.flatnonzero(~_solved(z, m, res, tol))
+    if bad.size:
+        k = bad[0]
         raise ConvergenceError(
-            f"stieltjes solve stalled at residual {float(res.max()):.3e} "
-            f"(worst z = {z[int(np.argmax(res))]!r})",
-            residual=float(res.max()))
+            f"stieltjes solve failed at z = {complex(z[k])!r}: residual "
+            f"{float(res[k]):.3e}, m = {complex(m[k])!r}", z=z[bad])
     return m
 
 
@@ -261,28 +262,25 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
     by the edge-distance guard; continuation lands on them at eta = 0 and
     they keep the real part, whose residual is checked again where dropping
     the imaginary part moved m.
-    ConvergenceError names the z and the eta where a continuation stalled.
+    Each ConvergenceError carries the points that failed as its z.
     """
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
     is_real = z.imag == 0.0
     if is_real.any():
         _real_axis_guard(fc, z.real[is_real])
     m = _solve(fc, z, m0)
-    if np.any(m.imag[z.imag > 0] <= 0.0):
-        raise ConvergenceError("solution left the upper half plane")
-    if np.any(m.imag[z.imag < 0] >= 0.0):
-        raise ConvergenceError("solution left the lower half plane")
     # dropping Im m moves m only where it is not 0 already; elsewhere
     # _solve has checked the residual of this very m
     moved = is_real & (m.imag != 0.0)
     if moved.any():
         zr, mr = z[moved], m.real[moved]
         res = np.abs(_phi(fc, mr, zr)[0])
-        if (res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr))).any():
+        bad = np.flatnonzero(res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr)))
+        if bad.size:
+            k = bad[0]
             raise ConvergenceError(
-                f"real-axis value misses the residual tolerance: "
-                f"{float(res.max()):.3e} at z = {zr[int(np.argmax(res))]!r}",
-                residual=float(res.max()))
+                f"real-axis value misses the residual tolerance at z = "
+                f"{complex(zr[k])!r}: {float(res[k]):.3e}", z=zr[bad])
     m[is_real] = m.real[is_real]
     return m
 
@@ -321,15 +319,20 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     stieltjes_batch landing on eta = 0, where Newton runs with complex m;
     |Im| takes it from either conjugate root.  m meets the solver's residual
     tolerance, which pins it to rounding level in the bulk but only to about
-    the tolerance's square root at a square-root edge.  x = 0 raises
-    DomainError when the law has a point mass there.  warn is accepted for
-    existing callers and has no effect.
+    the tolerance's square root at a square-root edge.  Outside [L_minus,
+    L_plus] the density is exactly 0, and only the points inside are
+    solved.  x = 0 raises DomainError when the law has a point mass there.
+    warn is accepted for existing callers and has no effect.
     """
     x = np.asarray(x, dtype=float).ravel()
     if atom_at_zero(fc) > 0.0 and np.any(x == 0.0):
         raise DomainError(f"density is undefined at x = 0 (point mass "
                           f"{atom_at_zero(fc)!r})")
-    return np.abs(_solve(fc, x.astype(complex)).imag) / np.pi
+    e = fc._edge_data
+    inside = ~((x < e.L_minus) | (x > e.L_plus))
+    rho = np.zeros(x.shape)
+    rho[inside] = np.abs(_solve(fc, x[inside].astype(complex)).imag) / np.pi
+    return rho
 
 
 def density(fc: FreeConvolution, x: float) -> float:

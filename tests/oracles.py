@@ -102,7 +102,7 @@ def integrate(measure: PopulationLaw, g: Callable) -> complex | float:
             if n >= QUAD_MAX_NODES:
                 raise ConvergenceError(
                     f"integral not settled at {n} Gauss-Legendre nodes: last "
-                    f"two levels differ by {gap:.3e}", residual=gap)
+                    f"two levels differ by {gap:.3e}")
         prev = cur
         n *= 2
 

@@ -173,7 +173,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("gamma0,law,f", [
         ("0.5", "uniform:0.5,1", "poly:0,0,1"),
-        ("2", "linear:0.2,1,1", "exp:1")])
+        ("2", "linear:0.2,1,1", "exp:1"),
+        ("0.5", "uniform:0.5,1", "ratshift:-0.5")])
     def test_variance_default_d_is_explicit_default(self, tmp_path, gamma0,
                                                     law, f):
         # omitting --d and passing the default margin write the same bytes
@@ -188,6 +189,38 @@ class TestDispatch:
         params = json.loads(text)["contour_params"]
         assert list(params) == ["d", "L_minus", "L_plus"]
         assert params["d"] == d
+
+    # exp(800 x) overflows on the circle: one freemp error line, no numpy
+    # warning
+    def test_overflowing_variance_exits_one(self, tmp_path, capsys):
+        code = main(["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                     "--f", "exp:800", "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: freemp.errors.NearSingularityError: ")
+        assert len(err.strip().splitlines()) == 1 and "np." not in err
+        assert not (tmp_path / "variance.json").exists()
+
+    @pytest.mark.parametrize("args, name, keys", [
+        (["locallaw", "--n", "100"], "locallaw.json",
+         ["config", "max_ratio", "pass", "points", "skipped"]),
+        (["rate", "--n_list", "100,200,800", "--reps", "3"], "rate.json",
+         ["config", "N_values", "averages", "slope", "pass"])],
+        ids=["locallaw", "rate"])
+    def test_check_artifact(self, tmp_path, args, name, keys):
+        args = args + ["--gamma0", "0.5", "--nu", "uniform:0.5,1"]
+        code = main(args + ["--output", str(tmp_path / "a")])
+        text = (tmp_path / "a" / name).read_bytes()
+        doc = json.loads(text)
+        assert list(doc) == keys
+        assert code == (0 if doc["pass"] else 2)
+        if name == "rate.json":
+            assert doc["config"]["n_list"] == "100,200,800"
+            assert doc["N_values"] == [100, 200, 800]
+        else:
+            assert doc["points"] + len(doc["skipped"]) == 800
+        assert main(args + ["--output", str(tmp_path / "b")]) == code
+        assert (tmp_path / "b" / name).read_bytes() == text
 
     def test_simulate_artifact(self, tmp_path):
         code = main(["simulate", "--gamma0", "0.5", "--nu", "uniform:0.5,1",

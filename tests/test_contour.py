@@ -296,6 +296,17 @@ class TestMCircle:
         clt_variance(fc, SQ)
         assert _m_circle.cache_info().misses == misses + 1
 
+    # edges well inside the true support put both crossings in the bulk,
+    # where the solver lands on non-real m
+    def test_wrong_edges_rejected(self, fc_uniform):
+        e = support_edges(fc_uniform)
+        mid = 0.5 * (e.L_minus + e.L_plus)
+        c = contour.RectContour(d=0.01, L_minus=mid - 0.2, L_plus=mid + 0.2)
+        with pytest.raises(ContourError,
+                           match="real crossings .* map to non-real m = "
+                                 r"\(-?[0-9.]+[+-][0-9.]+j\)"):
+            mean_statistic(fc_uniform, SQ, contour=c)
+
     def test_margin_below_the_real_axis_guard(self, fc_uniform):
         # d = 1e-9 puts the crossings inside stieltjes_batch's 1e-6 guard;
         # the circle takes them from the solver directly

@@ -277,8 +277,47 @@ class TestSharedContinuation:
             stieltjes_batch(hat_500, targets)
         msg = str(err.value)
         assert any(f"z = {complex(t)!r}" in msg for t in targets)
+        assert err.value.z.size and np.isin(err.value.z, targets).all()
         eta = float(msg.split("eta reached ")[1].split(",")[0])
         assert eta > targets.imag.max()
+
+
+class TestFailurePath:
+    """A solve fails by one rule, residual and half plane together, and
+    each ConvergenceError carries the points that failed as its z."""
+
+    # a polish that lands on conj(m) leaves every non-real z in the wrong
+    # half plane; the rule is a no-op for real z
+    def test_half_plane_failure_names_the_points(self, fc_uniform, rng,
+                                                monkeypatch):
+        zs = random_z(rng, 20)
+        real = np.array([-1.0, 5.0], dtype=complex)
+        newton = freeconv._newton
+
+        def conj_polish(fc, z, m, tol, iters, sums=None):
+            m, res, sums = newton(fc, z, m, tol, iters, sums)
+            return (np.conj(m) if iters == 2 else m), res, sums
+
+        monkeypatch.setattr(freeconv, "_newton", conj_polish)
+        with pytest.raises(ConvergenceError, match="solve failed") as err:
+            stieltjes_batch(fc_uniform, np.concatenate([zs, real]))
+        assert f"z = {complex(zs[0])!r}" in str(err.value)
+        assert np.array_equal(err.value.z, zs)
+
+    def test_real_axis_recheck_names_the_points(self, fc_uniform,
+                                                monkeypatch):
+        zs = np.array([1.0 + 0.5j, -1.0, 5.0, 2.0 - 0.1j])
+        solve = freeconv._solve
+
+        def off_axis(fc, z, m0=None):
+            return solve(fc, z, m0) + (1e-3 + 1e-3j)
+
+        monkeypatch.setattr(freeconv, "_solve", off_axis)
+        with pytest.raises(ConvergenceError, match="real-axis value") as err:
+            stieltjes_batch(fc_uniform, zs)
+        assert any(f"z = {complex(x)!r}" in str(err.value)
+                   for x in zs.real[1:3])
+        assert np.array_equal(err.value.z, [-1.0, 5.0])
 
 
 class TestDerivative:
@@ -329,6 +368,21 @@ class TestDensity:
         assert err.max() <= 1e-6
         interior = (xs >= lo + 1e-3) & (xs <= hi - 1e-3)
         assert err[interior].max() <= 1e-12
+
+    # exactly 0 on both sides of the support, not the residual-level
+    # values a solve at eta = 0 leaves there
+    @pytest.mark.parametrize("spec, ratio", [
+        ("dirac:1", 0.25), ("uniform:0.5,1", 0.25), ("uniform:0.5,1", 4.0),
+        ("linear:0.2,1,1", 2.0)])
+    def test_exact_zero_outside_support(self, spec, ratio):
+        fc = FreeConvolution(parse_law(spec), ratio)
+        e = support_edges(fc)
+        xs = np.concatenate([np.geomspace(1e-4, e.L_minus, 50)[:-1],
+                             -np.geomspace(1e-3, 5.0, 10),
+                             [np.nextafter(e.L_minus, 0.0),
+                              np.nextafter(e.L_plus, np.inf)],
+                             np.geomspace(e.L_plus, 4.0 * e.L_plus, 50)[1:]])
+        assert np.all(density_batch(fc, xs) == 0.0)
 
     def test_zero_between_atom_and_support(self, mp_quarter):
         xs = np.geomspace(1e-4, mp_edges(0.25)[0] - 1e-3, 200)

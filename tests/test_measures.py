@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from freemp.errors import DomainError
-from freemp.grammar import format_law, parse_law
+from freemp.grammar import format_func, format_law, parse_func, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CLOSED_FORM_MIN, MASS_TOL,
                              NEAR_NODES, AtomicLaw, LinearLaw, _rule_sums,
                              empirical_measure, sample_population)
@@ -80,6 +80,7 @@ class TestAtomicLaw:
     def test_format_law_round_trip(self):
         assert format_law(parse_law("dirac:0.7")) == "dirac:0.7"
         assert format_law(parse_law("dirac:1")) == "dirac:1.0"
+        assert format_func(parse_func("ratshift:-0.5")) == "ratshift:-0.5"
         with pytest.raises(DomainError, match="no spec form"):
             format_law(AtomicLaw([0.2, 0.9], [0.75, 0.25]))
 

@@ -11,14 +11,15 @@ import pytest
 from scipy.stats import norm
 
 import freemp
-from freemp.errors import DomainError, ReplicateError
+from freemp.errors import ConvergenceError, DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
 from freemp.measures import AtomicLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
                         sample_data_matrix)
 from freemp.contour import default_contour, mean_statistic
-from freemp.freeconv import FreeConvolution, stieltjes, support_edges
+from freemp.freeconv import (FreeConvolution, stieltjes, stieltjes_batch,
+                             support_edges)
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
                            _clt_gates, _clt_replicate, _kolmogorov_sf,
                            _map_tasks, check_edges, check_hat_rate,
@@ -334,6 +335,51 @@ class TestLocalLaw:
             check_local_law(sigma, X, tau=0.6, eps=0.1)
         with pytest.raises(DomainError):
             check_local_law(sigma, X, tau=0.1, eps=0.0)
+
+    # a law whose transforms read NaN where |m| > 1.5 stalls the solve at
+    # every z whose continuation passes there; the check drops exactly the
+    # points that fail alone, from a few batches, and keeps the others' bits
+    def test_skips_exactly_the_points_that_fail_alone(self, uniform_half,
+                                                      monkeypatch):
+        transforms = AtomicLaw.transforms
+
+        def blind(self, m):
+            s, t2 = transforms(self, m)
+            far = np.abs(m) > 1.5
+            return np.where(far, np.nan, s), np.where(far, np.nan, t2)
+
+        monkeypatch.setattr(AtomicLaw, "transforms", blind)
+        rng = np.random.default_rng(101)
+        spec = DataMatrixSpec.from_ratio(0.5, 200)
+        sigma = sample_population(uniform_half, spec.M, rng)
+        X = sample_data_matrix(spec, rng)
+        calls = []
+
+        def spy(fc, z, m0=None):
+            calls.append(z.size)
+            return stieltjes_batch(fc, z, m0)
+
+        monkeypatch.setattr("freemp.verify.stieltjes_batch", spy)
+        report = check_local_law(sigma, X, tau=0.1, eps=0.1)
+        assert 1 < len(calls) <= 5 and calls[0] == 800
+        assert report.points + len(report.skipped) == 800
+
+        fc = hat_fc(sigma, *X.shape)
+        etas = np.geomspace(200 ** -0.9, 10.0, 40)
+        z = (np.geomspace(0.1, 10.0, 20)[:, None] + 1j * etas[None, :]).ravel()
+        alone = []
+        for zk in z:
+            try:
+                stieltjes_batch(fc, np.array([zk]))
+            except ConvergenceError:
+                alone.append(complex(zk))
+        skipped = [zk for zk, _ in report.skipped]
+        assert alone and sorted(skipped, key=str) == sorted(alone, key=str)
+        kept = z[~np.isin(z, alone)]
+        m_emp = empirical_stieltjes(eigenvalues(sigma, X), kept)
+        ratio = (np.abs(m_emp - stieltjes_batch(fc, kept)) * 200 * kept.imag
+                 / 200 ** 0.1)
+        assert report.max_ratio == float(ratio.max())
 
 
 class TestEdges:
