@@ -11,16 +11,22 @@ and its inverse CDF is what the Monte Carlo layer draws from.  An AtomicLaw
 atoms: one complex reciprocal 1/(1+mt) per term, reduced by numpy rather
 than BLAS, in cache-sized chunks of at most _CHUNK_ELEMS terms that reuse
 one buffer per call, so a value depends only on its own m, not on its batch
-or the BLAS thread count.  A
-LinearLaw integrates in closed form away from m = 0, and on a 32-node
-Gauss-Legendre rule near it, where the closed forms cancel but the pole
--1/m lies far from the support.  quad_rule(n) weights n Gauss-Legendre
-nodes on [lo, hi] by a law's density; it is the rule of integrals other
-than S and T.
+or the BLAS thread count.  A law of more than CHEB_NODES atoms sums instead
+over a compressed rule, CHEB_NODES Chebyshev points weighted by the law,
+wherever the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho >=
+CHEB_RHO_MIN, and at m = 0.  There the rule is off by less than 4.6e-17
+times the largest |t/(1+mt)| on [lo, hi] for S, and 1.3e-15 times its
+square for T (AtomicLaw.transforms derives this).  The path depends on m
+alone, so a value still does not depend on its batch.  A LinearLaw
+integrates in closed form away from m = 0, and on a 32-node Gauss-Legendre
+rule near it, where the closed forms cancel but the pole -1/m lies far
+from the support.  quad_rule(n) weights n Gauss-Legendre nodes on [lo, hi]
+by a law's density (an AtomicLaw's rule is its atoms); it is the rule of
+integrals other than S and T.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from .errors import DomainError
 MASS_TOL = 1e-9
 CLOSED_FORM_MIN = 0.75        # closed forms where |m| hi reaches this
 NEAR_NODES = 32               # rule of the transforms where it does not
+CHEB_NODES = 64               # an atomic law's compressed rule
+CHEB_RHO_MIN = 2.0            # ellipse of the pole where that rule is used
 _CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 
 
@@ -221,12 +229,81 @@ class AtomicLaw(PopulationLaw):
 
     def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The atoms and their weights, exact for every integrand; n is
-        ignored."""
+        ignored.  transforms may use the compressed _cheb_rule instead;
+        this rule stays the atoms."""
         return self.locs, self.weights
 
+    @cached_property
+    def _cheb_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """CHEB_NODES first-kind Chebyshev points tau_j on [lo, hi] and
+        weights W_j = sum_i w_i l_j(t_i), so that sum_j W_j g(tau_j) is the
+        law's integral of g's interpolant in the tau_j.
+
+        With s = (2t - lo - hi)/(hi - lo) and tau_j at x_j = cos((j + 1/2)
+        pi/n), the interpolant's coefficients are c_k = (2/n) sum_j g(tau_j)
+        T_k(x_j), halved at k = 0, so W_j = (2/n)(sum_k mu_k T_k(x_j) -
+        mu_0/2) with the law's Chebyshev moments mu_k = sum_i w_i T_k(s_i).
+        The moments come from the three-term recurrence on vectors of the
+        atoms and the series from chebval at the n points, so no
+        atoms-by-nodes array is made."""
+        n = CHEB_NODES
+        lo, hi = self.lo, self.hi
+        s = (2.0 * self.locs - (lo + hi)) / (hi - lo)
+        mu = np.empty(n)
+        mu[0] = self.weights.sum()
+        s2 = 2.0 * s
+        prev, cur, nxt = np.ones_like(s), s, np.empty_like(s)
+        for k in range(1, n):
+            mu[k] = np.einsum("i,i->", self.weights, cur)
+            np.multiply(s2, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        W = (2.0 / n) * (np.polynomial.chebyshev.chebval(x, mu) - 0.5 * mu[0])
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, W
+
+    def _pole_is_far(self, m: np.ndarray) -> np.ndarray:
+        """True where the pole p = -1/m lies on a Bernstein ellipse of
+        [lo, hi] with parameter rho >= CHEB_RHO_MIN, or m = 0.
+
+        The ellipse E_rho has foci lo and hi and focal-distance sum
+        (rho + 1/rho)(hi - lo)/2; multiplied by |m| the test reads
+        |1 + m lo| + |1 + m hi| >= (rho + 1/rho)(hi - lo)|m|/2, which needs
+        no division and holds at m = 0."""
+        lo, hi = self.lo, self.hi
+        sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
+        return (np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi)
+                >= sum_min * np.abs(m))
+
     def transforms(self, m: np.ndarray):
-        """The sums over the atoms."""
-        return _rule_sums(self.locs, self.weights, m)
+        """The sums over the atoms, compressed where the pole is far.
+
+        A law of more than CHEB_NODES atoms sums S and T over _cheb_rule at
+        the m where _pole_is_far, and over its atoms elsewhere.  The rule
+        integrates the degree-(n - 1) interpolant p of g in its n =
+        CHEB_NODES points.  g(t) = t/(1+mt), and T's g^2 with its double
+        pole, are analytic inside the Bernstein ellipse E_rho through the
+        pole -1/m, rho >= CHEB_RHO_MIN.  For 1 < rho' < rho, with M_rho' the
+        max of |g| on E_rho', g's Chebyshev coefficients are at most
+        2 M_rho' rho'^-k; the interpolant aliases each T_k, k >= n, onto a
+        lower one, so |g - p| <= 4 M_rho' rho'^-(n-1) / (rho' - 1) on
+        [lo, hi] (Trefethen, Approximation Theory and Approximation
+        Practice, Thm 8.2, for n - 1 = 63).  The law's weights are positive
+        with sum 1, so the sum is off by no more.  Minimized over rho', at
+        rho = 2 the bound is at most 4.6e-17 max|g| for S and 1.3e-15
+        max|g|^2 for T, max over [lo, hi], on intervals from [0.01, 0.02]
+        to [0.001, 1]: a few rounding units of the exact sums' largest
+        term.  The path depends on m alone, so a value has the same bits in
+        any batch as alone, and real m stay real."""
+        if self.locs.size <= CHEB_NODES:
+            return _rule_sums(self.locs, self.weights, m)
+        far = self._pole_is_far(m)
+        if far.all():
+            return _rule_sums(*self._cheb_rule, m)
+        out = np.empty((2,) + m.shape, np.result_type(m, float))
+        out[:, far] = _rule_sums(*self._cheb_rule, m[far])
+        out[:, ~far] = _rule_sums(self.locs, self.weights, m[~far])
+        return tuple(out)
 
 
 def sample_population(law: PopulationLaw, m: int,

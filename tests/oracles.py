@@ -33,6 +33,10 @@ no code with freemp.freeconv.
 DensityLaw is a population law given by nothing but a density on [lo, hi],
 for inputs the shipped laws reject, such as densities that vanish to high
 order at an end of the support.
+
+ExactAtomicLaw sums over every atom at every m, where an AtomicLaw of many
+atoms takes its compressed Chebyshev rule; exact_empirical_measure builds
+it from a sample, in place of rmt's empirical_measure.
 """
 
 from dataclasses import dataclass
@@ -43,7 +47,8 @@ from scipy import integrate as sp_integrate
 
 from freemp.errors import ContourError, ConvergenceError, DomainError
 from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
-from freemp.measures import PopulationLaw, _rule_sums
+from freemp.measures import (AtomicLaw, PopulationLaw, _rule_sums,
+                             empirical_measure)
 
 QUAD_START_NODES = 32
 QUAD_MAX_NODES = 4096
@@ -70,6 +75,18 @@ class DensityLaw(PopulationLaw):
 
     def transforms(self, m):
         return _rule_sums(*self.quad_rule(DENSITY_LAW_NODES), m)
+
+
+class ExactAtomicLaw(AtomicLaw):
+    """An AtomicLaw whose S and T are always the sums over its atoms."""
+
+    def transforms(self, m):
+        return _rule_sums(self.locs, self.weights, m)
+
+
+def exact_empirical_measure(samples) -> ExactAtomicLaw:
+    law = empirical_measure(samples)
+    return ExactAtomicLaw(law.locs, law.weights)
 
 
 def _eval_on_nodes(g: Callable, t: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ from scipy import integrate as sp_integrate
 
 from freemp.errors import DomainError
 from freemp.grammar import format_func, format_law, parse_func, parse_law
-from freemp.measures import (_CHUNK_ELEMS, CLOSED_FORM_MIN, MASS_TOL,
-                             NEAR_NODES, AtomicLaw, LinearLaw, _rule_sums,
-                             empirical_measure, sample_population)
+from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
+                             CLOSED_FORM_MIN, MASS_TOL, NEAR_NODES, AtomicLaw,
+                             LinearLaw, _rule_sums, empirical_measure,
+                             sample_population)
 
 from oracles import integrate, quad_transforms
 
@@ -380,6 +381,127 @@ class TestAtomicLawTransforms:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20 + 2 * m.nbytes
+
+
+def two_cluster_law() -> AtomicLaw:
+    """600 equal atoms, half on [0.1, 0.2] and half on [0.8, 0.9]."""
+    rng = np.random.default_rng(12)
+    locs = np.sort(np.concatenate([rng.uniform(0.1, 0.2, 300),
+                                   rng.uniform(0.8, 0.9, 300)]))
+    return AtomicLaw(locs, np.full(locs.size, 1.0 / locs.size))
+
+
+def ellipse_points(lo: float, hi: float, rho: float, k: int = 48):
+    """The m whose poles -1/m lie on the Bernstein ellipse E_rho of
+    [lo, hi], k points around it, none on the real axis."""
+    w = rho * np.exp(2j * np.pi * (np.arange(k) + 0.25) / k)
+    return -1.0 / (0.5 * (lo + hi) + 0.25 * (hi - lo) * (w + 1.0 / w))
+
+
+class TestCompressedTransforms:
+    # the rule integrates every polynomial of degree < CHEB_NODES as the
+    # atoms do
+    def test_rule_reproduces_moments(self):
+        law = random_atomic_law(1000, 8)
+        tau, W = law._cheb_rule
+        assert tau.size == W.size == CHEB_NODES
+        assert tau.min() > law.lo and tau.max() < law.hi
+        s = (2.0 * law.locs - law.lo - law.hi) / (law.hi - law.lo)
+        x = (2.0 * tau - law.lo - law.hi) / (law.hi - law.lo)
+        for k in (0, 1, 2, 7, 31, CHEB_NODES - 1):
+            ref = law.weights @ np.cos(k * np.arccos(s))
+            assert abs(W @ np.cos(k * np.arccos(x)) - ref) <= 1e-14, k
+
+    # just outside rho = 2 the compressed rule, just inside the atoms:
+    # both within the 1e-13 bound of the long-double sums
+    @pytest.mark.parametrize("law", [random_atomic_law(1000, 5),
+                                     two_cluster_law()],
+                             ids=["atoms-1000", "two-cluster"])
+    def test_accuracy_on_both_sides_of_the_threshold(self, law):
+        for rho, far in ((CHEB_RHO_MIN * (1.0 + 1e-6), True),
+                         (CHEB_RHO_MIN * (1.0 - 1e-6), False),
+                         (1.2 * CHEB_RHO_MIN, True), (1.05, False)):
+            m = ellipse_points(law.lo, law.hi, rho)
+            assert np.all(law._pole_is_far(m) == far), rho
+            S, T = law.transforms(m)
+            s_ref, t_ref = longdouble_sums(law.locs, law.weights, m)
+            assert np.all(np.abs(S - s_ref) <= 1e-13 * np.abs(s_ref)), rho
+            assert np.all(np.abs(T - t_ref) <= 1e-13 * np.abs(t_ref)), rho
+
+    # poles in the gap of the two clusters lie inside [lo, hi]'s ellipse:
+    # the exact sums take over there, and match their own kernel bit for bit
+    def test_gap_poles_take_the_exact_path(self):
+        law = two_cluster_law()
+        p = np.linspace(0.25, 0.75, 41)
+        m = -1.0 / np.concatenate([p + 1e-3j, p - 0.1j])
+        assert not law._pole_is_far(m).any()
+        S, T = law.transforms(m)
+        s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
+        assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
+        s_ld, t_ld = longdouble_sums(law.locs, law.weights, m)
+        assert np.all(np.abs(S - s_ld) <= 1e-13 * np.abs(s_ld))
+        assert np.all(np.abs(T - t_ld) <= 1e-13 * np.abs(t_ld))
+
+    # m = 0 is always far; real m stay real on both paths
+    def test_zero_and_real_m(self):
+        law = random_atomic_law(1000, 9)
+        m = np.array([0.0, 0.3, -0.5, 4.0, -(1.0 / law.lo + 5.0), -40.0])
+        far = law._pole_is_far(m)
+        assert far[0] and far.any() and not far.all()
+        S, T = law.transforms(m)
+        assert S.dtype == T.dtype == float
+        s_ref, t_ref = longdouble_sums(law.locs, law.weights, m)
+        assert np.all(np.abs(S - s_ref.real) <= 1e-13 * np.abs(s_ref))
+        assert np.all(np.abs(T - t_ref.real) <= 1e-13 * np.abs(t_ref))
+        s0, t0 = law.transforms(np.zeros(1))
+        assert s0.dtype == float
+        assert abs(s0[0] - law.weights @ law.locs) <= 1e-15
+        assert abs(t0[0] - law.weights @ law.locs ** 2) <= 1e-15
+
+    # a batch that mixes both paths gives each row the bits of its m alone,
+    # across the chunk boundaries of both rules
+    def test_mixed_batch_bit_identical_to_alone(self, rng):
+        law = random_atomic_law(1000, 10)
+        steps = (_CHUNK_ELEMS // CHEB_NODES, _CHUNK_ELEMS // law.locs.size)
+        size = 2 * steps[0] + 3
+        far = law.hi ** -1 * (rng.uniform(0.05, 0.3, size)
+                              * np.exp(2j * np.pi * rng.random(size)))
+        near = ellipse_points(law.lo, law.hi, 1.5, size)
+        m = np.ravel(np.column_stack([far, near]))
+        assert law._pole_is_far(m).tolist() == [True, False] * size
+        S, T = law.transforms(m)
+        for step in steps:
+            for n in (1, 2 * step - 1, 2 * step, 2 * step + 1, 4 * step + 3):
+                for i in (0, 1, step, m.size - n):
+                    s, t = law.transforms(m[i:i + n])
+                    assert np.array_equal(s, S[i:i + n]), (n, i)
+                    assert np.array_equal(t, T[i:i + n]), (n, i)
+
+    # a law of at most CHEB_NODES atoms, dirac:c among them, always sums
+    # its atoms and never builds the rule
+    @pytest.mark.parametrize("atoms", [1, CHEB_NODES])
+    def test_small_laws_sum_their_atoms(self, atoms):
+        locs = np.linspace(0.2, 1.0, atoms)
+        law = AtomicLaw(locs, np.full(atoms, 1.0 / atoms))
+        m = np.array([0.0, 0.1 + 0.1j, -0.3 + 1e-3j, 2.0])
+        S, T = law.transforms(m)
+        s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
+        assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
+        assert "_cheb_rule" not in law.__dict__
+
+    # the rule is built once, from vectors of the atoms: no atoms-by-nodes
+    # array (512 KB here) is allocated
+    def test_rule_allocates_no_atoms_by_nodes_array(self):
+        law = random_atomic_law(1000, 6)
+        full = law.locs.size * CHEB_NODES * 8
+        tracemalloc.start()
+        try:
+            rule = law._cheb_rule
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full / 8
+        assert law._cheb_rule is rule
 
 
 class TestSampling:

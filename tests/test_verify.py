@@ -25,7 +25,8 @@ from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
                            _map_tasks, check_edges, check_hat_rate,
                            check_local_law, ks_normality, report_to_csv,
                            report_to_json, run_clt_experiment)
-from oracles import kolmogorov_sf, mp_stieltjes
+from oracles import (ExactAtomicLaw, exact_empirical_measure, kolmogorov_sf,
+                     mp_stieltjes)
 
 F_IDENTITY = parse_func("poly:0.0,1.0")
 F_ONE = parse_func("poly:1.0")
@@ -452,6 +453,67 @@ class TestHatRate:
         strict = check_hat_rate(*args)
         assert loose.passed and not strict.passed
         assert strict.slope == loose.slope
+
+
+def _exact_sums(monkeypatch):
+    """Make hat_fc convolve laws that sum every atom at every m."""
+    monkeypatch.setattr("freemp.rmt.empirical_measure",
+                        exact_empirical_measure)
+
+
+def _close(a, b, rtol=1e-12) -> bool:
+    return bool(np.all(np.abs(np.subtract(a, b)) <= rtol * np.abs(b)))
+
+
+# The compressed atom sums against the exact ones, end to end, at the
+# acceptance suite's configurations of checks 08, 09 and 10: values within
+# 1e-12 relative, the same verdicts
+class TestCompressedSumsAgreeWithExact:
+    SEED = 20240817
+
+    def test_hat_rate(self, uniform_half, monkeypatch):
+        args = (uniform_half, 0.5, (250, 500, 1000, 2000), 50, self.SEED)
+        rep = check_hat_rate(*args)
+        _exact_sums(monkeypatch)
+        ref = check_hat_rate(*args)
+        assert _close(rep.averages, ref.averages)
+        assert _close(rep.slope, ref.slope)
+        assert rep.passed == ref.passed
+
+    def test_hat_law_edges(self, uniform_half, monkeypatch):
+        spec = DataMatrixSpec.from_ratio(0.5, 1000)
+        draws = []
+        for ss in np.random.SeedSequence(918273645).spawn(100):
+            rng = np.random.default_rng(ss)
+            sigma = sample_population(uniform_half, spec.M, rng)
+            e = eigenvalues(sigma, sample_data_matrix(spec, rng))
+            fc = hat_fc(sigma, spec.M, spec.N)
+            draws.append((sigma, e, support_edges(fc),
+                          check_edges(e, fc, 0.1)))
+        _exact_sums(monkeypatch)
+        for sigma, e, edges, ok in draws:
+            fc = hat_fc(sigma, spec.M, spec.N)
+            assert isinstance(fc.base, ExactAtomicLaw)
+            ref = support_edges(fc)
+            assert _close([edges.L_minus, edges.L_plus],
+                          [ref.L_minus, ref.L_plus])
+            assert ok == check_edges(e, fc, 0.1)
+
+    def test_local_law(self, uniform_half, monkeypatch):
+        spec = DataMatrixSpec.from_ratio(0.5, 1000)
+        draws = []
+        for ss in np.random.SeedSequence(self.SEED).spawn(10):
+            rng = np.random.default_rng(ss)
+            sigma = sample_population(uniform_half, spec.M, rng)
+            draws.append((sigma, sample_data_matrix(spec, rng)))
+        reps = [check_local_law(sigma, X, tau=0.1, eps=0.1)
+                for sigma, X in draws]
+        _exact_sums(monkeypatch)
+        for rep, (sigma, X) in zip(reps, draws):
+            ref = check_local_law(sigma, X, tau=0.1, eps=0.1)
+            assert _close(rep.max_ratio, ref.max_ratio)
+            assert (rep.passed, rep.points, rep.skipped) == (
+                ref.passed, ref.points, ref.skipped)
 
 
 class TestSerializers:
