@@ -200,8 +200,8 @@ def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
     two levels agree.  Each v in clear_of must keep |1 + v m| off zero, and
-    the result must come out real, with |Im| below IMAG_TOL; a sum not
-    settled at MAX_CIRCLE_NODES raises ContourError.
+    each entry of the result must come out real, with |Im| below IMAG_TOL
+    max(1, |Re|); a sum not settled at MAX_CIRCLE_NODES raises ContourError.
     """
     if c is None:
         c = default_contour(fc)
@@ -239,11 +239,11 @@ def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
                                f"last two levels differ by {gap:.3e}")
         prev = cur
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    worst = float(np.max(np.abs(cur.imag)))
+    worst = float(np.max(np.abs(cur.imag) / np.maximum(1.0, np.abs(cur.real))))
     if worst >= IMAG_TOL:
         raise ContourError(
-            f"{what} came out non-real (|Im| = {worst:.3e}); the contour or "
-            f"transform values are inconsistent")
+            f"{what} came out non-real (|Im| / max(1, |Re|) = {worst:.3e}); "
+            f"the contour or transform values are inconsistent")
     return cur.real
 
 

@@ -8,7 +8,8 @@ Stieltjes transform m(z) of pi boxtimes MP_r is the unique solution of
 with Im m > 0 for Im z > 0.  The convolution equals (1 - r)^+ delta_0 plus an
 absolutely continuous part supported on [L_minus, L_plus]; the edges come from
 the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r, bisected on
-closed-form brackets (Silverstein & Choi, J. Multivariate Anal. 54, 1995).
+closed-form brackets (Silverstein & Choi, J. Multivariate Anal. 54, 1995);
+both brackets advance together, with one call of the transforms per step.
 Every integral against pi is one of the base law's own transforms, S(m) =
 int t/(1+mt) dpi and T(m) = int t^2/(1+mt)^2 dpi; freeconv does not choose
 how to integrate.
@@ -342,54 +343,46 @@ def density(fc: FreeConvolution, x: float) -> float:
 # ---------------------------------------------------------------------------
 # support edges
 
-def _h_value(fc, x: float) -> float:
-    """h(x) = x^2 T(-x)."""
-    _, t2 = fc.base.transforms(np.array([-x]))
-    return float(x * x * t2[0])
-
-
-def _edge_value(fc, x: float) -> float:
-    """z(-x) = 1/x + ratio S(-x), the edge at the root x."""
-    s, _ = fc.base.transforms(np.array([-x]))
-    return float(1.0 / x + fc.ratio * s[0])
-
-
-def _bisect_h(fc, a, b, pole, what):
-    """Bisection for h = 1/ratio between a, where h < 1/ratio, and b, where
-    h >= 1/ratio or, if pole, h has a pole; neither end is evaluated.  A root
-    within EDGE_BISECT_XTOL of the pole means h never reached 1/ratio."""
-    target, end, mid = 1.0 / fc.ratio, b, 0.5 * (a + b)
-    while abs(b - a) > EDGE_BISECT_XTOL and a != mid != b:
-        if _h_value(fc, mid) < target:
-            a = mid
-        else:
-            b = mid
-        mid = 0.5 * (a + b)
-    if pole and abs(mid - end) < EDGE_BISECT_XTOL:
-        raise EdgeBracketError(f"{what}: h stays below 1/ratio = {target!r} "
-                               f"up to its pole at x = {end!r}")
-    return mid
-
-
 def _find_edges(fc: FreeConvolution) -> SupportEdges:
-    """Edge roots of h = 1/ratio by bisection on closed-form brackets, on
-    which h is monotone, and their values z(-x)."""
-    t_min, t_max = fc.base.lo, fc.base.hi
-    # right root: h(0) = 0 and h grows to its pole at 1/t_max
-    x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
-    # left root: between near and far, the root for a point mass at t_min.
-    # ratio < 1: near is the pole 1/t_min; on x > 1/t_min, xt/(xt - 1) falls
-    # in t, so h(far) <= 1/ratio.  ratio > 1: near = 0 with h(0) = 0; on
-    # x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >= 1/ratio.  Equality
-    # holds only for a point mass at t_min, whose root is far itself.
+    """Edge roots of h(x) = x^2 T(-x) = 1/ratio by bisection on closed-form
+    brackets, on which h is monotone, and their values z(-x) = 1/x + ratio
+    S(-x).  Both brackets advance together: each step evaluates h at the
+    midpoints of the live ones in one transforms call.  A bracket runs from
+    a, where h < 1/ratio, to b, where h >= 1/ratio or h has a pole; neither
+    end is evaluated, and it stops once |b - a| <= EDGE_BISECT_XTOL or its
+    midpoint no longer splits it.  A root within EDGE_BISECT_XTOL of a pole
+    means h never reached 1/ratio.  A value depends on its own m alone, so
+    each root has the bits of a bisection of its bracket by itself."""
+    t_min, t_max, target = fc.base.lo, fc.base.hi, 1.0 / fc.ratio
+    # right root (index 1): h(0) = 0 and h grows to its pole at 1/t_max.
+    # left root (index 0): between near and far, the root for a point mass
+    # at t_min.  ratio < 1: near is the pole 1/t_min; on x > 1/t_min,
+    # xt/(xt - 1) falls in t, so h(far) <= 1/ratio.  ratio > 1: near = 0
+    # with h(0) = 0; on x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >=
+    # 1/ratio.  Equality holds only for a point mass at t_min, whose root
+    # is far itself.
     far = 1.0 / (t_min * (1.0 - math.sqrt(fc.ratio)))
-    if fc.ratio < 1.0:
-        x_minus = _bisect_h(fc, far, 1.0 / t_min, True, "left edge")
-    else:
-        x_minus = _bisect_h(fc, 0.0, far, False, "left edge")
-    edges = SupportEdges(L_minus=_edge_value(fc, x_minus),
-                         L_plus=_edge_value(fc, x_plus),
-                         x_minus=x_minus, x_plus=x_plus)
+    left = (far, 1.0 / t_min) if fc.ratio < 1.0 else (0.0, far)
+    a, b = np.array([left[0], 0.0]), np.array([left[1], 1.0 / t_max])
+    ends, mid = b.copy(), 0.5 * (a + b)
+    while True:
+        live = np.flatnonzero((np.abs(b - a) > EDGE_BISECT_XTOL)
+                              & (a != mid) & (mid != b))
+        if live.size == 0:
+            break
+        x = mid[live]
+        below = x * x * fc.base.transforms(-x)[1] < target
+        a[live[below]] = x[below]
+        b[live[~below]] = x[~below]
+        mid = 0.5 * (a + b)
+    for i, what, pole in ((1, "right edge", True),
+                          (0, "left edge", fc.ratio < 1.0)):
+        if pole and abs(mid[i] - ends[i]) < EDGE_BISECT_XTOL:
+            raise EdgeBracketError(
+                f"{what}: h stays below 1/ratio = {target!r} up to its pole "
+                f"at x = {float(ends[i])!r}")
+    L = 1.0 / mid + fc.ratio * fc.base.transforms(-mid)[0]
+    edges = SupportEdges(*L.tolist(), *mid.tolist())
     if not (0.0 < edges.L_minus < edges.L_plus):
         raise DomainError(f"edge values out of order: L_minus="
                           f"{edges.L_minus}, L_plus={edges.L_plus}")
@@ -398,5 +391,6 @@ def _find_edges(fc: FreeConvolution) -> SupportEdges:
 
 def support_edges(fc: FreeConvolution) -> SupportEdges:
     """Outer edges of the absolutely continuous support (any gaps lie
-    inside), computed once per FreeConvolution instance, on first use."""
+    inside), computed once per FreeConvolution instance, on first use;
+    both brackets are bisected together (_find_edges)."""
     return fc._edge_data

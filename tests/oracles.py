@@ -37,16 +37,23 @@ order at an end of the support.
 ExactAtomicLaw sums over every atom at every m, where an AtomicLaw of many
 atoms takes its compressed Chebyshev rule; exact_empirical_measure builds
 it from a sample, in place of rmt's empirical_measure.
+
+scalar_edges is the edge search as two scalar bisections, one m per
+transforms call: the left and right brackets one after the other.  The
+library's joint bisection must reproduce it bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate as sp_integrate
 
-from freemp.errors import ContourError, ConvergenceError, DomainError
-from freemp.freeconv import stieltjes_batch, stieltjes_derivative_batch
+from freemp.errors import (ContourError, ConvergenceError, DomainError,
+                           EdgeBracketError)
+from freemp.freeconv import (EDGE_BISECT_XTOL, SupportEdges, stieltjes_batch,
+                             stieltjes_derivative_batch)
 from freemp.measures import (AtomicLaw, PopulationLaw, _rule_sums,
                              empirical_measure)
 
@@ -255,6 +262,56 @@ def uniform_edges(lo: float, hi: float,
     x_plus = _bisect(g, 0.0, 1.0 / hi)
     x_minus = _bisect(g, 1.0 / (lo * (1.0 - np.sqrt(r))), 1.0 / lo)
     return edge_value(x_minus), edge_value(x_plus), x_minus, x_plus
+
+
+def _h_value(fc, x: float) -> float:
+    """h(x) = x^2 T(-x)."""
+    _, t2 = fc.base.transforms(np.array([-x]))
+    return float(x * x * t2[0])
+
+
+def _edge_value(fc, x: float) -> float:
+    """z(-x) = 1/x + ratio S(-x), the edge at the root x."""
+    s, _ = fc.base.transforms(np.array([-x]))
+    return float(1.0 / x + fc.ratio * s[0])
+
+
+def _bisect_h(fc, a, b, pole, what):
+    """Bisection for h = 1/ratio between a, where h < 1/ratio, and b, where
+    h >= 1/ratio or, if pole, h has a pole; neither end is evaluated.  A root
+    within EDGE_BISECT_XTOL of the pole means h never reached 1/ratio."""
+    target, end, mid = 1.0 / fc.ratio, b, 0.5 * (a + b)
+    while abs(b - a) > EDGE_BISECT_XTOL and a != mid != b:
+        if _h_value(fc, mid) < target:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    if pole and abs(mid - end) < EDGE_BISECT_XTOL:
+        raise EdgeBracketError(f"{what}: h stays below 1/ratio = {target!r} "
+                               f"up to its pole at x = {end!r}")
+    return mid
+
+
+def scalar_edges(fc) -> SupportEdges:
+    """Edge roots of h = 1/ratio by bisection on closed-form brackets, on
+    which h is monotone, and their values z(-x)."""
+    t_min, t_max = fc.base.lo, fc.base.hi
+    # right root: h(0) = 0 and h grows to its pole at 1/t_max
+    x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
+    # left root: between near and far, the root for a point mass at t_min.
+    # ratio < 1: near is the pole 1/t_min; on x > 1/t_min, xt/(xt - 1) falls
+    # in t, so h(far) <= 1/ratio.  ratio > 1: near = 0 with h(0) = 0; on
+    # x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >= 1/ratio.  Equality
+    # holds only for a point mass at t_min, whose root is far itself.
+    far = 1.0 / (t_min * (1.0 - math.sqrt(fc.ratio)))
+    if fc.ratio < 1.0:
+        x_minus = _bisect_h(fc, far, 1.0 / t_min, True, "left edge")
+    else:
+        x_minus = _bisect_h(fc, 0.0, far, False, "left edge")
+    return SupportEdges(L_minus=_edge_value(fc, x_minus),
+                        L_plus=_edge_value(fc, x_plus),
+                        x_minus=x_minus, x_plus=x_plus)
 
 
 def _mp_roots(z: complex, r: float) -> tuple[complex, complex]:

@@ -201,6 +201,27 @@ class TestRectangleOracle:
         assert abs(got - want) < 1e-10 * want
 
 
+class TestLargeF:
+    """The realness check is relative to |Re| where |Re| > 1: exp:s on
+    uniform:0.5,1 at ratio 1/2 has F(sigma) near 1e20 at s = 20, where the
+    trapezoid's |Im| of order 1e3 is rounding."""
+
+    @pytest.mark.parametrize("scale", [10.0, 20.0, 30.0])
+    def test_matches_rectangle_oracle(self, fc_uniform, scale):
+        f = Exponential(scale)
+        c = default_contour(fc_uniform)
+        want = rectangle_clt_variance(fc_uniform, f, c)
+        assert abs(clt_variance(fc_uniform, f) - want) <= 1e-12 * want
+
+    def test_complex_valued_f_rejected(self, fc_uniform):
+        class ImaginaryLine(contour.TestFunction):
+            def __call__(self, x):
+                return 1j * np.asarray(x)
+
+        with pytest.raises(ContourError, match="came out non-real"):
+            clt_variance(fc_uniform, ImaginaryLine())
+
+
 def _moments(law: str):
     """E[t^k], k = 0..4, by scipy quadrature of the population density."""
     pop = parse_law(law)

@@ -13,7 +13,7 @@ from freemp.rmt import hat_fc
 
 from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
                      mp_edges, mp_stieltjes, mp_stieltjes_derivative,
-                     quad_density, uniform_edges)
+                     quad_density, scalar_edges, uniform_edges)
 
 
 def contract_residual(fc, m, z):
@@ -453,9 +453,8 @@ class TestSupportEdges:
         assert e.L_plus == pytest.approx(L_plus, rel=1e-12, abs=0.0)
 
     def test_h_monotone_on_right_branch(self, fc_uniform):
-        from freemp.freeconv import _h_value
         xs = np.linspace(1e-3, 1.0 / fc_uniform.base.hi - 1e-3, 50)
-        hs = np.array([_h_value(fc_uniform, x) for x in xs])
+        hs = xs * xs * fc_uniform.base.transforms(-xs)[1]
         assert np.all(np.diff(hs) > 0.0)
 
     def test_discretized_edges_approach_population_edges(self, uniform_half, rng):
@@ -522,6 +521,63 @@ class TestSupportEdges:
         assert abs(e.x_plus - x_plus) <= 1e-12
         assert abs(e.x_minus - x_minus) <= 1e-12
         assert (density(fc, 0.5 * (e.L_minus + e.L_plus)) < 1e-12) == gap
+
+
+def _edge_law(spec):
+    """A law of the edge-search matrix: a grammar string, "hat500" for a
+    realized 500-atom uniform:0.5,1 sample, or (locs, weights) atoms."""
+    if spec == "hat500":
+        rng = np.random.default_rng(20240817)
+        return empirical_measure(
+            sample_population(LinearLaw(0.5, 1.0), 500, rng))
+    if isinstance(spec, str):
+        return parse_law(spec)
+    return AtomicLaw(np.array(spec[0]), np.array(spec[1]))
+
+
+EDGE_MATRIX = (
+    [("uniform:0.5,1", r) for r in (0.01, 0.5, 2.0, 4.0)]
+    + [("linear:0.2,1,1", 0.5), ("linear:0.2,1,1", 2.0),
+       ("linear:0.3,0.9,-2", 0.8)]
+    + [("dirac:1", r) for r in (0.25, 4.0, 1.0 - 1e-6, 1.0 + 1e-6)]
+    + [("uniform:0.05,1", 0.01), ("hat500", 0.5), ("hat500", 2.0)]
+    + [(([0.2, 1.0], [0.5, 0.5]), 0.01), (([0.2, 1.0], [0.5, 0.5]), 4.0),
+       (([0.3, 0.31, 1.0], [0.3, 0.3, 0.4]), 0.02)])
+EDGE_IDS = [f"{spec if isinstance(spec, str) else len(spec[0])}@{r!r}"
+            for spec, r in EDGE_MATRIX]
+
+
+class TestJointEdgeSearch:
+    """Both brackets bisect together, their midpoints in one transforms
+    call per step, and give the bits of two scalar bisections."""
+
+    @pytest.mark.parametrize("spec, ratio", EDGE_MATRIX, ids=EDGE_IDS)
+    def test_bit_identical_to_scalar_bisection(self, spec, ratio):
+        law = _edge_law(spec)
+        want = scalar_edges(FreeConvolution(law, ratio))
+        got = support_edges(FreeConvolution(law, ratio))
+        for key in ("L_minus", "L_plus", "x_minus", "x_plus"):
+            assert getattr(got, key).hex() == getattr(want, key).hex(), key
+
+    @pytest.mark.parametrize("spec, ratio", EDGE_MATRIX, ids=EDGE_IDS)
+    def test_one_call_per_step(self, monkeypatch, spec, ratio):
+        law = _edge_law(spec)
+        fc = FreeConvolution(law, ratio)
+        seen = spy_transforms(monkeypatch, fc)
+        scalar_edges(fc)
+        # the scalar search: right steps, left steps, then one call per
+        # edge value; right-bracket points are -x with 0 < x < 1/hi
+        x = -np.concatenate(seen)
+        n_right = int(np.count_nonzero((x > 0.0) & (x < 1.0 / law.hi)))
+        steps = (n_right - 1, len(seen) - n_right - 1)
+        seen.clear()
+        support_edges(fc)
+        sizes = [m.size for m in seen]
+        assert len(sizes) <= max(steps) + 1
+        assert sizes[:min(steps)] == [2] * min(steps)
+        assert sizes[-1] == 2
+        # next to ratio 1 the left bracket is about 2e6 wide: 53 steps
+        assert len(sizes) <= (54 if abs(ratio - 1.0) < 1e-3 else 47)
 
 
 class TestGuards:
