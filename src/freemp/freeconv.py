@@ -71,8 +71,9 @@ class FreeConvolution:
     def __post_init__(self):
         if not (self.ratio > 0.0) or not np.isfinite(self.ratio):
             raise DomainError(f"ratio {self.ratio} must be positive and finite")
-        if self.ratio == 1.0:
-            raise DomainError("ratio 1 is excluded (support reaches 0)")
+        if math.sqrt(self.ratio) == 1.0:   # 1 + 2^-52 too: no edge bracket
+            raise DomainError(f"ratio {self.ratio!r} is 1 to rounding "
+                              f"(support reaches 0)")
         if self.base.lo <= 0.0 or self.base.hi > 1.0 + 1e-12:
             raise DomainError("base measure support must lie inside (0, 1]")
 
@@ -206,6 +207,12 @@ def _continuation(fc, z):
         bad[idx] = q[idx] > MAX_STEP_RATIO
 
 
+def _refuse_non_finite(points: np.ndarray, name: str):
+    bad = np.flatnonzero(~np.isfinite(points))
+    if bad.size:
+        raise DomainError(f"{name} = {points[bad[0]].item()!r} is not finite")
+
+
 def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
     if atom_at_zero(fc) > 0.0 and np.any(x == 0.0):
         raise DomainError(f"stieltjes is undefined at z = 0 (point mass "
@@ -263,9 +270,11 @@ def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
     by the edge-distance guard; continuation lands on them at eta = 0 and
     they keep the real part, whose residual is checked again where dropping
     the imaginary part moved m.
-    Each ConvergenceError carries the points that failed as its z.
+    A non-finite z raises DomainError before any solve, and each
+    ConvergenceError carries the points that failed as its z.
     """
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
+    _refuse_non_finite(z, "z")
     is_real = z.imag == 0.0
     if is_real.any():
         _real_axis_guard(fc, z.real[is_real])
@@ -322,10 +331,12 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     tolerance, which pins it to rounding level in the bulk but only to about
     the tolerance's square root at a square-root edge.  Outside [L_minus,
     L_plus] the density is exactly 0, and only the points inside are
-    solved.  x = 0 raises DomainError when the law has a point mass there.
+    solved.  A non-finite x raises DomainError, and so does x = 0 when the
+    law has a point mass there.
     warn is accepted for existing callers and has no effect.
     """
     x = np.asarray(x, dtype=float).ravel()
+    _refuse_non_finite(x, "x")
     if atom_at_zero(fc) > 0.0 and np.any(x == 0.0):
         raise DomainError(f"density is undefined at x = 0 (point mass "
                           f"{atom_at_zero(fc)!r})")

@@ -1,28 +1,25 @@
 """Population laws: the base measures of the free convolution.
 
 A PopulationLaw is a probability law on a compact interval [lo, hi] of
-(0, 1].  One call of its transforms(m) returns both integrals the free
-convolution needs,
+[SUPPORT_MIN, 1].  One call of its transforms(m) returns both integrals the
+free convolution needs,
 
     S(m) = int t/(1+mt) dnu(t)   and   T(m) = int t^2/(1+mt)^2 dnu(t),
 
-and its inverse CDF is what the Monte Carlo layer draws from.  An AtomicLaw
-(a point mass dirac:c, or the realized spectrum of a sample) sums over its
-atoms: one complex reciprocal 1/(1+mt) per term, reduced by numpy rather
-than BLAS, in cache-sized chunks of at most _CHUNK_ELEMS terms that reuse
-one buffer per call, so a value depends only on its own m, not on its batch
-or the BLAS thread count.  A law of more than CHEB_NODES atoms sums instead
-over a compressed rule, CHEB_NODES Chebyshev points weighted by the law,
-wherever the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho >=
-CHEB_RHO_MIN, and at m = 0.  There the rule is off by less than 4.6e-17
-times the largest |t/(1+mt)| on [lo, hi] for S, and 1.3e-15 times its
-square for T (AtomicLaw.transforms derives this).  The path depends on m
-alone, so a value still does not depend on its batch.  A LinearLaw
-integrates in closed form away from m = 0, and on a 32-node Gauss-Legendre
-rule near it, where the closed forms cancel but the pole -1/m lies far
-from the support.  quad_rule(n) weights n Gauss-Legendre nodes on [lo, hi]
-by a law's density (an AtomicLaw's rule is its atoms); it is the rule of
-integrals other than S and T.
+and its inverse CDF is what the Monte Carlo layer draws from.  Every law
+evaluates them the same way (PopulationLaw.transforms): over its fixed rule
+where the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho >=
+CHEB_RHO_MIN, and at m = 0, where the rule is exact to rounding, and by its
+exact sums elsewhere.  A LinearLaw's rule is its 32-node Gauss-Legendre
+quad_rule and its exact sums are closed forms; an AtomicLaw's rule is
+CHEB_NODES Chebyshev points weighted by the law, or its atoms for a law of
+at most CHEB_NODES atoms (dirac:c), and its exact sums run over the atoms.
+Every sum takes one complex reciprocal 1/(1+mt) per term, reduced by numpy
+rather than BLAS in chunks of at most _CHUNK_ELEMS terms, so a value
+depends only on its own m, not on its batch or the BLAS thread count.
+quad_rule(n) weights n Gauss-Legendre nodes on [lo, hi] by a law's density
+(an AtomicLaw's are its atoms); it is the rule of integrals other than S
+and T.
 """
 
 from dataclasses import dataclass
@@ -33,10 +30,12 @@ import numpy as np
 from .errors import DomainError
 
 MASS_TOL = 1e-9
-CLOSED_FORM_MIN = 0.75        # closed forms where |m| hi reaches this
-NEAR_NODES = 32               # rule of the transforms where it does not
-CHEB_NODES = 64               # an atomic law's compressed rule
-CHEB_RHO_MIN = 2.0            # ellipse of the pole where that rule is used
+# the edge brackets reach x = 1/(lo |1 - sqrt(ratio)|) <= 2^53/lo, since
+# sqrt(ratio) != 1; the closed forms' x^3 stays finite for lo >= 2^-288
+SUPPORT_MIN = 2.0 ** -288
+LINEAR_NODES = 32             # a LinearLaw's fixed rule
+CHEB_NODES = 64               # an AtomicLaw's fixed rule
+CHEB_RHO_MIN = 2.0            # ellipse of the pole where the fixed rule is used
 _CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 
 
@@ -74,32 +73,55 @@ def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray):
 
 
 class PopulationLaw:
-    """Population law on [lo, hi].
-
-    Subclasses provide quantile(u), the inverse CDF mapping [0, 1] onto
-    [lo, hi], transforms(m), the law's S(m) and T(m) from one call at an
-    array of m, and density(t) (vectorized, positive and bounded on the
-    support) or their own quad_rule.  The law is itself the measure
-    FreeConvolution integrates against.
-    """
+    """Population law on [lo, hi], itself the measure FreeConvolution
+    integrates against.  Subclasses provide quantile(u), the inverse CDF
+    mapping [0, 1] onto [lo, hi]; _rule, the fixed rule (nodes, weights) of
+    S and T, built once per law; _exact_sums(m), the S and T off that rule;
+    and quad_rule(n), the law's rule of other integrals."""
 
     lo: float
     hi: float
 
+    def _pole_is_far(self, m: np.ndarray) -> np.ndarray:
+        """True where the pole -1/m lies on a Bernstein ellipse E_rho of
+        [lo, hi] with rho >= CHEB_RHO_MIN, or m = 0.  E_rho has foci lo and
+        hi and focal-distance sum (rho + 1/rho)(hi - lo)/2; multiplied by
+        |m|, the test needs no division and holds at m = 0."""
+        lo, hi = self.lo, self.hi
+        sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
+        return (np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi)
+                >= sum_min * np.abs(m))
+
     def transforms(self, m: np.ndarray):
-        """(S(m), T(m)), elementwise over the array m."""
-        raise NotImplementedError
+        """(S(m), T(m)), elementwise over the array m: sums over _rule where
+        _pole_is_far(m), and _exact_sums elsewhere.  A batch wholly on one
+        side makes one sums call, and an empty batch builds no rule.
 
-    def quantile(self, u):
-        raise NotImplementedError
-
-    def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n Gauss-Legendre nodes mapped onto [lo, hi]; the weights include
-        the density."""
-        x, w = _leggauss(n)
-        a, b = self.lo, self.hi
-        t = 0.5 * (b - a) * x + 0.5 * (b + a)
-        return t, 0.5 * (b - a) * w * np.asarray(self.density(t), dtype=float)
+        There the rule is exact to rounding.  g(t) = t/(1+mt) and T's g^2
+        are analytic inside the ellipse E_rho through the pole; for 1 <
+        rho' < rho let M be the max of |g| on E_rho'.  The Chebyshev rule of
+        n = CHEB_NODES points integrates g's interpolant against positive
+        weights of sum 1, and the interpolant aliases each T_k, k >= n, onto
+        a lower one, so it is within 4 M rho'^-(n-1) / (rho' - 1) of g on
+        [lo, hi] (Trefethen, Approximation Theory and Approximation
+        Practice, Thm 8.2).  n Gauss-Legendre nodes integrate f on [-1, 1]
+        to within (64/15) max|f| rho'^-2n / (rho'^2 - 1) (ibid., Thm 19.3);
+        an affine density is at most 2.25/(hi - lo) on E_rho', so at n =
+        LINEAR_NODES that is (24/5) M rho'^-64 / (rho'^2 - 1).  T takes M^2.
+        At rho = 2, minimized over rho', the bounds are 4.6e-17 max|g| for S
+        and 1.3e-15 max|g|^2 for T (Chebyshev) and 9.5e-18 and 2.6e-16
+        (Gauss-Legendre), max over [lo, hi], on intervals from [1e-80, 1] to
+        widths of 1e-10.  The path depends on m alone, so a value has the
+        same bits in any batch as alone, and real m stay real."""
+        far = self._pole_is_far(m)
+        if not far.any():
+            return self._exact_sums(m)
+        if far.all():
+            return _rule_sums(*self._rule, m)
+        out = np.empty((2,) + m.shape, np.result_type(m, float))
+        out[:, far] = _rule_sums(*self._rule, m[far])
+        out[:, ~far] = self._exact_sums(m[~far])
+        return tuple(out)
 
     def as_measure(self) -> "PopulationLaw":
         """The law itself: a law is already a measure."""
@@ -119,9 +141,9 @@ class LinearLaw(PopulationLaw):
     slope: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.lo < self.hi <= 1.0):
-            raise DomainError(
-                f"population support [{self.lo}, {self.hi}] must lie in (0, 1]")
+        if not (SUPPORT_MIN <= self.lo < self.hi <= 1.0):
+            raise DomainError(f"population support [{self.lo}, {self.hi}] "
+                              f"must lie in [{SUPPORT_MIN:.4g}, 1]")
         if not abs(self.slope) < 2.0 / (self.hi - self.lo) ** 2:
             raise DomainError(
                 f"slope {self.slope} makes the density vanish inside "
@@ -137,19 +159,21 @@ class LinearLaw(PopulationLaw):
         inside = (t >= self.lo) & (t <= self.hi)
         return np.where(inside, self._alpha + self.slope * (t - self.lo), 0.0)
 
-    def transforms(self, m: np.ndarray):
-        """S and T in closed form where |m| hi >= CLOSED_FORM_MIN.  Nearer
-        m = 0 the closed forms cancel, but the pole -1/m lies beyond
-        (4/3) hi, so the NEAR_NODES rule is exact to rounding there.  Each
-        value depends on its own m only, alone or inside a batch."""
-        near = np.abs(m) * self.hi < CLOSED_FORM_MIN
-        out = np.empty((2,) + m.shape, np.result_type(m, float))
-        out[:, near] = _rule_sums(*self.quad_rule(NEAR_NODES), m[near])
-        out[:, ~near] = self._closed_forms(m[~near])
-        return tuple(out)
+    def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n Gauss-Legendre nodes mapped onto [lo, hi], weighted by the
+        density at the exact nodes lo + (hi - lo)(1 + x)/2, not at their
+        rounded values, so a steep narrow law keeps its mass to rounding."""
+        x, w = _leggauss(n)
+        half = 0.5 * (self.hi - self.lo)
+        t = half * x + 0.5 * (self.hi + self.lo)
+        return t, half * w * (self._alpha + self.slope * half * (1.0 + x))
 
-    def _closed_forms(self, x: np.ndarray):
-        """S and T of the density a0 + a1 t.  With u = 1 + x t,
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.quad_rule(LINEAR_NODES)
+
+    def _exact_sums(self, x: np.ndarray):
+        """S and T of the density a0 + a1 t in closed form.  With u = 1 + x t,
         w = hi - lo, L = log(u(hi)/u(lo)) and D the change from lo to hi,
 
             x^2 S = a0 (w x - L) + a1 ((hi^2 - lo^2) x^2/2 - w x + L) / x
@@ -183,9 +207,10 @@ class LinearLaw(PopulationLaw):
 
 @dataclass(frozen=True, eq=False)
 class AtomicLaw(PopulationLaw):
-    """Mass weights[i] at locs[i]: locs sorted, distinct and in (0, 1],
-    weights positive with total mass 1 within MASS_TOL.  dirac:c is the
-    one-atom law; empirical_measure builds the law of a sample."""
+    """Mass weights[i] at locs[i]: locs sorted, distinct and in
+    [SUPPORT_MIN, 1], weights positive with total mass 1 within MASS_TOL.
+    dirac:c is the one-atom law; empirical_measure builds the law of a
+    sample."""
 
     locs: np.ndarray
     weights: np.ndarray
@@ -197,8 +222,9 @@ class AtomicLaw(PopulationLaw):
             raise DomainError(f"atomic law needs an atom and one weight per "
                               f"atom: got {locs.shape} and {weights.shape}")
         # NaN fails every comparison, so these checks reject it too
-        if not np.all((locs > 0.0) & (locs <= 1.0)):
-            raise DomainError("atom locations must lie in (0, 1]")
+        if not np.all((locs >= SUPPORT_MIN) & (locs <= 1.0)):
+            raise DomainError(
+                f"atom locations must lie in [{SUPPORT_MIN:.4g}, 1]")
         if not np.all(locs[1:] > locs[:-1]):
             raise DomainError("atom locations must be sorted and distinct")
         if not np.all(weights > 0.0):
@@ -229,15 +255,18 @@ class AtomicLaw(PopulationLaw):
 
     def quad_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The atoms and their weights, exact for every integrand; n is
-        ignored.  transforms may use the compressed _cheb_rule instead;
-        this rule stays the atoms."""
+        ignored."""
         return self.locs, self.weights
 
+    def _exact_sums(self, m: np.ndarray):
+        return _rule_sums(self.locs, self.weights, m)
+
     @cached_property
-    def _cheb_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """CHEB_NODES first-kind Chebyshev points tau_j on [lo, hi] and
-        weights W_j = sum_i w_i l_j(t_i), so that sum_j W_j g(tau_j) is the
-        law's integral of g's interpolant in the tau_j.
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms of a law of at most CHEB_NODES atoms.  Otherwise
+        CHEB_NODES first-kind Chebyshev points tau_j on [lo, hi] and weights
+        W_j = sum_i w_i l_j(t_i), so that sum_j W_j g(tau_j) is the law's
+        integral of g's interpolant in the tau_j.
 
         With s = (2t - lo - hi)/(hi - lo) and tau_j at x_j = cos((j + 1/2)
         pi/n), the interpolant's coefficients are c_k = (2/n) sum_j g(tau_j)
@@ -247,6 +276,8 @@ class AtomicLaw(PopulationLaw):
         atoms and the series from chebval at the n points, so no
         atoms-by-nodes array is made."""
         n = CHEB_NODES
+        if self.locs.size <= n:
+            return self.locs, self.weights
         lo, hi = self.lo, self.hi
         s = (2.0 * self.locs - (lo + hi)) / (hi - lo)
         mu = np.empty(n)
@@ -261,49 +292,6 @@ class AtomicLaw(PopulationLaw):
         x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
         W = (2.0 / n) * (np.polynomial.chebyshev.chebval(x, mu) - 0.5 * mu[0])
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, W
-
-    def _pole_is_far(self, m: np.ndarray) -> np.ndarray:
-        """True where the pole p = -1/m lies on a Bernstein ellipse of
-        [lo, hi] with parameter rho >= CHEB_RHO_MIN, or m = 0.
-
-        The ellipse E_rho has foci lo and hi and focal-distance sum
-        (rho + 1/rho)(hi - lo)/2; multiplied by |m| the test reads
-        |1 + m lo| + |1 + m hi| >= (rho + 1/rho)(hi - lo)|m|/2, which needs
-        no division and holds at m = 0."""
-        lo, hi = self.lo, self.hi
-        sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
-        return (np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi)
-                >= sum_min * np.abs(m))
-
-    def transforms(self, m: np.ndarray):
-        """The sums over the atoms, compressed where the pole is far.
-
-        A law of more than CHEB_NODES atoms sums S and T over _cheb_rule at
-        the m where _pole_is_far, and over its atoms elsewhere.  The rule
-        integrates the degree-(n - 1) interpolant p of g in its n =
-        CHEB_NODES points.  g(t) = t/(1+mt), and T's g^2 with its double
-        pole, are analytic inside the Bernstein ellipse E_rho through the
-        pole -1/m, rho >= CHEB_RHO_MIN.  For 1 < rho' < rho, with M_rho' the
-        max of |g| on E_rho', g's Chebyshev coefficients are at most
-        2 M_rho' rho'^-k; the interpolant aliases each T_k, k >= n, onto a
-        lower one, so |g - p| <= 4 M_rho' rho'^-(n-1) / (rho' - 1) on
-        [lo, hi] (Trefethen, Approximation Theory and Approximation
-        Practice, Thm 8.2, for n - 1 = 63).  The law's weights are positive
-        with sum 1, so the sum is off by no more.  Minimized over rho', at
-        rho = 2 the bound is at most 4.6e-17 max|g| for S and 1.3e-15
-        max|g|^2 for T, max over [lo, hi], on intervals from [0.01, 0.02]
-        to [0.001, 1]: a few rounding units of the exact sums' largest
-        term.  The path depends on m alone, so a value has the same bits in
-        any batch as alone, and real m stay real."""
-        if self.locs.size <= CHEB_NODES:
-            return _rule_sums(self.locs, self.weights, m)
-        far = self._pole_is_far(m)
-        if far.all():
-            return _rule_sums(*self._cheb_rule, m)
-        out = np.empty((2,) + m.shape, np.result_type(m, float))
-        out[:, far] = _rule_sums(*self._cheb_rule, m[far])
-        out[:, ~far] = _rule_sums(self.locs, self.weights, m[~far])
-        return tuple(out)
 
 
 def sample_population(law: PopulationLaw, m: int,

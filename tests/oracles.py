@@ -30,6 +30,11 @@ the real part of the integrand's pole -1/m.  quad_density is a Newton
 solve of z(m) = -1/m + r S(m) = x marched along the real axis; it shares
 no code with freemp.freeconv.
 
+gl_transforms references the transforms of a narrow density law, one whose
+width is small next to the distance of every pole -1/m it meets: a
+200-node Gauss-Legendre rule summed in long double, exact to rounding
+there, with none of the library's rules or closed forms.
+
 DensityLaw is a population law given by nothing but a density on [lo, hi],
 for inputs the shipped laws reject, such as densities that vanish to high
 order at an end of the support.
@@ -67,6 +72,7 @@ RECT_ATOL = 1e-10
 DENSITY_LAW_NODES = 512
 SPLIT_QUAD_RTOL = 1e-12
 SPLIT_QUAD_ATOL = 1e-14
+ORACLE_GL_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,13 @@ class DensityLaw(PopulationLaw):
 
     def density(self, t):
         return self.fn(np.asarray(t, dtype=float))
+
+    def quad_rule(self, n):
+        """n Gauss-Legendre nodes mapped onto [lo, hi], weighted by fn."""
+        x, w = np.polynomial.legendre.leggauss(n)
+        a, b = self.lo, self.hi
+        t = 0.5 * (b - a) * x + 0.5 * (b + a)
+        return t, 0.5 * (b - a) * w * self.density(t)
 
     def transforms(self, m):
         return _rule_sums(*self.quad_rule(DENSITY_LAW_NODES), m)
@@ -168,6 +181,19 @@ def quad_transforms(p: Callable, lo: float, hi: float, m: complex,
                         lo, hi, pole, SPLIT_QUAD_RTOL),
             _split_quad(lambda t: p(t) * t * t / (1.0 + m * t) ** 2,
                         lo, hi, pole, t_rtol))
+
+
+def gl_transforms(p: Callable, lo: float, hi: float,
+                  m) -> tuple[np.ndarray, np.ndarray]:
+    """S(m) and T(m) of the density p on [lo, hi] at an array of m, by an
+    ORACLE_GL_NODES-point Gauss-Legendre rule whose nodes, weights and sums
+    are carried in long double; p gets the long-double nodes."""
+    x, w = np.polynomial.legendre.leggauss(ORACLE_GL_NODES)
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x.astype(np.longdouble)
+    wt = 0.5 * (hi - lo) * w.astype(np.longdouble) * p(t)
+    u = 1.0 + np.multiply.outer(np.asarray(m, dtype=np.clongdouble), t)
+    return (wt * t / u).sum(-1), (wt * t * t / (u * u)).sum(-1)
 
 
 def _quad_newton(p, lo, hi, r: float, z: complex, m: complex) -> complex:

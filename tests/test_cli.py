@@ -287,7 +287,9 @@ class TestDispatch:
         assert blocker.read_text() == "occupied\n"
 
     # real-valued keys and spec arguments alike: NaN would pass every
-    # comparison downstream, and inf would reach the solver or the artifact
+    # comparison downstream, and inf would reach the solver or the artifact;
+    # so would a law below the support floor, whose edge arithmetic
+    # overflows
     @pytest.mark.parametrize("args, key", [
         (["edges", "--gamma0", "0.5", "--nu", "linear:0.2,1,nan"], "nu"),
         (["variance", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
@@ -307,9 +309,14 @@ class TestDispatch:
         (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
           "--n", "100", "--tau", "nan"], "tau"),
         (["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
-          "--n", "100", "--eps", "inf"], "eps")],
+          "--n", "100", "--eps", "inf"], "eps"),
+        (["edges", "--gamma0", "0.5", "--nu", "dirac:1e-300"], "nu"),
+        (["density", "--gamma0", "0.5", "--nu", "uniform:1e-200,2e-200"],
+         "nu"),
+        (["edges", "--gamma0", "0.5", "--nu", "uniform:1e-103,1"], "nu")],
         ids=["edges", "variance", "gamma0-nan", "gamma0-inf", "d", "xmin",
-             "xmax", "xmin-neg-inf", "xmin-neg-inf-word", "tau", "eps"])
+             "xmax", "xmin-neg-inf", "xmin-neg-inf-word", "tau", "eps",
+             "tiny-dirac", "tiny-uniform", "tiny-lo"])
     def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args, key):
         code = main(args + ["--output", str(tmp_path)])
         assert code == 1

@@ -11,9 +11,10 @@ from freemp.measures import (AtomicLaw, LinearLaw, empirical_measure,
                              sample_population)
 from freemp.rmt import hat_fc
 
-from oracles import (DensityLaw, integrate, mp_density, mp_edge_roots,
-                     mp_edges, mp_stieltjes, mp_stieltjes_derivative,
-                     quad_density, scalar_edges, uniform_edges)
+from oracles import (DensityLaw, gl_transforms, integrate, mp_density,
+                     mp_edge_roots, mp_edges, mp_stieltjes,
+                     mp_stieltjes_derivative, quad_density, scalar_edges,
+                     uniform_edges)
 
 
 def contract_residual(fc, m, z):
@@ -599,7 +600,79 @@ class TestGuards:
         with pytest.raises(DomainError):
             FreeConvolution(dirac_one, 1.0)
 
+    # 1 + 2^-52 has square root 1.0 in floating point, so the left edge
+    # bracket 1/(t_min (1 - sqrt(ratio))) would divide by zero; its
+    # neighbours on both sides have a bracket and are accepted
+    def test_ratio_one_to_rounding_rejected(self, dirac_one):
+        with pytest.raises(DomainError, match="1 to rounding"):
+            FreeConvolution(dirac_one, 1.0 + 2.0 ** -52)
+        for ratio in (1.0 - 2.0 ** -53, 1.0 + 2.0 ** -51):
+            assert FreeConvolution(dirac_one, ratio).ratio == ratio
+
+    # NaN or infinite points are refused before any solve, naming the point
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.5, np.inf),
+                                     complex(np.nan, 1.0)],
+                             ids=["nan", "inf", "-inf", "inf-imag",
+                                  "nan-real"])
+    def test_non_finite_z_rejected(self, fc_uniform, monkeypatch, bad):
+        seen = spy_transforms(monkeypatch, fc_uniform)
+        z = np.array([0.75 + 0.1j, bad, 2.0])
+        with pytest.raises(DomainError, match=r"z = .* is not finite"):
+            stieltjes_batch(fc_uniform, z)
+        if complex(bad).imag == 0.0:
+            with pytest.raises(DomainError, match=r"x = .* is not finite"):
+                density_batch(fc_uniform, z.real)
+        assert seen == []
+
     def test_base_support_outside_unit_interval_rejected(self):
         base = DensityLaw(0.5, 1.5, lambda t: np.ones_like(t))
         with pytest.raises(DomainError, match="inside"):
             FreeConvolution(base, 0.5)
+
+
+def narrow_case(width: float, slope_frac: float):
+    """LinearLaw on [0.5, 0.5 + width] at slope slope_frac of its
+    positivity limit 2/width^2, at ratio 1/2, and its density for
+    gl_transforms."""
+    law = LinearLaw(0.5, 0.5 + width, slope_frac * 2.0 / width ** 2)
+    lo, w = np.longdouble(law.lo), np.longdouble(law.hi) - np.longdouble(law.lo)
+    alpha = 1.0 / w - 0.5 * law.slope * w
+    return FreeConvolution(law, 0.5), lambda t: alpha + law.slope * (t - lo)
+
+
+def oracle_backward_error(fc, p, m, z):
+    """|1/m + z - r S(m)| / max(1, |z|) with S from gl_transforms."""
+    s, _ = gl_transforms(p, fc.base.lo, fc.base.hi, m)
+    res = np.abs(1.0 / m.astype(np.clongdouble) + z - fc.ratio * s)
+    return (res / np.maximum(1.0, np.abs(z))).astype(float)
+
+
+class TestNarrowLinearLaw:
+    """Laws of small spread, on the way to a fixed population.  Their
+    closed forms lose about log10(1/width) digits, so the solver must meet
+    its tolerance against the exact S, not only against its own."""
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("slope_frac", [0.0, 0.99, -0.99])
+    def test_stieltjes_backward_error(self, width, slope_frac):
+        fc, p = narrow_case(width, slope_frac)
+        x = np.linspace(-0.5, 2.5, 13)
+        z = np.concatenate([x + 1j * eta for eta in (1e-3, 0.1, 3.0)]
+                           + [x - 0.1j, [-1.0, 0.01, 2.0, 3.0]])
+        m = stieltjes_batch(fc, z)
+        assert np.all(oracle_backward_error(fc, p, m, z)
+                      <= freeconv.RESIDUAL_TOL)
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("slope_frac", [0.0, 0.99, -0.99])
+    def test_density_backward_error(self, width, slope_frac):
+        fc, p = narrow_case(width, slope_frac)
+        e = support_edges(fc)
+        x = np.linspace(e.L_minus, e.L_plus, 25)[1:-1]
+        m = freeconv._solve(fc, x.astype(complex))
+        assert np.all(m.imag != 0.0)
+        assert np.array_equal(density_batch(fc, x), np.abs(m.imag) / np.pi)
+        assert np.all(oracle_backward_error(fc, p, m, x)
+                      <= freeconv.RESIDUAL_TOL)
+

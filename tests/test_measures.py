@@ -1,13 +1,16 @@
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from freemp import measures
 from freemp.errors import DomainError
+from freemp.freeconv import FreeConvolution, support_edges
 from freemp.grammar import format_func, format_law, parse_func, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
-                             CLOSED_FORM_MIN, MASS_TOL, NEAR_NODES, AtomicLaw,
+                             LINEAR_NODES, MASS_TOL, SUPPORT_MIN, AtomicLaw,
                              LinearLaw, _rule_sums, empirical_measure,
                              sample_population)
 
@@ -172,7 +175,9 @@ class TestPopulationLaws:
         with pytest.raises(DomainError):
             LinearLaw(0.5, 1.0, slope=float("nan"))
 
-    # the same expressions as the explicit Gauss-Legendre mapping, bit for bit
+    # the nodes are the explicit Gauss-Legendre mapping, bit for bit; the
+    # weights take the density at the exact nodes, which for slope 0 is the
+    # density at the rounded ones, bit for bit
     @pytest.mark.parametrize("law, n", [
         (LinearLaw(0.5, 1.0), 256), (LinearLaw(0.2, 1.0, 1.0), 512)],
         ids=["uniform", "linear"])
@@ -182,7 +187,23 @@ class TestPopulationLaws:
         t_ref = 0.5 * (b - a) * x + 0.5 * (b + a)
         t, w_eff = law.quad_rule(n)
         assert np.array_equal(t, t_ref)
-        assert np.array_equal(w_eff, 0.5 * (b - a) * w * law.density(t_ref))
+        w_ref = 0.5 * (b - a) * w * law.density(t_ref)
+        if law.slope == 0.0:
+            assert np.array_equal(w_eff, w_ref)
+        assert np.allclose(w_eff, w_ref, rtol=1e-14, atol=0.0)
+
+    # a law of small spread and a slope near its limit 2/width^2: the
+    # density at the rounded nodes would miss the mass by about
+    # slope width eps, 5.5e-11 at width 1e-6 and half the limit
+    @pytest.mark.parametrize("width", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("slope_frac", [0.99, -0.99])
+    def test_steep_narrow_rule_keeps_mass(self, width, slope_frac):
+        law = LinearLaw(0.5, 0.5 + width, slope_frac * 2.0 / width ** 2)
+        t, w = law.quad_rule(LINEAR_NODES)
+        lo, hi = np.longdouble(law.lo), np.longdouble(law.hi)
+        mean = 0.5 * (lo + hi) + law.slope * (hi - lo) ** 3 / 12.0
+        assert abs(w.sum() - 1.0) <= 4e-16
+        assert abs(np.sum(w.astype(np.longdouble) * t) - mean) <= 1e-15
 
     @pytest.mark.parametrize("law", [
         LinearLaw(0.5, 1.0), LinearLaw(0.2, 1.0, 1.0), AtomicLaw([0.7], [1.0])],
@@ -197,18 +218,29 @@ class TestPopulationLaws:
             LinearLaw(0.5, 1.2)
 
 
+def ellipse_points(lo: float, hi: float, rho: float, k: int = 48):
+    """The m whose poles -1/m lie on the Bernstein ellipse E_rho of
+    [lo, hi], k points around it, none on the real axis."""
+    w = rho * np.exp(2j * np.pi * (np.arange(k) + 0.25) / k)
+    return -1.0 / (0.5 * (lo + hi) + 0.25 * (hi - lo) * (w + 1.0 / w))
+
+
 def transform_points(lo: float, hi: float) -> np.ndarray:
-    """m = 0; real m on both sides of |m| hi = CLOSED_FORM_MIN; real m next
-    to the poles -1/hi and -1/lo and beyond -1/lo; off-axis m next to the
-    poles and around circles that straddle the threshold."""
-    edge = CLOSED_FORM_MIN / hi
-    real = [0.0, 0.1 / hi, 0.7 * edge, 0.99 * edge, edge, 1.01 * edge,
-            1.3 * edge, 5.0 / hi, 40.0, -0.99 * edge, -1.01 * edge,
-            -(1.0 - 1e-3) / hi, -(1.0 + 1e-3) / lo, -2.0 / lo]
+    """m = 0; real m whose poles sit on both sides of the rho = CHEB_RHO_MIN
+    ellipse where it crosses the real axis; real m next to the poles -1/hi
+    and -1/lo and beyond -1/lo; off-axis m next to the poles; and m whose
+    poles go around ellipses just inside and outside rho = CHEB_RHO_MIN,
+    near the support and far from it."""
+    c = 0.5 * (lo + hi)
+    a = 0.25 * (hi - lo) * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN)
+    real = [0.0, 0.1 / hi, 5.0 / hi, 40.0, -(1.0 - 1e-3) / hi,
+            -(1.0 + 1e-3) / lo, -2.0 / lo]
+    real += [-1.0 / (c + f * side * a) for side in (1.0, -1.0)
+             for f in (0.98, 0.999, 1.001, 1.02)]
     poles = [-(1.0 + 1e-2j) / hi, -(1.0 - 1e-2j) / lo,
              -(1.0 + 0.1j) / (0.5 * (lo + hi))]
-    circle = np.exp(2j * np.pi * (np.arange(12) + 0.5) / 12)
-    rings = [k * edge * circle for k in (0.5, 0.98, 1.02, 2.0, 8.0)]
+    rings = [ellipse_points(lo, hi, rho * CHEB_RHO_MIN, 12)
+             for rho in (0.6, 0.98, 1.02, 2.0, 8.0)]
     return np.concatenate([np.array(real + poles, dtype=complex)] + rings)
 
 
@@ -222,6 +254,8 @@ class TestLinearLawTransforms:
         law = LinearLaw(lo, hi, slope)
         p = lambda t: 1.0 / (hi - lo) + slope * (t - 0.5 * (lo + hi))
         m = transform_points(lo, hi)
+        far = law._pole_is_far(m)
+        assert far.any() and not far.all()
         S, T = law.transforms(m)
         for k, mk in enumerate(m):
             s_ref, t_ref = quad_transforms(p, lo, hi, mk)
@@ -306,8 +340,7 @@ class TestAtomicLawTransforms:
 
     # one chunk buffer serves every chunk of a call, the last one partial
     # at all but the batch of exactly one chunk: each row matches the same
-    # m alone, on 500 atoms and on LinearLaw's near-zero rule, whose m sit
-    # inside |m| hi < CLOSED_FORM_MIN
+    # m alone, on 500 atoms and on LinearLaw's fixed rule near m = 0
     @pytest.mark.parametrize("rule", ["atoms-500", "linear-near"])
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_rule_sums_reused_buffer_per_point(self, rule, kind, rng):
@@ -316,8 +349,9 @@ class TestAtomicLawTransforms:
             scale = 3.0
         else:
             law = LinearLaw(0.2, 1.0, 1.0)
-            t, w = law.quad_rule(NEAR_NODES)
-            scale = 0.5 * CLOSED_FORM_MIN / law.hi
+            t, w = law._rule
+            assert t.size == LINEAR_NODES
+            scale = 0.375 / law.hi
         step = _CHUNK_ELEMS // t.size
         for size in (step - 1, step, step + 1, 2 * step + 3):
             m = scale * rng.uniform(-1.0, 1.0, size)
@@ -391,19 +425,12 @@ def two_cluster_law() -> AtomicLaw:
     return AtomicLaw(locs, np.full(locs.size, 1.0 / locs.size))
 
 
-def ellipse_points(lo: float, hi: float, rho: float, k: int = 48):
-    """The m whose poles -1/m lie on the Bernstein ellipse E_rho of
-    [lo, hi], k points around it, none on the real axis."""
-    w = rho * np.exp(2j * np.pi * (np.arange(k) + 0.25) / k)
-    return -1.0 / (0.5 * (lo + hi) + 0.25 * (hi - lo) * (w + 1.0 / w))
-
-
 class TestCompressedTransforms:
     # the rule integrates every polynomial of degree < CHEB_NODES as the
     # atoms do
     def test_rule_reproduces_moments(self):
         law = random_atomic_law(1000, 8)
-        tau, W = law._cheb_rule
+        tau, W = law._rule
         assert tau.size == W.size == CHEB_NODES
         assert tau.min() > law.lo and tau.max() < law.hi
         s = (2.0 * law.locs - law.lo - law.hi) / (law.hi - law.lo)
@@ -478,7 +505,7 @@ class TestCompressedTransforms:
                     assert np.array_equal(t, T[i:i + n]), (n, i)
 
     # a law of at most CHEB_NODES atoms, dirac:c among them, always sums
-    # its atoms and never builds the rule
+    # its atoms: its fixed rule is its atoms
     @pytest.mark.parametrize("atoms", [1, CHEB_NODES])
     def test_small_laws_sum_their_atoms(self, atoms):
         locs = np.linspace(0.2, 1.0, atoms)
@@ -487,7 +514,7 @@ class TestCompressedTransforms:
         S, T = law.transforms(m)
         s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
         assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
-        assert "_cheb_rule" not in law.__dict__
+        assert law._rule[0] is law.locs and law._rule[1] is law.weights
 
     # the rule is built once, from vectors of the atoms: no atoms-by-nodes
     # array (512 KB here) is allocated
@@ -496,12 +523,136 @@ class TestCompressedTransforms:
         full = law.locs.size * CHEB_NODES * 8
         tracemalloc.start()
         try:
-            rule = law._cheb_rule
+            rule = law._rule
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < full / 8
-        assert law._cheb_rule is rule
+        assert law._rule is rule
+
+
+def count_rule_builds(monkeypatch, cls) -> list:
+    """Patch cls._rule to record each build of the cached rule."""
+    builds, build = [], cls.__dict__["_rule"].func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, "_rule")
+    monkeypatch.setattr(cls, "_rule", prop)
+    return builds
+
+
+def log_sums(monkeypatch, cls) -> list:
+    """Log "rule" for each _rule_sums call and "exact" for each
+    _exact_sums call, in order; an AtomicLaw's exact sums are themselves a
+    _rule_sums call over its atoms."""
+    log, rule_sums, exact_sums = [], measures._rule_sums, cls._exact_sums
+
+    def rule(t, w, m):
+        log.append("rule")
+        return rule_sums(t, w, m)
+
+    def exact(self, m):
+        log.append("exact")
+        return exact_sums(self, m)
+
+    monkeypatch.setattr(measures, "_rule_sums", rule)
+    monkeypatch.setattr(cls, "_exact_sums", exact)
+    return log
+
+
+ONE_RULE_LAWS = {
+    "uniform": lambda: LinearLaw(0.5, 1.0),
+    "linear": lambda: LinearLaw(0.2, 1.0, 1.0),
+    "narrow": lambda: LinearLaw(0.5, 0.5 + 1e-8, 1e15),
+    "two-atoms": lambda: AtomicLaw([0.2, 0.9], [0.75, 0.25]),
+    "atoms-1000": lambda: random_atomic_law(1000, 13)}
+
+
+class TestOneRuleChoice:
+    # PopulationLaw.transforms chooses for every law: the fixed rule where
+    # the pole is far, the exact sums elsewhere
+
+    @staticmethod
+    def batches(law):
+        far = np.concatenate([[0.0], ellipse_points(law.lo, law.hi, 3.0, 40)])
+        near = ellipse_points(law.lo, law.hi, 1.5, 40)
+        assert law._pole_is_far(far).all()
+        assert not law._pole_is_far(near).any()
+        return far, near
+
+    # the rule is built on first use and never again, and an empty batch
+    # does not build it
+    @pytest.mark.parametrize("name", ONE_RULE_LAWS)
+    def test_rule_built_at_most_once(self, monkeypatch, name):
+        law = ONE_RULE_LAWS[name]()
+        builds = count_rule_builds(monkeypatch, type(law))
+        for empty in (np.empty(0), np.empty(0, complex)):
+            s, t = law.transforms(empty)
+            assert s.size == t.size == 0
+        assert builds == []
+        far, near = self.batches(law)
+        w = law.hi - law.lo
+        real = np.concatenate([[0.0], -1.0 / (np.array([law.lo, law.hi])
+                                              + w * np.array([-0.1, 0.1]))])
+        for k in range(10):
+            law.transforms(far[k:])
+            law.transforms(near[k:])
+            law.transforms(np.concatenate([far[k:], near[k:]]))
+            law.transforms(real)
+        assert builds == [law]
+
+    # a batch wholly on one side makes one sums call, a mixed batch one of
+    # each
+    @pytest.mark.parametrize("name", ONE_RULE_LAWS)
+    def test_one_sided_batch_one_sums_call(self, monkeypatch, name):
+        law = ONE_RULE_LAWS[name]()
+        far, near = self.batches(law)
+        exact = ["exact", "rule"] if isinstance(law, AtomicLaw) else ["exact"]
+        log = log_sums(monkeypatch, type(law))
+        law.transforms(far)
+        assert log == ["rule"]
+        log.clear()
+        law.transforms(near)
+        assert log == exact
+        log.clear()
+        law.transforms(np.concatenate([near, far]))
+        assert log == ["rule"] + exact
+
+
+class TestSupportFloor:
+    # below SUPPORT_MIN = 2^-288 the edge brackets' x^3 overflows: such
+    # laws are refused at construction, with the bound in the message
+    @pytest.mark.parametrize("make", [
+        lambda: LinearLaw(1e-200, 2e-200), lambda: LinearLaw(1e-103, 1.0),
+        lambda: LinearLaw(0.5 * SUPPORT_MIN, 1.0),
+        lambda: AtomicLaw([1e-300], [1.0]),
+        lambda: AtomicLaw([1e-300, 0.5], [0.5, 0.5])],
+        ids=["tiny-uniform", "tiny-lo", "half-floor", "tiny-dirac",
+             "tiny-atom"])
+    def test_below_the_floor_refused(self, make):
+        with pytest.raises(DomainError, match=f"{SUPPORT_MIN:.4g}, 1]"):
+            make()
+
+    # at the floor, next to ratio 1 on both sides the left bracket reaches
+    # 2^53/lo = 2^341 and the closed forms run with x^3 near 2^1023: the
+    # edges come out finite and ordered, with no floating-point warning
+    # (warnings are errors in this suite)
+    @pytest.mark.parametrize("law, ratios", [
+        (LinearLaw(SUPPORT_MIN, 1.0), (1.0 - 2.0 ** -53, 1.0 + 2.0 ** -51,
+                                       100.0)),
+        (LinearLaw(SUPPORT_MIN, 1.0, 1.9), (1.0 - 2.0 ** -53,
+                                            1.0 + 2.0 ** -51)),
+        (LinearLaw(SUPPORT_MIN, 2.0 * SUPPORT_MIN), (0.5, 2.0)),
+        (AtomicLaw([SUPPORT_MIN], [1.0]), (0.5, 1.0 + 2.0 ** -51, 100.0))],
+        ids=["uniform", "linear", "narrow", "dirac"])
+    def test_edges_at_the_floor(self, law, ratios):
+        for ratio in ratios:
+            e = support_edges(FreeConvolution(law, ratio))
+            assert 0.0 < e.L_minus < e.L_plus < np.inf, ratio
 
 
 class TestSampling:
