@@ -17,7 +17,7 @@ from .errors import (ContourError, ConvergenceError, DomainError,
 from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
                        density_batch, stieltjes, stieltjes_batch,
                        stieltjes_derivative, stieltjes_derivative_batch,
-                       support_edges)
+                       stieltjes_rows, support_edges)
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import (AtomicLaw, LinearLaw, PopulationLaw,
                        empirical_measure, sample_population)

@@ -3,8 +3,8 @@
 The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
 0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
 point mass there) outside.  It supplies the margin d, its real crossings
-left and right, and one fixed rule of Gauss-Legendre nodes, on which
-check_hat_rate solves.
+left and right, and one fixed rule of Gauss-Legendre nodes in exact
+conjugate pairs, on which check_hat_rate solves.
 
 Every fluctuation functional runs on a circle in the m-plane instead.  The
 theory needs Cauchy integrals over the rectangle, and xi = z(m) = -1/m +
@@ -137,14 +137,19 @@ class RectContour:
     def nodes(self, level: int = 0):
         """(points, weights) of the full rectangle: NODES_PER_SIDE *
         2**level Gauss-Legendre nodes per side, from the lower left corner
-        counterclockwise.  The library solves on level 0."""
-        s, w = _leggauss(NODES_PER_SIDE << level)
+        counterclockwise.  The nodes come in exact conjugate pairs, the
+        bottom side the top's mirror and each vertical side its own, so a
+        solve on them folds onto the upper half.  The library solves on
+        level 0."""
+        s, w = _leggauss(NODES_PER_SIDE << level)    # s[::-1] == -s exactly
         h = 2.0 * self.d
+        x = self.right + (self.left - self.right) * 0.5 * (s + 1.0)
+        y = h * s
         cs = (complex(self.left, -h), complex(self.right, -h),
               complex(self.right, h), complex(self.left, h))
         sides = list(zip(cs, cs[1:] + cs[:1]))
-        return (np.concatenate([a + (b - a) * 0.5 * (s + 1.0)
-                                for a, b in sides]),
+        return (np.concatenate([x[::-1] - 1j * h, self.right + 1j * y,
+                                x + 1j * h, self.left - 1j * y]),
                 np.concatenate([w * ((b - a) * 0.5) for a, b in sides]))
 
 
@@ -175,7 +180,7 @@ def _m_circle(fc: FreeConvolution, c: RectContour):
     stieltjes_batch, so that no edge-distance guard limits the margin d.
     A landing costs about twice the transform work of a bisection, so circles
     are kept per (fc, c): every functional on one contour shares them."""
-    m = _solve(fc, np.array([c.left, c.right], dtype=complex))
+    m = _solve((fc,), np.array([c.left, c.right], dtype=complex))[0]
     if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
         raise ContourError(
             f"the real crossings {c.left!r} and {c.right!r} map to non-real "

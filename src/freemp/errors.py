@@ -10,11 +10,13 @@ class DomainError(FreempError, ValueError):
 
 
 class ConvergenceError(FreempError):
-    """An iterative solve did not reach its target at the points z."""
+    """An iterative solve did not reach its target at the points z; a solve
+    over several convolutions gives each point's row as row."""
 
-    def __init__(self, message: str, z=()):
+    def __init__(self, message: str, z=(), row=()):
         super().__init__(message)
         self.z = z
+        self.row = row
 
 
 class EdgeBracketError(FreempError):

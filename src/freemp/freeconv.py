@@ -15,14 +15,20 @@ int t/(1+mt) dpi and T(m) = int t^2/(1+mt)^2 dpi; freeconv does not choose
 how to integrate.
 
 The solver is Newton's method on the defining equation, batched over arrays
-of z; a point keeps a full step only where its residual drops.  A point
-without a usable warm start is reached by per-point continuation in Im z from
-a height where -1/z is a good start, with the step ratio adapted to how
-Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit & Wolf's
-QuEST).  Each step is solved to the tolerance of its own height, so points
-that share a real part and a side share their steps until each leaves the
-common ladder for its own target, and a step is solved once per distinct
-(z, start).  Two final Newton steps land residuals near machine precision.
+of z and over several convolutions at once: each point carries the row of
+its (law, ratio) and is evaluated on that law alone.  A point keeps a full
+step only where its residual drops.  A point below the real axis is solved
+as the conjugate of its mirror, m(conj z) = conj m(z) (Bai & Silverstein,
+Spectral Analysis of Large Dimensional Random Matrices, 2010), so every
+solve runs in the closed upper half plane and a conjugate pair costs one.
+A point without a usable warm start is reached by per-point continuation in
+Im z from a height where -1/z is a good start, with the step ratio adapted
+to how Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit &
+Wolf's QuEST).  Each step is solved to the tolerance of its own height, so
+points that share a real part and a row share their steps until each
+leaves the common ladder for its own target, and a step is solved once per
+distinct (z, start, row).  Two final Newton steps land residuals near
+machine precision.
 The same continuation lands on eta = 0 for real z: outside the support it gives
 the real value of m, and inside it the boundary value m(x + i0), whose
 |Im m| / pi is the density.  The transforms are evaluated once per new
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, EdgeBracketError,
                      SingularDerivativeError)
-from .measures import PopulationLaw
+from .measures import LawStack, PopulationLaw
 
 REAL_GUARD_DELTA = 1e-6       # real z must clear the support by this much
 RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
@@ -90,14 +96,41 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 # ---------------------------------------------------------------------------
 # solver core
 
-def _phi(fc: FreeConvolution, m: np.ndarray, z: np.ndarray, sums=None):
-    """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m), from the
-    sums (S, T) at m if the caller has them."""
-    s, t2 = fc.base.transforms(m) if sums is None else sums
-    return 1.0 / m + z - fc.ratio * s, -1.0 / (m * m) + fc.ratio * t2
+class _Rows:
+    """The convolutions of one solve, one row each.  Every point of the
+    solve carries its row, and phi at a point takes the law and ratio of
+    its own row."""
+
+    def __init__(self, fcs):
+        self.fcs = tuple(fcs)
+        self.laws = LawStack(fc.base for fc in self.fcs)
+        self._ratio = np.array([fc.ratio for fc in self.fcs])
+
+    def ratio(self, row: np.ndarray):
+        """The ratio of each point's row; with one row, that float."""
+        return self.fcs[0].ratio if len(self.fcs) == 1 else self._ratio[row]
 
 
-def _newton(fc, z, m, tol, iters, sums=None):
+class _Stalled(Exception):
+    """Continuation points whose step ratio was rejected up to
+    MAX_STEP_RATIO: their positions in the solve, ascending, and the height
+    and residual each had reached."""
+
+    def __init__(self, idx, eta, res):
+        super().__init__()
+        self.idx, self.eta, self.res = idx, eta, res
+
+
+def _phi(rows, row, m, z, sums=None):
+    """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m) at each
+    point, on its row's law and ratio, from the sums (S, T) at m if the
+    caller has them."""
+    s, t2 = rows.laws.transforms(row, m) if sums is None else sums
+    r = rows.ratio(row)
+    return 1.0 / m + z - r * s, -1.0 / (m * m) + r * t2
+
+
+def _newton(rows, row, z, m, tol, iters, sums=None):
     """Newton steps on phi(m) = 1/m + z - r S(m).  A point keeps a full step
     only if its residual |phi| drops; otherwise it stops where it is, above
     tol.  sums, the (S, T) of the start if the caller has them, saves the
@@ -106,9 +139,9 @@ def _newton(fc, z, m, tol, iters, sums=None):
     of their next steps.  m and sums are updated in place and returned
     with the residuals as (m, res, (S, T)), the sums of the final m."""
     if sums is None:
-        sums = fc.base.transforms(m)
+        sums = rows.laws.transforms(row, m)
     s, t2 = sums
-    phi, dphi = _phi(fc, m, z, sums)
+    phi, dphi = _phi(rows, row, m, z, sums)
     res = np.abs(phi)
     active = res > tol
     for _ in range(iters):
@@ -119,8 +152,8 @@ def _newton(fc, z, m, tol, iters, sums=None):
         good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
         active[idx] = False
         idx, trial = idx[good], trial[good]
-        ts, tt2 = fc.base.transforms(trial)
-        tphi, tdphi = _phi(fc, trial, z[idx], (ts, tt2))
+        ts, tt2 = rows.laws.transforms(row[idx], trial)
+        tphi, tdphi = _phi(rows, row[idx], trial, z[idx], (ts, tt2))
         tres = np.abs(tphi)
         better = tres < res[idx]
         k = idx[better]
@@ -136,68 +169,73 @@ def _solved(z, m, res, tol):
     return (res <= tol) & ((z.imag == 0.0) | (m.imag * z.imag > 0.0))
 
 
-def _shared_newton(fc, zeta, m, sums, share):
+def _distinct(*cols):
+    """The position of one point of each distinct bit pattern of the
+    columns cols, and for each point the index of its pattern among them."""
+    key = np.stack(cols, axis=1)
+    key = key.view(np.dtype((np.void, key.itemsize * len(cols)))).ravel()
+    _, first, back = np.unique(key, return_index=True, return_inverse=True)
+    return first, back.ravel()
+
+
+def _shared_newton(rows, row, zeta, m, sums, share):
     """_newton at each zeta from m to the tolerance of its own height,
     RESIDUAL_TOL max(1, |zeta|).  With share, it runs once per distinct bit
-    pattern of (zeta, m) and the results are scattered back; a row's result
-    depends only on its own zeta and m, so sharing is exact.  Returns
-    (m, res, (S, T), tol)."""
+    pattern of (zeta, m, row) and the results are scattered back; a point's
+    result depends only on its own zeta, m and row, so sharing is exact.
+    Returns (m, res, (S, T), tol)."""
     if share:
-        key = np.stack([zeta, m], axis=1).view(np.dtype((np.void, 32)))
-        _, first, back = np.unique(key.ravel(), return_index=True,
-                                   return_inverse=True)
-        zeta, m = zeta[first], m[first]
+        first, back = _distinct(zeta, m, row)
+        zeta, m, row = zeta[first], m[first], row[first]
         if sums is not None:
             sums = (sums[0][first], sums[1][first])
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(zeta))
-    m, res, (s, t2) = _newton(fc, zeta, m, tol, NEWTON_ITERS, sums)
+    m, res, (s, t2) = _newton(rows, row, zeta, m, tol, NEWTON_ITERS, sums)
     if share:
         m, res, s, t2, tol = (v[back] for v in (m, res, s, t2, tol))
     return m, res, (s, t2), tol
 
 
-def _continuation(fc, z):
-    """Per-point Newton continuation in eta = |Im| down to the target.
+def _continuation(rows, row, z):
+    """Per-point Newton continuation in eta = Im down to the target, for z
+    in the closed upper half plane.
 
-    Each point starts at eta = max(|Im z|, 2(1 + ratio)), where -1/z is a
+    Each point starts at eta = max(Im z, 2(1 + ratio)), where -1/z is a
     good Newton start: the support lies below (1 + sqrt(ratio))^2 <= 2(1 +
     ratio).  Every point steps eta down by its own ratio, squared after an
     accepted step and square-rooted after a rejected one; a step that would
     pass the target lands on it (for real z once it drops below the
     resolution of z).  Each step is solved to the tolerance of its own
     height, RESIDUAL_TOL max(1, |zeta|), which at the landing step is the
-    target's.  Points that share a real part and a side thus climb down
-    one ladder until each leaves it for its own target, and each step is
+    target's.  Points that share a real part and a row thus climb down one
+    ladder until each leaves it for its own target, and each step is
     solved once for all of them (_shared_newton); a batch in which no two
     points share both skips the search for shared steps.  Each point keeps
     S and T of its accepted iterate and hands them to its next step, so a
-    step evaluates only new iterates.  Returns m and its sums (S, T).
+    step evaluates only new iterates.  Returns m and its sums (S, T); a
+    step ratio rejected up to MAX_STEP_RATIO raises _Stalled.
     """
     x, a = z.real, np.abs(z.imag)
-    side = np.where(z.imag >= 0.0, 1.0, -1.0)
     floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
-    eta = np.maximum(a, 2.0 * (1.0 + fc.ratio))
-    # only points with a common real part and side can share a step; a set
+    eta = np.maximum(a, 2.0 * (1.0 + rows.ratio(row)))
+    # only points with a common real part and row can share a step; a set
     # finds them without the peak memory of numpy's first sort
-    share = len(set(zip(x.tolist(), side.tolist()))) < z.size
-    zeta = x + 1j * side * eta
-    m, res, (s, t2), tol = _shared_newton(fc, zeta, -1.0 / zeta, None, share)
+    share = len(set(zip(x.tolist(), row.tolist()))) < z.size
+    zeta = x + 1j * eta
+    m, res, (s, t2), tol = _shared_newton(rows, row, zeta, -1.0 / zeta, None,
+                                          share)
     bad = ~_solved(zeta, m, res, tol)
     q = np.full(z.shape, FIRST_STEP_RATIO)
     while True:
         if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ConvergenceError(
-                f"stieltjes continuation stalled at z = {complex(z[k])!r}: "
-                f"eta reached {float(eta[k]):.3e}, residual "
-                f"{float(res[k]):.3e}", z=z[bad])
+            raise _Stalled(np.flatnonzero(bad), eta[bad], res[bad])
         idx = np.flatnonzero(eta > a)
         if idx.size == 0:
             return m, (s, t2)
         nxt = eta[idx] * q[idx]
         nxt = np.where(nxt <= floor[idx], a[idx], nxt)
-        zt = x[idx] + 1j * side[idx] * nxt
-        mt, rt, (st, tt2), tt = _shared_newton(fc, zt, m[idx],
+        zt = x[idx] + 1j * nxt
+        mt, rt, (st, tt2), tt = _shared_newton(rows, row[idx], zt, m[idx],
                                                (s[idx], t2[idx]), share)
         ok = _solved(zt, mt, rt, tt)
         k = idx[ok]
@@ -226,73 +264,143 @@ def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
             f"[{e.L_minus}, {e.L_plus}]")
 
 
-def _solve(fc, z, m0=None):
-    """Complex m with residual within RESIDUAL_TOL at every z, real z too.
-
-    With a warm start m0, each point first tries Newton at its own z; a
-    point without m0, or whose Newton misses the tolerance or lands in the
-    wrong half plane, is reached by _continuation.  Two polishing Newton
-    steps then aim at POLISH_TOL, starting from the S and T that Newton or
-    the continuation computed at each m.  One rule, _solved, accepts each
-    point, and one ConvergenceError names the first point it rejects.
-    """
+def _solve_upper(rows, row, z, m0):
+    """m and its residual at each z of the closed upper half plane, warm
+    from m0 where it holds (see _solve), polished but not yet accepted;
+    m0 is overwritten."""
     # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
     # of order |z| eps, so the targets are relative to max(1, |z|).
     scale = np.maximum(1.0, np.abs(z))
-    tol = RESIDUAL_TOL * scale
     if m0 is None:
-        m, (s, t2) = _continuation(fc, z)
+        m, (s, t2) = _continuation(rows, row, z)
     else:
-        m = np.asarray(m0, dtype=complex).ravel().copy()
+        m = m0
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
         m[bad] = -1.0 / z[bad]
-        m, res, (s, t2) = _newton(fc, z, m, tol, NEWTON_ITERS)
-        cold = ~_solved(z, m, res, tol)
-        if cold.any():
-            m[cold], (s[cold], t2[cold]) = _continuation(fc, z[cold])
-    m, res, _ = _newton(fc, z, m, POLISH_TOL * scale, 2, (s, t2))
-    bad = np.flatnonzero(~_solved(z, m, res, tol))
-    if bad.size:
-        k = bad[0]
+        m, res, (s, t2) = _newton(rows, row, z, m, RESIDUAL_TOL * scale,
+                                  NEWTON_ITERS)
+        cold = np.flatnonzero(~_solved(z, m, res, RESIDUAL_TOL * scale))
+        if cold.size:
+            try:
+                m[cold], (s[cold], t2[cold]) = _continuation(rows, row[cold],
+                                                             z[cold])
+            except _Stalled as exc:
+                exc.idx = cold[exc.idx]
+                raise
+    m, res, _ = _newton(rows, row, z, m, POLISH_TOL * scale, 2, (s, t2))
+    return m, res
+
+
+def _solve(fcs, z, m0=None):
+    """Complex m of every convolution in fcs at every z, real z too, with
+    residual within RESIDUAL_TOL, as a (len(fcs), z.size) array: one row
+    per convolution, each from the same start m0.
+
+    A point below the real axis is solved as the conjugate of its mirror,
+    m(conj z) = conj m(z), from the conjugate of its start, so every solve
+    runs in the closed upper half plane; when some point is folded so,
+    each distinct (z, m0) is solved once per row and its m given to every
+    point that has it.  With a warm start m0, each point first tries Newton
+    at its own z; a point without m0, or whose Newton misses the tolerance
+    or lands in the wrong half plane, is reached by _continuation.  Two
+    polishing Newton steps then aim at POLISH_TOL, starting from the S and
+    T that Newton or the continuation computed at each m.  One rule,
+    _solved, accepts each of the caller's points, and one ConvergenceError
+    names the first point, row by row, that it rejects or whose
+    continuation stalled, with every failed point of the caller as its z
+    and their rows as its row.
+    """
+    rows = _Rows(fcs)
+    if m0 is not None:
+        m0 = np.asarray(m0, dtype=complex).ravel()
+    flip = z.imag < 0.0
+    fold = flip.any()
+    zu, mu = z, m0
+    if fold:
+        zu = np.where(flip, z.conj(), z)
+        if m0 is None:
+            keep, back = _distinct(zu)
+        else:
+            mu = np.where(flip, m0.conj(), m0)
+            keep, back = _distinct(zu, mu)
+            mu = mu[keep]
+        zu = zu[keep]
+    n_rows, n = len(rows.fcs), zu.size
+    row = np.repeat(np.arange(n_rows), n)
+    try:
+        m, res = _solve_upper(rows, row, np.tile(zu, n_rows),
+                              None if mu is None else np.tile(mu, n_rows))
+    except _Stalled as exc:
+        stalled = np.zeros(n_rows * n, dtype=bool)
+        stalled[exc.idx] = True
+        stalled = stalled.reshape(n_rows, n)
+        r, k = np.nonzero(stalled[:, back] if fold else stalled)
+        first = r[0] * n + (back[k[0]] if fold else k[0])
+        at = np.searchsorted(exc.idx, first)
         raise ConvergenceError(
-            f"stieltjes solve failed at z = {complex(z[k])!r}: residual "
-            f"{float(res[k]):.3e}, m = {complex(m[k])!r}", z=z[bad])
+            f"stieltjes continuation stalled at z = {complex(z[k[0]])!r}: "
+            f"eta reached {float(exc.eta[at]):.3e}, residual "
+            f"{float(exc.res[at]):.3e}", z=z[k], row=r) from None
+    m, res = m.reshape(n_rows, n), res.reshape(n_rows, n)
+    if fold:
+        m, res = np.take(m, back, axis=1), np.take(res, back, axis=1)
+        m[:, flip] = m[:, flip].conj()
+    bad = ~_solved(z, m, res, RESIDUAL_TOL * np.maximum(1.0, np.abs(z)))
+    if bad.any():
+        r, k = np.nonzero(bad)
+        raise ConvergenceError(
+            f"stieltjes solve failed at z = {complex(z[k[0]])!r}: residual "
+            f"{float(res[r[0], k[0]]):.3e}, m = {complex(m[r[0], k[0]])!r}",
+            z=z[k], row=r)
     return m
 
 
-def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
-    """Vectorized Stieltjes transform over an array of evaluation points.
+def stieltjes_rows(fcs, z, m0=None) -> np.ndarray:
+    """Stieltjes transform of each convolution in fcs at every point z, as
+    a (len(fcs), z.size) array, all in one solve (_solve).
 
-    See _solve: warm Newton from m0 where it holds, per-point continuation
-    in the imaginary direction elsewhere (sign-matched, so both half planes
-    solve natively), two polishing steps toward 1e-14 max(1, |z|), and the
-    solution must lie in the half plane of z.  Real z must clear the support
-    by the edge-distance guard; continuation lands on them at eta = 0 and
-    they keep the real part, whose residual is checked again where dropping
-    the imaginary part moved m.
-    A non-finite z raises DomainError before any solve, and each
-    ConvergenceError carries the points that failed as its z.
+    Row k of the result has the bits of stieltjes_batch(fcs[k], z, m0): a
+    point's solve depends only on its own z, start and row, whatever the
+    batch.  m0, one start per point of z, is shared by every row: warm
+    Newton from m0 where it holds, per-point continuation in Im z
+    elsewhere, two polishing steps toward 1e-14 max(1, |z|), and the
+    solution must lie in the half plane of z; a point below the real axis
+    is solved as the conjugate of its mirror.  Real z must clear each
+    row's support by the edge-distance guard; continuation lands on them
+    at eta = 0 and they keep the real part, whose residual is checked again
+    where dropping the imaginary part moved m.  A non-finite z raises
+    DomainError before any solve, and each ConvergenceError carries the
+    points that failed as its z and their rows as its row.
     """
+    fcs = tuple(fcs)
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
     _refuse_non_finite(z, "z")
     is_real = z.imag == 0.0
     if is_real.any():
-        _real_axis_guard(fc, z.real[is_real])
-    m = _solve(fc, z, m0)
+        for fc in fcs:
+            _real_axis_guard(fc, z.real[is_real])
+    m = _solve(fcs, z, m0)
     # dropping Im m moves m only where it is not 0 already; elsewhere
     # _solve has checked the residual of this very m
     moved = is_real & (m.imag != 0.0)
     if moved.any():
-        zr, mr = z[moved], m.real[moved]
-        res = np.abs(_phi(fc, mr, zr)[0])
+        r, k = np.nonzero(moved)
+        zr, mr = z[k], m.real[moved]
+        res = np.abs(_phi(_Rows(fcs), r, mr, zr)[0])
         bad = np.flatnonzero(res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr)))
         if bad.size:
-            k = bad[0]
             raise ConvergenceError(
                 f"real-axis value misses the residual tolerance at z = "
-                f"{complex(zr[k])!r}: {float(res[k]):.3e}", z=zr[bad])
-    m[is_real] = m.real[is_real]
+                f"{complex(zr[bad[0]])!r}: {float(res[bad[0]]):.3e}",
+                z=zr[bad], row=r[bad])
+    m[:, is_real] = m.real[:, is_real]
     return m
+
+
+def stieltjes_batch(fc: FreeConvolution, z, m0=None) -> np.ndarray:
+    """Vectorized Stieltjes transform over an array of evaluation points:
+    the one-row case of stieltjes_rows."""
+    return stieltjes_rows((fc,), z, m0)[0]
 
 
 def stieltjes(fc: FreeConvolution, z: complex) -> complex:
@@ -343,7 +451,8 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     e = fc._edge_data
     inside = ~((x < e.L_minus) | (x > e.L_plus))
     rho = np.zeros(x.shape)
-    rho[inside] = np.abs(_solve(fc, x[inside].astype(complex)).imag) / np.pi
+    m = _solve((fc,), x[inside].astype(complex))[0]
+    rho[inside] = np.abs(m.imag) / np.pi
     return rho
 
 

@@ -19,7 +19,8 @@ rather than BLAS in chunks of at most _CHUNK_ELEMS terms, so a value
 depends only on its own m, not on its batch or the BLAS thread count.
 quad_rule(n) weights n Gauss-Legendre nodes on [lo, hi] by a law's density
 (an AtomicLaw's are its atoms); it is the rule of integrals other than S
-and T.
+and T.  A LawStack evaluates several laws at once, each point on its own
+law with the bits that law alone gives it.
 """
 
 from dataclasses import dataclass
@@ -45,31 +46,63 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray):
+def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray, row=None):
     """S(m) = sum w t/(1+mt) and T(m) = sum w t^2/(1+mt)^2 over the nodes t
-    with weights w, in chunks of at most _CHUNK_ELEMS terms.
+    with weights w, in chunks of at most _CHUNK_ELEMS terms.  With row, t
+    and w stack one rule per row, all of one node count, and m[i] is summed
+    over rule row[i].
 
     Each term takes one reciprocal r = 1/(1+mt), inverted in place, and the
     sums are r.(w t) and (r r).(w t^2).  einsum forms and reduces each m's
     row in the same order whatever the batch, where a BLAS product or a
-    one-element multiply would not; real m keep real arithmetic.  One chunk
-    buffer per call holds the m t of each chunk in turn."""
+    one-element multiply would not; the weights a stacked rule gathers per
+    point are reduced in that order too, so m[i] gets the bits of its own
+    rule alone.  Real m keep real arithmetic.  One chunk buffer per call
+    holds the m t of each chunk in turn."""
     dtype = np.result_type(m, w)
     s = np.empty(m.shape, dtype=dtype)
     tt = np.empty(m.shape, dtype=dtype)
-    step = max(1, _CHUNK_ELEMS // max(t.size, 1))
+    k = t.shape[-1]
+    step = max(1, _CHUNK_ELEMS // max(k, 1))
     wt = w * t
     wt2 = wt * t
     tc = t.astype(dtype, copy=False)
-    buf = np.empty((min(step, m.size), t.size), dtype=dtype)
+    if row is not None:
+        # a stacked rule's weights, in m's type, are gathered per chunk into
+        # a second buffer, so a chunk allocates nothing and einsum casts
+        # nothing
+        wt, wt2 = wt.astype(dtype), wt2.astype(dtype)
+    buf = np.empty((1 if row is None else 2, min(step, m.size), k), dtype)
     for i in range(0, m.size, step):
         sl = slice(i, min(i + step, m.size))
-        r = np.multiply(m[sl, None], tc, out=buf[:sl.stop - i])
+        r = buf[0, :sl.stop - i]
+        if row is None:
+            np.multiply(m[sl, None], tc, out=r)
+        else:
+            np.take(tc, row[sl], axis=0, out=r, mode="clip")
+            np.multiply(m[sl, None], r, out=r)
         r += 1.0
         np.reciprocal(r, out=r)
-        s[sl] = np.einsum("pk,k->p", r, wt)
-        tt[sl] = np.einsum("pk,pk,k->p", r, r, wt2)
+        if row is None:
+            s[sl] = np.einsum("pk,k->p", r, wt)
+            tt[sl] = np.einsum("pk,pk,k->p", r, r, wt2)
+        else:
+            g = buf[1, :sl.stop - i]
+            np.take(wt, row[sl], axis=0, out=g, mode="clip")
+            s[sl] = np.einsum("pk,pk->p", r, g)
+            np.take(wt2, row[sl], axis=0, out=g, mode="clip")
+            tt[sl] = np.einsum("pk,pk,pk->p", r, r, g)
     return s, tt
+
+
+def _pole_is_far(lo, hi, m: np.ndarray) -> np.ndarray:
+    """True where the pole -1/m lies on a Bernstein ellipse E_rho of [lo,
+    hi] with rho >= CHEB_RHO_MIN, or m = 0; lo and hi are floats or arrays
+    of m's shape.  E_rho has foci lo and hi and focal-distance sum (rho +
+    1/rho)(hi - lo)/2; multiplied by |m|, the test needs no division and
+    holds at m = 0."""
+    sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
+    return np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi) >= sum_min * np.abs(m)
 
 
 class PopulationLaw:
@@ -83,14 +116,7 @@ class PopulationLaw:
     hi: float
 
     def _pole_is_far(self, m: np.ndarray) -> np.ndarray:
-        """True where the pole -1/m lies on a Bernstein ellipse E_rho of
-        [lo, hi] with rho >= CHEB_RHO_MIN, or m = 0.  E_rho has foci lo and
-        hi and focal-distance sum (rho + 1/rho)(hi - lo)/2; multiplied by
-        |m|, the test needs no division and holds at m = 0."""
-        lo, hi = self.lo, self.hi
-        sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
-        return (np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi)
-                >= sum_min * np.abs(m))
+        return _pole_is_far(self.lo, self.hi, m)
 
     def transforms(self, m: np.ndarray):
         """(S(m), T(m)), elementwise over the array m: sums over _rule where
@@ -292,6 +318,50 @@ class AtomicLaw(PopulationLaw):
         x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
         W = (2.0 / n) * (np.polynomial.chebyshev.chebval(x, mu) - 0.5 * mu[0])
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, W
+
+
+class LawStack:
+    """Population laws side by side, one row each.  transforms(row, m)
+    gives each m[i] the S and T that laws[row[i]].transforms gives it
+    alone, bit for bit: the same rule choice per point, its law's _rule
+    where the pole is far and its law's _exact_sums elsewhere.  The rules
+    are stacked by node count, so one _rule_sums call per count sums every
+    point on its own law's rule; the exact sums run per law, on that law's
+    points only.  With one law, its own transforms evaluates every point,
+    and no rule is read before it is needed."""
+
+    def __init__(self, laws):
+        self.laws = tuple(laws)
+        if len(self.laws) == 1:
+            return
+        self.lo = np.array([law.lo for law in self.laws])
+        self.hi = np.array([law.hi for law in self.laws])
+        rules = [law._rule for law in self.laws]
+        self._size = np.array([t.size for t, _ in rules])
+        self._slot = np.empty(len(rules), dtype=np.intp)
+        self._stacks = {}      # node count -> its rows' (nodes, weights)
+        for k in np.unique(self._size):
+            rows = np.flatnonzero(self._size == k)
+            self._slot[rows] = np.arange(rows.size)
+            self._stacks[int(k)] = tuple(
+                np.stack([rules[j][i] for j in rows]) for i in (0, 1))
+
+    def transforms(self, row: np.ndarray, m: np.ndarray):
+        """(S, T) of each m[i] under laws[row[i]]."""
+        if len(self.laws) == 1:
+            return self.laws[0].transforms(m)
+        far = _pole_is_far(self.lo[row], self.hi[row], m)
+        out = np.empty((2,) + m.shape, np.result_type(m, float))
+        size = self._size[row]
+        for k, (t, w) in self._stacks.items():
+            on = np.flatnonzero(far & (size == k))
+            if on.size:
+                out[:, on] = _rule_sums(t, w, m[on], self._slot[row[on]])
+        near = np.flatnonzero(~far)
+        for j in np.unique(row[near]):
+            on = near[row[near] == j]
+            out[:, on] = self.laws[j]._exact_sums(m[on])
+        return tuple(out)
 
 
 def sample_population(law: PopulationLaw, m: int,

@@ -18,7 +18,8 @@ import numpy as np
 from .contour import (TestFunction, build_contour, clt_variance,
                       default_contour, mean_statistic)
 from .errors import ConvergenceError, DomainError, ReplicateError
-from .freeconv import FreeConvolution, stieltjes_batch, support_edges
+from .freeconv import (FreeConvolution, stieltjes_batch, stieltjes_rows,
+                       support_edges)
 from .grammar import format_func, format_law
 from .measures import PopulationLaw, sample_population
 from .rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, draw_sample,
@@ -150,25 +151,29 @@ def _clt_replicate(task):
     return linear_statistic(e, f, mean_inside, gamma0)
 
 
+def _imap(worker, tasks, workers: int):
+    """worker over tasks, yielded in task order; in a fork pool of that many
+    processes when workers > 1."""
+    if workers == 1:
+        yield from map(worker, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    chunk = max(1, -(-len(tasks) // (4 * workers)))
+    ctx = get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(worker, tasks, chunksize=chunk)
+
+
 def _map_tasks(worker, tasks, workers: int) -> np.ndarray:
     """Order-preserving map with replicate-indexed failure reporting."""
     out = np.empty(len(tasks))
     done = -1
     try:
-        if workers == 1:
-            for done, value in enumerate(map(worker, tasks)):
-                out[done] = value
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-            chunk = max(1, -(-len(tasks) // (4 * workers)))
-            ctx = get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                for done, value in enumerate(pool.map(worker, tasks,
-                                                      chunksize=chunk)):
-                    out[done] = value
+        for done, value in enumerate(_imap(worker, tasks, workers)):
+            out[done] = value
     except Exception as exc:
-        # pool.map yields in task order, so the first failure surfaces at
+        # the pool yields in task order, so the first failure surfaces at
         # its own replicate index
         raise ReplicateError(f"replicate {done + 1} failed: {exc}",
                              index=done + 1) from exc
@@ -378,13 +383,23 @@ class RateReport:
     passed: bool
 
 
-def _rate_replicate(task):
-    """Sup over contour nodes of |m_hat - m_population| for one draw."""
-    seed, M, N, nu, xi, m_pop = task
-    rng = np.random.default_rng(seed)
-    sigma = sample_population(nu, M, rng)
-    m_hat = stieltjes_batch(hat_fc(sigma, M, N), xi, m0=m_pop)
-    return float(np.abs(m_hat - m_pop).max())
+def _rate_sups(task):
+    """Sup over the contour nodes xi of |m_hat - m_population| for each of a
+    run of draws, one row each of a single warm solve from m_pop.  A draw
+    is (seed, M, N, replicate); a failed solve names the first failed
+    draw's N and replicate."""
+    nu, xi, m_pop, draws = task
+    fcs = []
+    for seed, M, N, _ in draws:
+        rng = np.random.default_rng(seed)
+        fcs.append(hat_fc(sample_population(nu, M, rng), M, N))
+    try:
+        m_hat = stieltjes_rows(fcs, xi, m0=m_pop)
+    except ConvergenceError as exc:
+        _, _, N, rep = draws[int(exc.row[0])]
+        raise ConvergenceError(f"rate check at N = {N}, replicate {rep}: "
+                               f"{exc}", z=exc.z) from exc
+    return np.abs(m_hat - m_pop).max(axis=1)
 
 
 def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
@@ -396,6 +411,18 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     [GATES.rate_slope_lo, GATES.rate_slope_hi].  Dispersionless nu is
     rejected: with every draw equal, the gap reflects only the M/N rounding
     error and says nothing about the sampling rate.
+
+    Every draw of every size is one row of one warm solve from m_fc on the
+    rectangle's nodes (stieltjes_rows), whose conjugate pairs are solved
+    once.  With workers > 1 the draws are split into that many runs of
+    consecutive draws, each solved in one batch in its own process; a
+    point's solve does not depend on its batch, so the sups have the same
+    bits for every worker count.
+
+    The rectangle is built on nu's edges, not on each nu_hat's: where
+    L_plus(nu_hat) lies beyond its right side (9 of the 20 draws of the
+    benchmark's rate configuration, up to 2.335 against 2.2952), the nodes
+    in nu_hat's bulk miss warm Newton and take the cold continuation.
     """
     n_values = tuple(sorted(int(n) for n in N_list))
     if len(n_values) < RATE_MIN_SIZES:
@@ -425,13 +452,16 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     xi, _ = contour.nodes(0)
     m_pop = stieltjes_batch(fc, xi)
 
-    averages = []
     children = np.random.SeedSequence(seed).spawn(len(n_values))
-    for child, spec in zip(children, specs):
-        seeds = child.generate_state(reps, np.uint64)
-        tasks = [(int(s), spec.M, spec.N, nu, xi, m_pop) for s in seeds]
-        sups = _map_tasks(_rate_replicate, tasks, workers)
-        averages.append(float(np.mean(sups)))
+    draws = [(int(s), spec.M, spec.N, i + 1)
+             for child, spec in zip(children, specs)
+             for i, s in enumerate(child.generate_state(reps, np.uint64))]
+    runs = [r for r in np.array_split(np.arange(len(draws)), workers)
+            if r.size]
+    tasks = [(nu, xi, m_pop, [draws[j] for j in r]) for r in runs]
+    sups = np.concatenate(list(_imap(_rate_sups, tasks, workers)))
+    averages = [float(np.mean(sups[k * reps:(k + 1) * reps]))
+                for k in range(len(n_values))]
 
     slope = float(np.polyfit(np.log(n_values), np.log(averages), 1)[0])
     passed = GATES.rate_slope_lo <= slope <= GATES.rate_slope_hi

@@ -40,8 +40,10 @@ for inputs the shipped laws reject, such as densities that vanish to high
 order at an end of the support.
 
 ExactAtomicLaw sums over every atom at every m, where an AtomicLaw of many
-atoms takes its compressed Chebyshev rule; exact_empirical_measure builds
-it from a sample, in place of rmt's empirical_measure.
+atoms takes its compressed Chebyshev rule: its fixed rule is its atoms, so
+both of its paths, alone or stacked in a batched solve, are the exact
+sums; exact_empirical_measure builds it from a sample, in place of rmt's
+empirical_measure.
 
 scalar_edges is the edge search as two scalar bisections, one m per
 transforms call: the left and right brackets one after the other.  The
@@ -50,6 +52,7 @@ library's joint bisection must reproduce it bit for bit.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -98,10 +101,12 @@ class DensityLaw(PopulationLaw):
 
 
 class ExactAtomicLaw(AtomicLaw):
-    """An AtomicLaw whose S and T are always the sums over its atoms."""
+    """An AtomicLaw whose S and T are always the sums over its atoms: its
+    fixed rule is its atoms, however many."""
 
-    def transforms(self, m):
-        return _rule_sums(self.locs, self.weights, m)
+    @cached_property
+    def _rule(self):
+        return self.locs, self.weights
 
 
 def exact_empirical_measure(samples) -> ExactAtomicLaw:

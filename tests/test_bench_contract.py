@@ -40,7 +40,7 @@ def workloads(monkeypatch, tmp_path):
     cfg.write_text(SMALL_CLT_CFG, encoding="utf-8")
     monkeypatch.setattr(workloads, "CLT_CONFIG", cfg)
     monkeypatch.setattr(workloads, "HAT_N", (50, 100, 400))
-    monkeypatch.setattr(workloads, "HAT_REPS", 1)
+    monkeypatch.setattr(workloads, "HAT_REPS", 3)
     monkeypatch.setattr(workloads, "LOCAL_LAW_N", 100)
     monkeypatch.setattr(workloads, "LOCAL_LAW_DRAWS", 1)
     monkeypatch.setattr(workloads, "SCRATCH", tmp_path / "scratch")

@@ -67,19 +67,39 @@ class TestConstruction:
 
     def test_level_zero_nodes_pinned(self, mp_quarter):
         # check_hat_rate solves on these nodes, so their bits are part of
-        # every rate artifact
+        # every rate artifact: the top side from right to left, the bottom
+        # side its mirror, the vertical sides at heights h s
         c = default_contour(mp_quarter)
         s, w = np.polynomial.legendre.leggauss(128)
         h = 2.0 * c.d
-        cs = (complex(c.L_minus - h, -h), complex(c.L_plus + h, -h),
-              complex(c.L_plus + h, h), complex(c.L_minus - h, h))
-        want_xi = np.concatenate([a + (b - a) * 0.5 * (s + 1.0)
-                                  for a, b in zip(cs, cs[1:] + cs[:1])])
+        left, right = c.L_minus - h, c.L_plus + h
+        top = right + (left - right) * 0.5 * (s + 1.0)
+        y = h * s
+        want_xi = np.concatenate([top[::-1] - 1j * h, right + 1j * y,
+                                  top + 1j * h, left - 1j * y])
+        cs = (complex(left, -h), complex(right, -h), complex(right, h),
+              complex(left, h))
         want_w = np.concatenate([w * ((b - a) * 0.5)
                                  for a, b in zip(cs, cs[1:] + cs[:1])])
         xi, wts = c.nodes(0)
         assert np.array_equal(xi, want_xi)
         assert np.array_equal(wts, want_w)
+
+    # every level comes in exact conjugate pairs: each side's nodes
+    # reversed are the conjugates of its mirror side's, and the weights at
+    # mirrored nodes are minus each other's conjugates
+    @pytest.mark.parametrize("level", range(NODE_LEVELS))
+    def test_nodes_are_conjugate_pairs(self, c_mpq, fc_uniform, level):
+        for c in (c_mpq, default_contour(fc_uniform)):
+            xi, w = c.nodes(level)
+            pts, wts = xi.reshape(4, -1), w.reshape(4, -1)
+            # bottom 0 and top 2 mirror each other; right 1 and left 3
+            # each mirror themselves
+            for i, j in ((0, 2), (1, 1), (3, 3)):
+                assert np.array_equal(pts[i], np.conj(pts[j][::-1]))
+                assert np.array_equal(wts[i], -np.conj(wts[j][::-1]))
+            assert np.all(pts[2].imag > 0.0) and np.all(pts[0].imag < 0.0)
+            assert not np.any(xi.imag == 0.0)
 
 
 class TestContourIntegral:

@@ -5,10 +5,11 @@ from freemp import freeconv
 from freemp.errors import ConvergenceError, DomainError, EdgeBracketError
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
-                             stieltjes_derivative, support_edges)
+                             stieltjes_derivative, stieltjes_rows,
+                             support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import (AtomicLaw, LinearLaw, empirical_measure,
-                             sample_population)
+from freemp.measures import (CHEB_NODES, AtomicLaw, LawStack, LinearLaw,
+                             empirical_measure, sample_population)
 from freemp.rmt import hat_fc
 
 from oracles import (DensityLaw, gl_transforms, integrate, mp_density,
@@ -29,6 +30,11 @@ def random_z(rng, n, eta_lo=1e-2, eta_hi=10.0):
     im = np.exp(rng.uniform(np.log(eta_lo), np.log(eta_hi), n))
     sign = rng.choice([-1.0, 1.0], n)
     return re + 1j * im * sign
+
+
+def one_row(fc, n):
+    """The solver's rows and per-point row for n points on fc alone."""
+    return freeconv._Rows((fc,)), np.zeros(n, np.intp)
 
 
 def spy_transforms(monkeypatch, fc):
@@ -159,11 +165,12 @@ class TestSelfConsistency:
               "conj": lambda: np.conj(stieltjes_batch(fc, zs)),
               "neg": lambda: -stieltjes_batch(fc, zs)}[start]()
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        res0 = np.abs(freeconv._phi(fc, m0, zs)[0])
-        m, res, (s, t2) = freeconv._newton(fc, zs, m0.copy(), tol,
+        rows, row = one_row(fc, zs.size)
+        res0 = np.abs(freeconv._phi(rows, row, m0, zs)[0])
+        m, res, (s, t2) = freeconv._newton(rows, row, zs, m0.copy(), tol,
                                            freeconv.NEWTON_ITERS)
         assert np.all(res <= res0)
-        assert np.array_equal(res, np.abs(freeconv._phi(fc, m, zs)[0]))
+        assert np.array_equal(res, np.abs(freeconv._phi(rows, row, m, zs)[0]))
         S, T = fc.base.transforms(m)
         assert np.array_equal(s, S) and np.array_equal(t2, T)
 
@@ -179,7 +186,7 @@ class TestSelfConsistency:
         m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
         calls = spy_transforms(monkeypatch, fc)
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        freeconv._newton(fc, zs, m0, tol, iters)
+        freeconv._newton(*one_row(fc, zs.size), zs, m0, tol, iters)
         assert 1 < len(calls) <= iters + 1
 
     # with the start's S and T handed in, Newton skips the call at the
@@ -192,11 +199,13 @@ class TestSelfConsistency:
         zs = random_z(rng, 100)
         m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        m_ref, res_ref, sums_ref = freeconv._newton(fc, zs, m0.copy(), tol,
-                                                    iters)
+        rows, row = one_row(fc, zs.size)
+        m_ref, res_ref, sums_ref = freeconv._newton(rows, row, zs, m0.copy(),
+                                                    tol, iters)
         sums0 = fc.base.transforms(m0)
         calls = spy_transforms(monkeypatch, fc)
-        m, res, sums = freeconv._newton(fc, zs, m0.copy(), tol, iters, sums0)
+        m, res, sums = freeconv._newton(rows, row, zs, m0.copy(), tol, iters,
+                                        sums0)
         assert 0 < len(calls) <= iters
         assert np.array_equal(m, m_ref) and np.array_equal(res, res_ref)
         assert all(np.array_equal(a, b) for a, b in zip(sums, sums_ref))
@@ -295,8 +304,8 @@ class TestFailurePath:
         real = np.array([-1.0, 5.0], dtype=complex)
         newton = freeconv._newton
 
-        def conj_polish(fc, z, m, tol, iters, sums=None):
-            m, res, sums = newton(fc, z, m, tol, iters, sums)
+        def conj_polish(rows, row, z, m, tol, iters, sums=None):
+            m, res, sums = newton(rows, row, z, m, tol, iters, sums)
             return (np.conj(m) if iters == 2 else m), res, sums
 
         monkeypatch.setattr(freeconv, "_newton", conj_polish)
@@ -310,8 +319,8 @@ class TestFailurePath:
         zs = np.array([1.0 + 0.5j, -1.0, 5.0, 2.0 - 0.1j])
         solve = freeconv._solve
 
-        def off_axis(fc, z, m0=None):
-            return solve(fc, z, m0) + (1e-3 + 1e-3j)
+        def off_axis(fcs, z, m0=None):
+            return solve(fcs, z, m0) + (1e-3 + 1e-3j)
 
         monkeypatch.setattr(freeconv, "_solve", off_axis)
         with pytest.raises(ConvergenceError, match="real-axis value") as err:
@@ -319,6 +328,120 @@ class TestFailurePath:
         assert any(f"z = {complex(x)!r}" in str(err.value)
                    for x in zs.real[1:3])
         assert np.array_equal(err.value.z, [-1.0, 5.0])
+
+
+def fold_laws():
+    """A density law, a compressed atomic law and dirac:1."""
+    rng = np.random.default_rng(20240817)
+    compressed = empirical_measure(
+        sample_population(LinearLaw(0.5, 1.0), 500, rng))
+    assert compressed._rule[0].size == CHEB_NODES < compressed.locs.size
+    return {"linear": LinearLaw(0.2, 1.0, 1.0), "compressed": compressed,
+            "dirac": AtomicLaw([1.0], [1.0])}
+
+
+FOLD_LAWS = fold_laws()
+
+
+class TestConjugateFold:
+    """A point below the real axis is solved as the conjugate of its
+    mirror, m(conj z) = conj m(z), and each distinct (z, m0) once per
+    row."""
+
+    # conjugating z and the start conjugates m, bit for bit
+    @pytest.mark.parametrize("name", sorted(FOLD_LAWS))
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_conjugate_in_conjugate_out(self, name, ratio, start, rng):
+        fc = FreeConvolution(FOLD_LAWS[name], ratio)
+        z = random_z(rng, 60, eta_lo=1e-3)
+        m0 = None
+        if start == "warm":
+            m0 = stieltjes_batch(fc, z) * (1.0 + 1e-3)
+        up = stieltjes_batch(fc, z, m0)
+        down = stieltjes_batch(fc, np.conj(z),
+                               None if m0 is None else np.conj(m0))
+        assert np.array_equal(down.view(float), np.conj(up).view(float))
+
+    # a point and its mirror cost one solve: the pair evaluates the
+    # transforms at the same m as the upper point alone
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_mirror_pairs_solved_once(self, hat_500, start, rng,
+                                      monkeypatch):
+        z = random_z(rng, 40)
+        z = z.real + 1j * np.abs(z.imag)
+        m0 = None if start == "cold" else stieltjes_batch(hat_500, z) * 1.01
+        pair_m0 = None if m0 is None else np.concatenate([m0, np.conj(m0)])
+        seen = spy_transforms(monkeypatch, hat_500)
+        alone = stieltjes_batch(hat_500, z, m0)
+        n_alone = sum(m.size for m in seen)
+        seen.clear()
+        pair = stieltjes_batch(hat_500, np.concatenate([z, np.conj(z)]),
+                               pair_m0)
+        assert sum(m.size for m in seen) == n_alone
+        assert np.array_equal(pair, np.concatenate([alone, np.conj(alone)]))
+
+    # a stalled continuation names the caller's point, not its mirror,
+    # and carries both points of a stalled pair
+    def test_stall_names_the_callers_points(self, hat_500, monkeypatch):
+        law = type(hat_500.base)
+        transforms = law.transforms
+
+        def blind(self, m):
+            s, t2 = transforms(self, m)
+            far = np.abs(m) > 0.6
+            return np.where(far, np.nan, s), np.where(far, np.nan, t2)
+
+        monkeypatch.setattr(law, "transforms", blind)
+        below = 1.0 - 1j * np.array([1e-3, 1e-2, 1e-1])
+        z = np.concatenate([below, np.conj(below)])
+        with pytest.raises(ConvergenceError,
+                           match="continuation stalled") as err:
+            stieltjes_batch(hat_500, z)
+        got = err.value.z
+        assert got.size and np.isin(got, z).all()
+        assert got[0].imag < 0.0
+        assert f"z = {complex(got[0])!r}:" in str(err.value)
+        assert np.array_equal(np.sort_complex(got),
+                              np.sort_complex(np.conj(got)))
+
+
+class TestRows:
+    """stieltjes_rows solves several convolutions at once, one row each,
+    with the bits each gets alone."""
+
+    FCS = (FreeConvolution(FOLD_LAWS["linear"], 2.0),
+           FreeConvolution(FOLD_LAWS["compressed"], 0.5),
+           FreeConvolution(FOLD_LAWS["dirac"], 0.25),
+           FreeConvolution(FOLD_LAWS["compressed"], 2.0))
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_rows_equal_lone_solves(self, start, rng):
+        z = np.concatenate([random_z(rng, 80, eta_lo=1e-4),
+                            [-2.0, -0.5, 20.0]])
+        m0 = None
+        if start == "warm":
+            m0 = stieltjes_batch(self.FCS[0], z)
+        rows = stieltjes_rows(self.FCS, z, m0)
+        alone = np.array([stieltjes_batch(fc, z, m0) for fc in self.FCS])
+        assert rows.shape == (len(self.FCS), z.size)
+        assert np.array_equal(rows.view(float), alone.view(float))
+
+    def test_error_carries_rows(self, rng, monkeypatch):
+        transforms = LawStack.transforms
+
+        def blind(self, row, m):
+            s, t2 = transforms(self, row, m)
+            dead = row == 2
+            return np.where(dead, np.nan, s), np.where(dead, np.nan, t2)
+
+        monkeypatch.setattr(LawStack, "transforms", blind)
+        z = random_z(rng, 10)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            stieltjes_rows(self.FCS, z)
+        assert f"z = {complex(z[0])!r}:" in str(err.value)
+        assert np.array_equal(err.value.z, z)
+        assert np.array_equal(err.value.row, np.full(z.size, 2))
 
 
 class TestDerivative:
@@ -670,7 +793,7 @@ class TestNarrowLinearLaw:
         fc, p = narrow_case(width, slope_frac)
         e = support_edges(fc)
         x = np.linspace(e.L_minus, e.L_plus, 25)[1:-1]
-        m = freeconv._solve(fc, x.astype(complex))
+        m = freeconv._solve((fc,), x.astype(complex))[0]
         assert np.all(m.imag != 0.0)
         assert np.array_equal(density_batch(fc, x), np.abs(m.imag) / np.pi)
         assert np.all(oracle_backward_error(fc, p, m, x)

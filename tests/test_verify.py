@@ -11,9 +11,10 @@ import pytest
 from scipy.stats import norm
 
 import freemp
+from freemp import freeconv, measures, verify
 from freemp.errors import ConvergenceError, DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import AtomicLaw, sample_population
+from freemp.measures import AtomicLaw, LawStack, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
                         sample_data_matrix)
@@ -432,7 +433,7 @@ class TestHatRate:
         def no_draws(*args):
             raise AssertionError("replicates ran")
 
-        monkeypatch.setattr("freemp.verify._map_tasks", no_draws)
+        monkeypatch.setattr("freemp.verify._rate_sups", no_draws)
         with pytest.raises(DomainError, match=r"N = \[50, 100\]"):
             check_hat_rate(uniform_half, 0.995, (50, 100, 400), 2, 1)
 
@@ -455,6 +456,104 @@ class TestHatRate:
         assert strict.slope == loose.slope
 
 
+class TestBatchedRate:
+    """check_hat_rate solves every draw of every size as one row of one
+    warm solve; each draw's sup has the bits of its own stieltjes_batch."""
+
+    ARGS = (0.5, (32, 64, 128, 256), 3, 0)
+
+    @staticmethod
+    def per_law_sups(nu, gamma0, n_list, reps, seed):
+        fc = FreeConvolution(nu, gamma0)
+        xi, _ = default_contour(fc).nodes(0)
+        m_pop = stieltjes_batch(fc, xi)
+        sups = []
+        children = np.random.SeedSequence(seed).spawn(len(n_list))
+        for child, N in zip(children, n_list):
+            spec = DataMatrixSpec.from_ratio(gamma0, N)
+            for s in child.generate_state(reps, np.uint64):
+                rng = np.random.default_rng(int(s))
+                fc_hat = hat_fc(sample_population(nu, spec.M, rng),
+                                spec.M, N)
+                m_hat = stieltjes_batch(fc_hat, xi, m0=m_pop)
+                sups.append(float(np.abs(m_hat - m_pop).max()))
+        return xi, sups
+
+    # N <= 128 makes each law's rule its 16, 32 or 64 atoms, so the batch
+    # stacks rules of three lengths; some draws miss warm Newton and go
+    # cold at shared nodes, where the first continuation iterates of two
+    # rows coincide; and some points take the exact atom sums
+    def test_sups_equal_per_law_solves(self, uniform_half, monkeypatch):
+        seen = {"sups": [], "cold": [], "exact": 0, "sizes": set()}
+        rate_sups, cont = verify._rate_sups, freeconv._continuation
+        exact, rule_sums = measures.AtomicLaw._exact_sums, measures._rule_sums
+
+        def spy_sups(task):
+            seen["sups"].append(rate_sups(task))
+            return seen["sups"][-1]
+
+        def spy_cont(rows, row, z):
+            if len(rows.fcs) > 1:
+                seen["cold"].append((row.copy(), z.copy()))
+            return cont(rows, row, z)
+
+        def spy_exact(law, m):
+            seen["exact"] += m.size
+            return exact(law, m)
+
+        def spy_rule(t, w, m, row=None):
+            if row is not None:
+                seen["sizes"].add(t.shape[-1])
+            return rule_sums(t, w, m, row)
+
+        monkeypatch.setattr(verify, "_rate_sups", spy_sups)
+        monkeypatch.setattr(freeconv, "_continuation", spy_cont)
+        monkeypatch.setattr(measures.AtomicLaw, "_exact_sums", spy_exact)
+        monkeypatch.setattr(measures, "_rule_sums", spy_rule)
+        report = check_hat_rate(uniform_half, *self.ARGS)
+        assert seen["sizes"] == {16, 32, 64}
+        assert seen["exact"] > 0
+        cold_rows = np.concatenate([row for row, _ in seen["cold"]])
+        assert np.unique(cold_rows).size > 1
+        assert any(np.unique(z).size < z.size for _, z in seen["cold"])
+
+        _, want = self.per_law_sups(uniform_half, *self.ARGS)
+        got = np.concatenate(seen["sups"])
+        assert np.array_equal(got, want)
+        reps = self.ARGS[2]
+        assert report.averages == tuple(
+            float(np.mean(got[k:k + reps])) for k in range(0, got.size, reps))
+
+    # the draws split into runs of consecutive draws, one batch each
+    def test_workers_give_the_same_bits(self, uniform_half):
+        serial = check_hat_rate(uniform_half, *self.ARGS, workers=1)
+        pooled = check_hat_rate(uniform_half, *self.ARGS, workers=2)
+        assert pooled == serial
+
+    # a forced stall in one draw's row names its size and replicate, and
+    # the first failed node, which lies below the real axis, as itself
+    def test_failure_names_size_and_replicate(self, uniform_half,
+                                              monkeypatch):
+        transforms = LawStack.transforms
+
+        def blind(self, row, m):
+            s, t2 = transforms(self, row, m)
+            if len(self.laws) == 1:
+                return s, t2
+            dead = row == 4                # N = 64, replicate 2
+            return np.where(dead, np.nan, s), np.where(dead, np.nan, t2)
+
+        monkeypatch.setattr(LawStack, "transforms", blind)
+        with pytest.raises(ConvergenceError) as err:
+            check_hat_rate(uniform_half, *self.ARGS)
+        msg = str(err.value)
+        xi, _ = default_contour(FreeConvolution(uniform_half, 0.5)).nodes(0)
+        assert msg.startswith("rate check at N = 64, replicate 2: ")
+        assert "continuation stalled" in msg
+        assert xi[0].imag < 0.0 and f"z = {complex(xi[0])!r}:" in msg
+        assert np.array_equal(err.value.z, xi)
+
+
 def _exact_sums(monkeypatch):
     """Make hat_fc convolve laws that sum every atom at every m."""
     monkeypatch.setattr("freemp.rmt.empirical_measure",
@@ -471,11 +570,22 @@ def _close(a, b, rtol=1e-12) -> bool:
 class TestCompressedSumsAgreeWithExact:
     SEED = 20240817
 
+    # the batched solve sums each row over its law's _rule, so the oracle
+    # states its exactness there: the reference must sum every atom
     def test_hat_rate(self, uniform_half, monkeypatch):
         args = (uniform_half, 0.5, (250, 500, 1000, 2000), 50, self.SEED)
         rep = check_hat_rate(*args)
         _exact_sums(monkeypatch)
+        rule_sums, sizes = measures._rule_sums, set()
+
+        def spy(t, w, m, row=None):
+            if row is not None:
+                sizes.add(t.shape[-1])
+            return rule_sums(t, w, m, row)
+
+        monkeypatch.setattr(measures, "_rule_sums", spy)
         ref = check_hat_rate(*args)
+        assert sizes == {125, 250, 500, 1000}
         assert _close(rep.averages, ref.averages)
         assert _close(rep.slope, ref.slope)
         assert rep.passed == ref.passed
