@@ -7,6 +7,13 @@ statistics by contour quadrature, and checks both against seeded Monte
 Carlo simulation.
 """
 
+# verify first: without cached bytecode each module is compiled on import,
+# and compiling the largest before the modules it loads keeps the
+# import's peak memory lower
+from .verify import (CltReport, ExperimentConfig, GateTolerances,
+                     LocalLawReport, RateReport, check_edges, check_hat_rate,
+                     check_local_law, ks_normality, report_to_csv,
+                     report_to_json, run_clt_experiment)
 from .contour import (Exponential, Polynomial, RationalShift, RectContour,
                       TestFunction, build_contour, clt_variance,
                       default_contour, f_sigma, mean_statistic)
@@ -17,17 +24,13 @@ from .errors import (ContourError, ConvergenceError, DomainError,
 from .freeconv import (FreeConvolution, SupportEdges, atom_at_zero, density,
                        density_batch, stieltjes, stieltjes_batch,
                        stieltjes_derivative, stieltjes_derivative_batch,
-                       stieltjes_rows, support_edges)
+                       support_edges)
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import (AtomicLaw, LinearLaw, PopulationLaw,
                        empirical_measure, sample_population)
 from .rmt import (DataMatrixSpec, EigenSample, eigenvalues,
                   empirical_stieltjes, hat_fc, linear_statistic,
                   sample_data_matrix)
-from .verify import (CltReport, ExperimentConfig, GateTolerances,
-                     LocalLawReport, RateReport, check_edges, check_hat_rate,
-                     check_local_law, ks_normality, report_to_csv,
-                     report_to_json, run_clt_experiment)
 
 __version__ = "0.1.0"
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContourError, DomainError, NearSingularityError
-from .freeconv import FreeConvolution, _solve, support_edges
+from .freeconv import FreeConvolution, _rows, _solve, support_edges
 from .measures import _leggauss
 
 NODES_PER_SIDE = 128
@@ -180,7 +180,7 @@ def _m_circle(fc: FreeConvolution, c: RectContour):
     stieltjes_batch, so that no edge-distance guard limits the margin d.
     A landing costs about twice the transform work of a bisection, so circles
     are kept per (fc, c): every functional on one contour shares them."""
-    m = _solve((fc,), np.array([c.left, c.right], dtype=complex))[0]
+    m = _solve(*_rows((fc,)), np.array([c.left, c.right], dtype=complex))[0]
     if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
         raise ContourError(
             f"the real crossings {c.left!r} and {c.right!r} map to non-real "

@@ -15,20 +15,18 @@ int t/(1+mt) dpi and T(m) = int t^2/(1+mt)^2 dpi; freeconv does not choose
 how to integrate.
 
 The solver is Newton's method on the defining equation, batched over arrays
-of z and over several convolutions at once: each point carries the row of
-its (law, ratio) and is evaluated on that law alone.  A point keeps a full
-step only where its residual drops.  A point below the real axis is solved
-as the conjugate of its mirror, m(conj z) = conj m(z) (Bai & Silverstein,
-Spectral Analysis of Large Dimensional Random Matrices, 2010), so every
-solve runs in the closed upper half plane and a conjugate pair costs one.
-A point without a usable warm start is reached by per-point continuation in
-Im z from a height where -1/z is a good start, with the step ratio adapted
-to how Newton fares at each step (Dobriban, arXiv:1507.01649; Ledoit &
-Wolf's QuEST).  Each step is solved to the tolerance of its own height, so
-points that share a real part and a row share their steps until each
-leaves the common ladder for its own target, and a step is solved once per
-distinct (z, start, row).  Two final Newton steps land residuals near
-machine precision.
+of z and over convolutions: each point carries the row of its (law, ratio).
+A point keeps a full step only where its residual drops.  A point below the
+real axis is solved as the conjugate of its mirror, m(conj z) = conj m(z)
+(Bai & Silverstein, Spectral Analysis of Large Dimensional Random Matrices,
+2010).  A point without a usable warm start is reached by per-point
+continuation in Im z from a height where -1/z is a good start, with the
+step ratio adapted to how Newton fares at each step (Dobriban,
+arXiv:1507.01649; Ledoit & Wolf's QuEST).  Each step is solved to the
+tolerance of its own height, so points that share a real part and a row
+share their steps until each leaves the common ladder for its own target,
+and a step is solved once per distinct (z, start, row).  Two final Newton
+steps land residuals near machine precision.
 The same continuation lands on eta = 0 for real z: outside the support it gives
 the real value of m, and inside it the boundary value m(x + i0), whose
 |Im m| / pi is the density.  The transforms are evaluated once per new
@@ -96,19 +94,12 @@ def atom_at_zero(fc: FreeConvolution) -> float:
 # ---------------------------------------------------------------------------
 # solver core
 
-class _Rows:
-    """The convolutions of one solve, one row each.  Every point of the
-    solve carries its row, and phi at a point takes the law and ratio of
-    its own row."""
-
-    def __init__(self, fcs):
-        self.fcs = tuple(fcs)
-        self.laws = LawStack(fc.base for fc in self.fcs)
-        self._ratio = np.array([fc.ratio for fc in self.fcs])
-
-    def ratio(self, row: np.ndarray):
-        """The ratio of each point's row; with one row, that float."""
-        return self.fcs[0].ratio if len(self.fcs) == 1 else self._ratio[row]
+def _rows(fcs):
+    """(laws, ratio) of the convolutions fcs, one row each: the LawStack
+    of their bases and the array of their ratios, as the solver takes
+    them."""
+    fcs = tuple(fcs)
+    return LawStack(fc.base for fc in fcs), np.array([fc.ratio for fc in fcs])
 
 
 class _Stalled(Exception):
@@ -121,16 +112,16 @@ class _Stalled(Exception):
         self.idx, self.eta, self.res = idx, eta, res
 
 
-def _phi(rows, row, m, z, sums=None):
+def _phi(laws, ratio, row, m, z, sums=None):
     """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m) at each
     point, on its row's law and ratio, from the sums (S, T) at m if the
     caller has them."""
-    s, t2 = rows.laws.transforms(row, m) if sums is None else sums
-    r = rows.ratio(row)
+    s, t2 = laws.transforms(row, m) if sums is None else sums
+    r = ratio[row]
     return 1.0 / m + z - r * s, -1.0 / (m * m) + r * t2
 
 
-def _newton(rows, row, z, m, tol, iters, sums=None):
+def _newton(laws, ratio, row, z, m, tol, iters, sums=None):
     """Newton steps on phi(m) = 1/m + z - r S(m).  A point keeps a full step
     only if its residual |phi| drops; otherwise it stops where it is, above
     tol.  sums, the (S, T) of the start if the caller has them, saves the
@@ -139,9 +130,9 @@ def _newton(rows, row, z, m, tol, iters, sums=None):
     of their next steps.  m and sums are updated in place and returned
     with the residuals as (m, res, (S, T)), the sums of the final m."""
     if sums is None:
-        sums = rows.laws.transforms(row, m)
+        sums = laws.transforms(row, m)
     s, t2 = sums
-    phi, dphi = _phi(rows, row, m, z, sums)
+    phi, dphi = _phi(laws, ratio, row, m, z, sums)
     res = np.abs(phi)
     active = res > tol
     for _ in range(iters):
@@ -152,8 +143,8 @@ def _newton(rows, row, z, m, tol, iters, sums=None):
         good = np.isfinite(trial.real) & np.isfinite(trial.imag) & (trial != 0)
         active[idx] = False
         idx, trial = idx[good], trial[good]
-        ts, tt2 = rows.laws.transforms(row[idx], trial)
-        tphi, tdphi = _phi(rows, row[idx], trial, z[idx], (ts, tt2))
+        ts, tt2 = laws.transforms(row[idx], trial)
+        tphi, tdphi = _phi(laws, ratio, row[idx], trial, z[idx], (ts, tt2))
         tres = np.abs(tphi)
         better = tres < res[idx]
         k = idx[better]
@@ -178,7 +169,7 @@ def _distinct(*cols):
     return first, back.ravel()
 
 
-def _shared_newton(rows, row, zeta, m, sums, share):
+def _shared_newton(laws, ratio, row, zeta, m, sums, share):
     """_newton at each zeta from m to the tolerance of its own height,
     RESIDUAL_TOL max(1, |zeta|).  With share, it runs once per distinct bit
     pattern of (zeta, m, row) and the results are scattered back; a point's
@@ -190,13 +181,14 @@ def _shared_newton(rows, row, zeta, m, sums, share):
         if sums is not None:
             sums = (sums[0][first], sums[1][first])
     tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(zeta))
-    m, res, (s, t2) = _newton(rows, row, zeta, m, tol, NEWTON_ITERS, sums)
+    m, res, (s, t2) = _newton(laws, ratio, row, zeta, m, tol, NEWTON_ITERS,
+                              sums)
     if share:
         m, res, s, t2, tol = (v[back] for v in (m, res, s, t2, tol))
     return m, res, (s, t2), tol
 
 
-def _continuation(rows, row, z):
+def _continuation(laws, ratio, row, z):
     """Per-point Newton continuation in eta = Im down to the target, for z
     in the closed upper half plane.
 
@@ -217,13 +209,13 @@ def _continuation(rows, row, z):
     """
     x, a = z.real, np.abs(z.imag)
     floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
-    eta = np.maximum(a, 2.0 * (1.0 + rows.ratio(row)))
+    eta = np.maximum(a, 2.0 * (1.0 + ratio[row]))
     # only points with a common real part and row can share a step; a set
     # finds them without the peak memory of numpy's first sort
     share = len(set(zip(x.tolist(), row.tolist()))) < z.size
     zeta = x + 1j * eta
-    m, res, (s, t2), tol = _shared_newton(rows, row, zeta, -1.0 / zeta, None,
-                                          share)
+    m, res, (s, t2), tol = _shared_newton(laws, ratio, row, zeta,
+                                          -1.0 / zeta, None, share)
     bad = ~_solved(zeta, m, res, tol)
     q = np.full(z.shape, FIRST_STEP_RATIO)
     while True:
@@ -235,8 +227,9 @@ def _continuation(rows, row, z):
         nxt = eta[idx] * q[idx]
         nxt = np.where(nxt <= floor[idx], a[idx], nxt)
         zt = x[idx] + 1j * nxt
-        mt, rt, (st, tt2), tt = _shared_newton(rows, row[idx], zt, m[idx],
-                                               (s[idx], t2[idx]), share)
+        mt, rt, (st, tt2), tt = _shared_newton(laws, ratio, row[idx], zt,
+                                               m[idx], (s[idx], t2[idx]),
+                                               share)
         ok = _solved(zt, mt, rt, tt)
         k = idx[ok]
         eta[k], m[k], res[idx] = nxt[ok], mt[ok], rt
@@ -264,7 +257,7 @@ def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
             f"[{e.L_minus}, {e.L_plus}]")
 
 
-def _solve_upper(rows, row, z, m0):
+def _solve_upper(laws, ratio, row, z, m0):
     """m and its residual at each z of the closed upper half plane, warm
     from m0 where it holds (see _solve), polished but not yet accepted;
     m0 is overwritten."""
@@ -272,45 +265,42 @@ def _solve_upper(rows, row, z, m0):
     # of order |z| eps, so the targets are relative to max(1, |z|).
     scale = np.maximum(1.0, np.abs(z))
     if m0 is None:
-        m, (s, t2) = _continuation(rows, row, z)
+        m, (s, t2) = _continuation(laws, ratio, row, z)
     else:
         m = m0
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
         m[bad] = -1.0 / z[bad]
-        m, res, (s, t2) = _newton(rows, row, z, m, RESIDUAL_TOL * scale,
-                                  NEWTON_ITERS)
+        m, res, (s, t2) = _newton(laws, ratio, row, z, m,
+                                  RESIDUAL_TOL * scale, NEWTON_ITERS)
         cold = np.flatnonzero(~_solved(z, m, res, RESIDUAL_TOL * scale))
         if cold.size:
             try:
-                m[cold], (s[cold], t2[cold]) = _continuation(rows, row[cold],
-                                                             z[cold])
+                m[cold], (s[cold], t2[cold]) = _continuation(
+                    laws, ratio, row[cold], z[cold])
             except _Stalled as exc:
                 exc.idx = cold[exc.idx]
                 raise
-    m, res, _ = _newton(rows, row, z, m, POLISH_TOL * scale, 2, (s, t2))
+    m, res, _ = _newton(laws, ratio, row, z, m, POLISH_TOL * scale, 2,
+                        (s, t2))
     return m, res
 
 
-def _solve(fcs, z, m0=None):
-    """Complex m of every convolution in fcs at every z, real z too, with
-    residual within RESIDUAL_TOL, as a (len(fcs), z.size) array: one row
-    per convolution, each from the same start m0.
+def _solve(laws, ratio, z, m0=None):
+    """Complex m of every convolution (laws, ratio) at every z, real z too,
+    with residual within RESIDUAL_TOL, as a (len(ratio), z.size) array,
+    every row from the same start m0.
 
-    A point below the real axis is solved as the conjugate of its mirror,
-    m(conj z) = conj m(z), from the conjugate of its start, so every solve
-    runs in the closed upper half plane; when some point is folded so,
-    each distinct (z, m0) is solved once per row and its m given to every
-    point that has it.  With a warm start m0, each point first tries Newton
-    at its own z; a point without m0, or whose Newton misses the tolerance
-    or lands in the wrong half plane, is reached by _continuation.  Two
-    polishing Newton steps then aim at POLISH_TOL, starting from the S and
-    T that Newton or the continuation computed at each m.  One rule,
-    _solved, accepts each of the caller's points, and one ConvergenceError
-    names the first point, row by row, that it rejects or whose
-    continuation stalled, with every failed point of the caller as its z
+    A point below the real axis is solved as the conjugate of its mirror
+    from the conjugate of its start; when any is, each distinct (z, m0) is
+    solved once per row.  With m0, each point first tries Newton at its own
+    z; a point without m0, or whose Newton misses the tolerance or lands in
+    the wrong half plane, is reached by _continuation.  Two polishing
+    Newton steps then aim at POLISH_TOL from the S and T already computed
+    at each m.  One rule, _solved, accepts each of the caller's points,
+    and one ConvergenceError names the first, row by row, that it rejects
+    or whose continuation stalled, and carries every failed point as its z
     and their rows as its row.
     """
-    rows = _Rows(fcs)
     if m0 is not None:
         m0 = np.asarray(m0, dtype=complex).ravel()
     flip = z.imag < 0.0
@@ -325,10 +315,10 @@ def _solve(fcs, z, m0=None):
             keep, back = _distinct(zu, mu)
             mu = mu[keep]
         zu = zu[keep]
-    n_rows, n = len(rows.fcs), zu.size
+    n_rows, n = ratio.size, zu.size
     row = np.repeat(np.arange(n_rows), n)
     try:
-        m, res = _solve_upper(rows, row, np.tile(zu, n_rows),
+        m, res = _solve_upper(laws, ratio, row, np.tile(zu, n_rows),
                               None if mu is None else np.tile(mu, n_rows))
     except _Stalled as exc:
         stalled = np.zeros(n_rows * n, dtype=bool)
@@ -357,36 +347,33 @@ def _solve(fcs, z, m0=None):
 
 def stieltjes_rows(fcs, z, m0=None) -> np.ndarray:
     """Stieltjes transform of each convolution in fcs at every point z, as
-    a (len(fcs), z.size) array, all in one solve (_solve).
+    a (len(fcs), z.size) array, in one solve (_solve) from the start m0
+    shared by every row.  A point's solve depends only on its own z, start
+    and row, so row k has the bits of stieltjes_batch(fcs[k], z, m0).
 
-    Row k of the result has the bits of stieltjes_batch(fcs[k], z, m0): a
-    point's solve depends only on its own z, start and row, whatever the
-    batch.  m0, one start per point of z, is shared by every row: warm
-    Newton from m0 where it holds, per-point continuation in Im z
+    Warm Newton from m0 where it holds, per-point continuation in Im z
     elsewhere, two polishing steps toward 1e-14 max(1, |z|), and the
-    solution must lie in the half plane of z; a point below the real axis
-    is solved as the conjugate of its mirror.  Real z must clear each
-    row's support by the edge-distance guard; continuation lands on them
-    at eta = 0 and they keep the real part, whose residual is checked again
-    where dropping the imaginary part moved m.  A non-finite z raises
-    DomainError before any solve, and each ConvergenceError carries the
-    points that failed as its z and their rows as its row.
+    solution must lie in the half plane of z.  Real z must clear each
+    row's support by the edge-distance guard; they keep the real part,
+    whose residual is checked again where dropping the imaginary part
+    moved m.  A non-finite z raises DomainError before any solve.
     """
     fcs = tuple(fcs)
+    laws, ratio = _rows(fcs)
     z = np.ascontiguousarray(np.asarray(z, dtype=complex).ravel())
     _refuse_non_finite(z, "z")
     is_real = z.imag == 0.0
     if is_real.any():
         for fc in fcs:
             _real_axis_guard(fc, z.real[is_real])
-    m = _solve(fcs, z, m0)
+    m = _solve(laws, ratio, z, m0)
     # dropping Im m moves m only where it is not 0 already; elsewhere
     # _solve has checked the residual of this very m
     moved = is_real & (m.imag != 0.0)
     if moved.any():
         r, k = np.nonzero(moved)
         zr, mr = z[k], m.real[moved]
-        res = np.abs(_phi(_Rows(fcs), r, mr, zr)[0])
+        res = np.abs(_phi(laws, ratio, r, mr, zr)[0])
         bad = np.flatnonzero(res > RESIDUAL_TOL * np.maximum(1.0, np.abs(zr)))
         if bad.size:
             raise ConvergenceError(
@@ -451,7 +438,7 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     e = fc._edge_data
     inside = ~((x < e.L_minus) | (x > e.L_plus))
     rho = np.zeros(x.shape)
-    m = _solve((fc,), x[inside].astype(complex))[0]
+    m = _solve(*_rows((fc,)), x[inside].astype(complex))[0]
     rho[inside] = np.abs(m.imag) / np.pi
     return rho
 

@@ -7,7 +7,7 @@ free convolution needs,
     S(m) = int t/(1+mt) dnu(t)   and   T(m) = int t^2/(1+mt)^2 dnu(t),
 
 and its inverse CDF is what the Monte Carlo layer draws from.  Every law
-evaluates them the same way (PopulationLaw.transforms): over its fixed rule
+evaluates them the same way (LawStack.transforms): over its fixed rule
 where the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho >=
 CHEB_RHO_MIN, and at m = 0, where the rule is exact to rounding, and by its
 exact sums elsewhere.  A LinearLaw's rule is its 32-node Gauss-Legendre
@@ -19,8 +19,8 @@ rather than BLAS in chunks of at most _CHUNK_ELEMS terms, so a value
 depends only on its own m, not on its batch or the BLAS thread count.
 quad_rule(n) weights n Gauss-Legendre nodes on [lo, hi] by a law's density
 (an AtomicLaw's are its atoms); it is the rule of integrals other than S
-and T.  A LawStack evaluates several laws at once, each point on its own
-law with the bits that law alone gives it.
+and T.  A LawStack evaluates several laws at once, each point with the
+bits its law alone gives it.
 """
 
 from dataclasses import dataclass
@@ -55,24 +55,24 @@ def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray, row=None):
     Each term takes one reciprocal r = 1/(1+mt), inverted in place, and the
     sums are r.(w t) and (r r).(w t^2).  einsum forms and reduces each m's
     row in the same order whatever the batch, where a BLAS product or a
-    one-element multiply would not; the weights a stacked rule gathers per
-    point are reduced in that order too, so m[i] gets the bits of its own
-    rule alone.  Real m keep real arithmetic.  One chunk buffer per call
-    holds the m t of each chunk in turn."""
+    one-element multiply would not, and so are the weights a stacked rule
+    gathers per point: m[i] gets the bits of its own rule alone.  Real m
+    keep real arithmetic.  One chunk buffer holds the m t of each chunk in
+    turn; with row, a second holds its gathered weights, and the two hold
+    at most _CHUNK_ELEMS terms together."""
     dtype = np.result_type(m, w)
     s = np.empty(m.shape, dtype=dtype)
     tt = np.empty(m.shape, dtype=dtype)
     k = t.shape[-1]
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
+    n_buf = 1 if row is None else 2
+    step = max(1, _CHUNK_ELEMS // (n_buf * max(k, 1)))
     wt = w * t
     wt2 = wt * t
     tc = t.astype(dtype, copy=False)
     if row is not None:
-        # a stacked rule's weights, in m's type, are gathered per chunk into
-        # a second buffer, so a chunk allocates nothing and einsum casts
-        # nothing
+        # gathered in m's type: a chunk allocates and casts nothing
         wt, wt2 = wt.astype(dtype), wt2.astype(dtype)
-    buf = np.empty((1 if row is None else 2, min(step, m.size), k), dtype)
+    buf = np.empty((n_buf, min(step, m.size), k), dtype)
     for i in range(0, m.size, step):
         sl = slice(i, min(i + step, m.size))
         r = buf[0, :sl.stop - i]
@@ -120,8 +120,9 @@ class PopulationLaw:
 
     def transforms(self, m: np.ndarray):
         """(S(m), T(m)), elementwise over the array m: sums over _rule where
-        _pole_is_far(m), and _exact_sums elsewhere.  A batch wholly on one
-        side makes one sums call, and an empty batch builds no rule.
+        _pole_is_far(m), and _exact_sums elsewhere: the one-law case of
+        LawStack.transforms, which does not build the rule for a batch with
+        no point on it.
 
         There the rule is exact to rounding.  g(t) = t/(1+mt) and T's g^2
         are analytic inside the ellipse E_rho through the pole; for 1 <
@@ -139,15 +140,7 @@ class PopulationLaw:
         (Gauss-Legendre), max over [lo, hi], on intervals from [1e-80, 1] to
         widths of 1e-10.  The path depends on m alone, so a value has the
         same bits in any batch as alone, and real m stay real."""
-        far = self._pole_is_far(m)
-        if not far.any():
-            return self._exact_sums(m)
-        if far.all():
-            return _rule_sums(*self._rule, m)
-        out = np.empty((2,) + m.shape, np.result_type(m, float))
-        out[:, far] = _rule_sums(*self._rule, m[far])
-        out[:, ~far] = self._exact_sums(m[~far])
-        return tuple(out)
+        return LawStack((self,)).transforms(np.zeros(m.shape, np.intp), m)
 
     def as_measure(self) -> "PopulationLaw":
         """The law itself: a law is already a measure."""
@@ -322,45 +315,73 @@ class AtomicLaw(PopulationLaw):
 
 class LawStack:
     """Population laws side by side, one row each.  transforms(row, m)
-    gives each m[i] the S and T that laws[row[i]].transforms gives it
-    alone, bit for bit: the same rule choice per point, its law's _rule
-    where the pole is far and its law's _exact_sums elsewhere.  The rules
-    are stacked by node count, so one _rule_sums call per count sums every
-    point on its own law's rule; the exact sums run per law, on that law's
-    points only.  With one law, its own transforms evaluates every point,
-    and no rule is read before it is needed."""
+    evaluates each m[i] on law row[i]: over the law's _rule where
+    _pole_is_far, by its _exact_sums elsewhere.  The rules of one node
+    count are stacked, so one _rule_sums call sums the far points of every
+    law of that count; the exact sums run law by law.  A law that
+    overrides transforms is refused, since the stack never calls it."""
 
     def __init__(self, laws):
         self.laws = tuple(laws)
-        if len(self.laws) == 1:
-            return
+        for law in self.laws:
+            if getattr(type(law), "transforms",
+                       None) is not PopulationLaw.transforms:
+                raise TypeError(f"{type(law).__name__} overrides "
+                                f"transforms, which a LawStack never calls")
         self.lo = np.array([law.lo for law in self.laws])
         self.hi = np.array([law.hi for law in self.laws])
+
+    @cached_property
+    def _rules(self):
+        """(each row's stack, its slot there, the stacks): a stack is the
+        (nodes, weights) of one node count, 2-D for two or more laws."""
         rules = [law._rule for law in self.laws]
-        self._size = np.array([t.size for t, _ in rules])
-        self._slot = np.empty(len(rules), dtype=np.intp)
-        self._stacks = {}      # node count -> its rows' (nodes, weights)
-        for k in np.unique(self._size):
-            rows = np.flatnonzero(self._size == k)
-            self._slot[rows] = np.arange(rows.size)
-            self._stacks[int(k)] = tuple(
-                np.stack([rules[j][i] for j in rows]) for i in (0, 1))
+        # grouped by dict: np.unique imports numpy.ma, about 1 MB, on first
+        # use
+        counts = {}
+        for j, (t, _) in enumerate(rules):
+            counts.setdefault(t.size, []).append(j)
+        group = np.empty(len(rules), dtype=np.intp)
+        slot = np.empty(len(rules), dtype=np.intp)
+        stacks = []
+        for g, rows in enumerate(counts.values()):
+            group[rows], slot[rows] = g, np.arange(len(rows))
+            stacks.append(rules[rows[0]] if len(rows) == 1 else tuple(
+                np.stack([rules[j][i] for j in rows]) for i in (0, 1)))
+        return group, slot, stacks
 
     def transforms(self, row: np.ndarray, m: np.ndarray):
-        """(S, T) of each m[i] under laws[row[i]]."""
-        if len(self.laws) == 1:
-            return self.laws[0].transforms(m)
+        """(S, T) of each m[i] under laws[row[i]]; each call's points are
+        picked out only as it runs, and a batch that one call covers is
+        returned as that call gives it."""
         far = _pole_is_far(self.lo[row], self.hi[row], m)
+        n_far = np.count_nonzero(far)
+        calls = []                  # (stack, None) and (None, law)
+        if n_far:
+            group, slot, stacks = self._rules
+            used = (range(1) if len(stacks) == 1 else np.bincount(
+                group[row[far]], minlength=len(stacks)).nonzero()[0])
+            calls += [(g, None) for g in used]
+        if n_far < m.size:
+            used = np.bincount(row[~far], minlength=len(self.laws))
+            calls += [(None, j) for j in used.nonzero()[0]]
         out = np.empty((2,) + m.shape, np.result_type(m, float))
-        size = self._size[row]
-        for k, (t, w) in self._stacks.items():
-            on = np.flatnonzero(far & (size == k))
-            if on.size:
-                out[:, on] = _rule_sums(t, w, m[on], self._slot[row[on]])
-        near = np.flatnonzero(~far)
-        for j in np.unique(row[near]):
-            on = near[row[near] == j]
-            out[:, on] = self.laws[j]._exact_sums(m[on])
+        for g, law in calls:
+            if len(calls) == 1:
+                on = slice(None)
+            elif law is not None:
+                on = ~far & (row == law)
+            else:
+                on = far if len(stacks) == 1 else far & (group[row] == g)
+            if law is not None:
+                sums = self.laws[law]._exact_sums(m[on])
+            elif stacks[g][0].ndim == 1:
+                sums = _rule_sums(*stacks[g], m[on])
+            else:
+                sums = _rule_sums(*stacks[g], m[on], slot[row[on]])
+            if len(calls) == 1:
+                return sums
+            out[:, on] = sums
         return tuple(out)
 
 

@@ -384,15 +384,11 @@ class RateReport:
 
 
 def _rate_sups(task):
-    """Sup over the contour nodes xi of |m_hat - m_population| for each of a
-    run of draws, one row each of a single warm solve from m_pop.  A draw
-    is (seed, M, N, replicate); a failed solve names the first failed
-    draw's N and replicate."""
+    """Sup over xi of |m_hat - m_pop| for each draw (seed, M, N, replicate)
+    of a batch, one row each of one warm solve; a failure names its draw."""
     nu, xi, m_pop, draws = task
-    fcs = []
-    for seed, M, N, _ in draws:
-        rng = np.random.default_rng(seed)
-        fcs.append(hat_fc(sample_population(nu, M, rng), M, N))
+    fcs = [hat_fc(sample_population(nu, M, np.random.default_rng(seed)), M, N)
+           for seed, M, N, _ in draws]
     try:
         m_hat = stieltjes_rows(fcs, xi, m0=m_pop)
     except ConvergenceError as exc:
@@ -412,17 +408,11 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     rejected: with every draw equal, the gap reflects only the M/N rounding
     error and says nothing about the sampling rate.
 
-    Every draw of every size is one row of one warm solve from m_fc on the
-    rectangle's nodes (stieltjes_rows), whose conjugate pairs are solved
-    once.  With workers > 1 the draws are split into that many runs of
-    consecutive draws, each solved in one batch in its own process; a
-    point's solve does not depend on its batch, so the sups have the same
-    bits for every worker count.
-
-    The rectangle is built on nu's edges, not on each nu_hat's: where
-    L_plus(nu_hat) lies beyond its right side (9 of the 20 draws of the
-    benchmark's rate configuration, up to 2.335 against 2.2952), the nodes
-    in nu_hat's bulk miss warm Newton and take the cold continuation.
+    Every draw is one row of one warm solve from m_fc on the rectangle's
+    nodes; workers > 1 deal the draws round-robin, one batch per process,
+    with the same bits.  The rectangle is built on nu's edges: where
+    L_plus(nu_hat) lies beyond it (9 of the benchmark's 20 draws, up to
+    2.335 against 2.2952), the nodes in nu_hat's bulk go cold.
     """
     n_values = tuple(sorted(int(n) for n in N_list))
     if len(n_values) < RATE_MIN_SIZES:
@@ -456,12 +446,13 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     draws = [(int(s), spec.M, spec.N, i + 1)
              for child, spec in zip(children, specs)
              for i, s in enumerate(child.generate_state(reps, np.uint64))]
-    runs = [r for r in np.array_split(np.arange(len(draws)), workers)
-            if r.size]
-    tasks = [(nu, xi, m_pop, [draws[j] for j in r]) for r in runs]
-    sups = np.concatenate(list(_imap(_rate_sups, tasks, workers)))
-    averages = [float(np.mean(sups[k * reps:(k + 1) * reps]))
-                for k in range(len(n_values))]
+    # dealt round-robin, so no process gets all of the largest N
+    n_deals = min(workers, len(draws))
+    tasks = [(nu, xi, m_pop, draws[w::n_deals]) for w in range(n_deals)]
+    sups = np.empty(len(draws))
+    for w, dealt in enumerate(_imap(_rate_sups, tasks, workers)):
+        sups[w::n_deals] = dealt
+    averages = sups.reshape(len(n_values), reps).mean(axis=1).tolist()
 
     slope = float(np.polyfit(np.log(n_values), np.log(averages), 1)[0])
     passed = GATES.rate_slope_lo <= slope <= GATES.rate_slope_hi

@@ -33,21 +33,34 @@ def random_z(rng, n, eta_lo=1e-2, eta_hi=10.0):
 
 
 def one_row(fc, n):
-    """The solver's rows and per-point row for n points on fc alone."""
-    return freeconv._Rows((fc,)), np.zeros(n, np.intp)
+    """The solver's (laws, ratio) and per-point row for n points on fc
+    alone."""
+    return (*freeconv._rows((fc,)), np.zeros(n, np.intp))
 
 
 def spy_transforms(monkeypatch, fc):
-    """Record a copy of every m array the base law's transforms gets."""
-    law = type(fc.base)
-    transforms, seen = law.transforms, []
+    """Record a copy of every m array whose S and T are evaluated, by the
+    solver or by fc's law: every law's transforms is a LawStack's."""
+    transforms, seen = LawStack.transforms, []
 
-    def spy(self, m):
+    def spy(self, row, m):
         seen.append(m.copy())
-        return transforms(self, m)
+        return transforms(self, row, m)
 
-    monkeypatch.setattr(law, "transforms", spy)
+    monkeypatch.setattr(LawStack, "transforms", spy)
     return seen
+
+
+def blind_beyond(monkeypatch, bound):
+    """Make every S and T read NaN where |m| > bound."""
+    transforms = LawStack.transforms
+
+    def blind(self, row, m):
+        s, t2 = transforms(self, row, m)
+        far = np.abs(m) > bound
+        return np.where(far, np.nan, s), np.where(far, np.nan, t2)
+
+    monkeypatch.setattr(LawStack, "transforms", blind)
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +178,13 @@ class TestSelfConsistency:
               "conj": lambda: np.conj(stieltjes_batch(fc, zs)),
               "neg": lambda: -stieltjes_batch(fc, zs)}[start]()
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        rows, row = one_row(fc, zs.size)
-        res0 = np.abs(freeconv._phi(rows, row, m0, zs)[0])
-        m, res, (s, t2) = freeconv._newton(rows, row, zs, m0.copy(), tol,
-                                           freeconv.NEWTON_ITERS)
+        laws, ratio, row = one_row(fc, zs.size)
+        res0 = np.abs(freeconv._phi(laws, ratio, row, m0, zs)[0])
+        m, res, (s, t2) = freeconv._newton(laws, ratio, row, zs, m0.copy(),
+                                           tol, freeconv.NEWTON_ITERS)
         assert np.all(res <= res0)
-        assert np.array_equal(res, np.abs(freeconv._phi(rows, row, m, zs)[0]))
+        assert np.array_equal(res, np.abs(freeconv._phi(laws, ratio, row, m,
+                                                        zs)[0]))
         S, T = fc.base.transforms(m)
         assert np.array_equal(s, S) and np.array_equal(t2, T)
 
@@ -199,13 +213,13 @@ class TestSelfConsistency:
         zs = random_z(rng, 100)
         m0 = rng.normal(size=zs.size) + 1j * rng.normal(size=zs.size)
         tol = freeconv.RESIDUAL_TOL * np.maximum(1.0, np.abs(zs))
-        rows, row = one_row(fc, zs.size)
-        m_ref, res_ref, sums_ref = freeconv._newton(rows, row, zs, m0.copy(),
-                                                    tol, iters)
+        laws, ratio, row = one_row(fc, zs.size)
+        m_ref, res_ref, sums_ref = freeconv._newton(laws, ratio, row, zs,
+                                                    m0.copy(), tol, iters)
         sums0 = fc.base.transforms(m0)
         calls = spy_transforms(monkeypatch, fc)
-        m, res, sums = freeconv._newton(rows, row, zs, m0.copy(), tol, iters,
-                                        sums0)
+        m, res, sums = freeconv._newton(laws, ratio, row, zs, m0.copy(), tol,
+                                        iters, sums0)
         assert 0 < len(calls) <= iters
         assert np.array_equal(m, m_ref) and np.array_equal(res, res_ref)
         assert all(np.array_equal(a, b) for a, b in zip(sums, sums_ref))
@@ -272,15 +286,7 @@ class TestSharedContinuation:
 
     # a step shared by three targets that stalls names one of them
     def test_stalled_shared_step_names_a_target(self, hat_500, monkeypatch):
-        law = type(hat_500.base)
-        transforms = law.transforms
-
-        def blind(self, m):
-            s, t2 = transforms(self, m)
-            far = np.abs(m) > 0.6
-            return np.where(far, np.nan, s), np.where(far, np.nan, t2)
-
-        monkeypatch.setattr(law, "transforms", blind)
+        blind_beyond(monkeypatch, 0.6)
         targets = 1.0 + 1j * np.array([1e-3, 1e-2, 1e-1])
         with pytest.raises(ConvergenceError,
                            match="continuation stalled") as err:
@@ -304,8 +310,8 @@ class TestFailurePath:
         real = np.array([-1.0, 5.0], dtype=complex)
         newton = freeconv._newton
 
-        def conj_polish(rows, row, z, m, tol, iters, sums=None):
-            m, res, sums = newton(rows, row, z, m, tol, iters, sums)
+        def conj_polish(laws, ratio, row, z, m, tol, iters, sums=None):
+            m, res, sums = newton(laws, ratio, row, z, m, tol, iters, sums)
             return (np.conj(m) if iters == 2 else m), res, sums
 
         monkeypatch.setattr(freeconv, "_newton", conj_polish)
@@ -319,8 +325,8 @@ class TestFailurePath:
         zs = np.array([1.0 + 0.5j, -1.0, 5.0, 2.0 - 0.1j])
         solve = freeconv._solve
 
-        def off_axis(fcs, z, m0=None):
-            return solve(fcs, z, m0) + (1e-3 + 1e-3j)
+        def off_axis(laws, ratio, z, m0=None):
+            return solve(laws, ratio, z, m0) + (1e-3 + 1e-3j)
 
         monkeypatch.setattr(freeconv, "_solve", off_axis)
         with pytest.raises(ConvergenceError, match="real-axis value") as err:
@@ -384,15 +390,7 @@ class TestConjugateFold:
     # a stalled continuation names the caller's point, not its mirror,
     # and carries both points of a stalled pair
     def test_stall_names_the_callers_points(self, hat_500, monkeypatch):
-        law = type(hat_500.base)
-        transforms = law.transforms
-
-        def blind(self, m):
-            s, t2 = transforms(self, m)
-            far = np.abs(m) > 0.6
-            return np.where(far, np.nan, s), np.where(far, np.nan, t2)
-
-        monkeypatch.setattr(law, "transforms", blind)
+        blind_beyond(monkeypatch, 0.6)
         below = 1.0 - 1j * np.array([1e-3, 1e-2, 1e-1])
         z = np.concatenate([below, np.conj(below)])
         with pytest.raises(ConvergenceError,
@@ -793,7 +791,7 @@ class TestNarrowLinearLaw:
         fc, p = narrow_case(width, slope_frac)
         e = support_edges(fc)
         x = np.linspace(e.L_minus, e.L_plus, 25)[1:-1]
-        m = freeconv._solve((fc,), x.astype(complex))[0]
+        m = freeconv._solve(*freeconv._rows((fc,)), x.astype(complex))[0]
         assert np.all(m.imag != 0.0)
         assert np.array_equal(density_batch(fc, x), np.abs(m.imag) / np.pi)
         assert np.all(oracle_backward_error(fc, p, m, x)

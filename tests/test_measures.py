@@ -7,14 +7,14 @@ from scipy import integrate as sp_integrate
 
 from freemp import measures
 from freemp.errors import DomainError
-from freemp.freeconv import FreeConvolution, support_edges
+from freemp.freeconv import FreeConvolution, stieltjes_batch, support_edges
 from freemp.grammar import format_func, format_law, parse_func, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
                              LINEAR_NODES, MASS_TOL, SUPPORT_MIN, AtomicLaw,
-                             LinearLaw, _rule_sums, empirical_measure,
-                             sample_population)
+                             LawStack, LinearLaw, _rule_sums,
+                             empirical_measure, sample_population)
 
-from oracles import integrate, quad_transforms
+from oracles import DensityLaw, integrate, quad_transforms
 
 
 class TestAtomicLaw:
@@ -621,6 +621,55 @@ class TestOneRuleChoice:
         log.clear()
         law.transforms(np.concatenate([near, far]))
         assert log == ["rule"] + exact
+
+
+class TestLawStack:
+    # the stack sums each law through its _rule and _exact_sums, so a law
+    # that states its S and T by overriding transforms is refused, not
+    # silently summed another way
+    def test_transforms_override_refused(self):
+        law = DensityLaw(0.5, 1.0, lambda t: 2.0 * np.ones_like(t))
+        with pytest.raises(TypeError, match="DensityLaw overrides"):
+            LawStack((LinearLaw(0.5, 1.0), law))
+        with pytest.raises(TypeError, match="DensityLaw overrides"):
+            stieltjes_batch(FreeConvolution(law, 0.5), np.array([1.0 + 1j]))
+
+    # each point is summed on its own law, far or near, in a shuffled
+    # batch of four laws: two stacked on one node count, two alone on theirs
+    def test_points_on_their_own_laws(self, rng):
+        laws = (LinearLaw(0.2, 1.0, 1.0), random_atomic_law(500, 1),
+                random_atomic_law(300, 2), AtomicLaw([0.3, 0.7], [0.5, 0.5]))
+        m = np.concatenate([ellipse_points(law.lo, law.hi, rho, 20)
+                            for law in laws for rho in (3.0, 1.5)])
+        row = np.repeat(np.arange(len(laws)), 40)
+        shuffle = rng.permutation(m.size)
+        m, row = m[shuffle], row[shuffle]
+        S, T = LawStack(laws).transforms(row, m)
+        for j, law in enumerate(laws):
+            s, t = law.transforms(m[row == j])
+            assert np.array_equal(S[row == j], s)
+            assert np.array_equal(T[row == j], t)
+
+    # a stacked rule's two chunk buffers, the terms and the gathered
+    # weights, hold at most _CHUNK_ELEMS terms together, as a lone rule's
+    # one buffer does: the stacked sums take no more memory than the lone
+    # ones but for the rows' weights in m's type
+    def test_stacked_chunks_hold_chunk_elems(self, rng):
+        rules = [random_atomic_law(500, seed)._rule for seed in range(4)]
+        t, w = (np.stack([r[i] for r in rules]) for i in (0, 1))
+        n = 4096
+        m = rng.normal(size=n) + 1j * rng.normal(size=n)
+        row = rng.integers(0, 4, n)
+        tracemalloc.start()
+        try:
+            _rule_sums(t[0], w[0], m)
+            alone = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _rule_sums(t, w, m, row)
+            stacked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacked <= alone + 5 * t.size * 16 + 8192
 
 
 class TestSupportFloor:

@@ -343,14 +343,14 @@ class TestLocalLaw:
     # points that fail alone, from a few batches, and keeps the others' bits
     def test_skips_exactly_the_points_that_fail_alone(self, uniform_half,
                                                       monkeypatch):
-        transforms = AtomicLaw.transforms
+        transforms = LawStack.transforms
 
-        def blind(self, m):
-            s, t2 = transforms(self, m)
+        def blind(self, row, m):
+            s, t2 = transforms(self, row, m)
             far = np.abs(m) > 1.5
             return np.where(far, np.nan, s), np.where(far, np.nan, t2)
 
-        monkeypatch.setattr(AtomicLaw, "transforms", blind)
+        monkeypatch.setattr(LawStack, "transforms", blind)
         rng = np.random.default_rng(101)
         spec = DataMatrixSpec.from_ratio(0.5, 200)
         sigma = sample_population(uniform_half, spec.M, rng)
@@ -492,10 +492,10 @@ class TestBatchedRate:
             seen["sups"].append(rate_sups(task))
             return seen["sups"][-1]
 
-        def spy_cont(rows, row, z):
-            if len(rows.fcs) > 1:
+        def spy_cont(laws, ratio, row, z):
+            if ratio.size > 1:
                 seen["cold"].append((row.copy(), z.copy()))
-            return cont(rows, row, z)
+            return cont(laws, ratio, row, z)
 
         def spy_exact(law, m):
             seen["exact"] += m.size
@@ -524,11 +524,27 @@ class TestBatchedRate:
         assert report.averages == tuple(
             float(np.mean(got[k:k + reps])) for k in range(0, got.size, reps))
 
-    # the draws split into runs of consecutive draws, one batch each
+    # the draws are dealt round-robin, one batch per worker
     def test_workers_give_the_same_bits(self, uniform_half):
         serial = check_hat_rate(uniform_half, *self.ARGS, workers=1)
         pooled = check_hat_rate(uniform_half, *self.ARGS, workers=2)
         assert pooled == serial
+
+    # with more workers than sizes, each batch mixes sizes (draws[w::5]),
+    # and the sups go back in draw order; run in process, five batches
+    def test_dealt_batches_keep_draw_order(self, uniform_half, monkeypatch):
+        serial = check_hat_rate(uniform_half, *self.ARGS, workers=1)
+        dealt = []
+
+        def in_process(worker, tasks, workers):
+            dealt.extend([draw[2:] for draw in task[3]] for task in tasks)
+            return map(worker, tasks)
+
+        monkeypatch.setattr(verify, "_imap", in_process)
+        assert check_hat_rate(uniform_half, *self.ARGS, workers=5) == serial
+        sizes, reps = self.ARGS[1], self.ARGS[2]
+        draws = [(N, k + 1) for N in sizes for k in range(reps)]
+        assert dealt == [draws[w::5] for w in range(5)]
 
     # a forced stall in one draw's row names its size and replicate, and
     # the first failed node, which lies below the real axis, as itself
