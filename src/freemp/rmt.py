@@ -14,10 +14,12 @@ reads the eigenvalues themselves.  The power sums are numpy reductions, not
 BLAS dot products, which split long sums across threads, so they do not
 depend on the BLAS thread count.
 
-A Monte Carlo draw holds one M x N array: draw_sample() scales its fresh X
-by 1/sqrt(N) and then by sqrt(sigma) in place and forms G from it.
-eigenvalues() takes a caller's X, never writes to it, and shares the same
-Gram step.
+A Monte Carlo draw holds one M x N array, its X, and no scaled copy of it.
+For M <= N the Gram step forms G = diag(r) (X X^T) diag(r), r = sqrt(sigma):
+one product X X^T and two in-place scalings of the M x M result.  For M > N
+it forms A^T A with A = diag(r) X, which draw_sample() scales into its own X
+and eigenvalues() into one copy.  Both share that step, and eigenvalues()
+never writes to the caller's X.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class EigenSample:
     read-only array; `power_sums` is (sum lambda_i, sum lambda_i^2).  Built
     by eigenvalues() from a Gram form G, the power sums are tr G and |G|_F^2
     and `values` is computed on its first read: eigvalsh, the check against
-    -EIG_CLAMP, the clamp at 0, the zero padding and the sort.  G is dropped
-    after that read.  Built from given values, the power sums are theirs.
+    -EIG_CLAMP, the clamp at 0, which keeps eigvalsh's ascending order, and
+    the reversal with the zero padding after it.  G is dropped after that
+    read.  Built from given values, the power sums are theirs.
     """
 
     __slots__ = ("M", "N", "power_sums", "_values", "_gram")
@@ -123,10 +126,9 @@ class EigenSample:
             if low < -EIG_CLAMP:
                 raise PsdViolationError(
                     f"Gram eigenvalue {low!r} below the -{EIG_CLAMP} clamp")
-            vals = np.maximum(vals, 0.0)
-            if vals.size < self.N:
-                vals = np.concatenate([vals, np.zeros(self.N - vals.size)])
-            vals = np.sort(vals)[::-1]
+            out = np.zeros(self.N)
+            np.maximum(vals[::-1], 0.0, out=out[:vals.size])
+            vals = out
             vals.flags.writeable = False
             self._values, self._gram = vals, None
         return self._values
@@ -136,15 +138,28 @@ def _certify_psd(gram: np.ndarray, trace: float, K: int) -> None:
     """Raise PsdViolationError unless the computed Gram form has no
     eigenvalue below -EIG_CLAMP.
 
-    G = A A^T (or A^T A) with inner dimension K is exactly PSD, and the
-    rounding bound of the product puts lambda_min(fl(G)) >= -gamma_K |A|_F^2,
-    gamma_K = K u / (1 - K u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, sec. 3.5).  |A|_F^2 = tr G, and the factor 2
-    covers the rounding of tr G itself.  Where that bound does not reach
-    EIG_CLAMP, a Cholesky factorization of G + EIG_CLAMP I decides.
+    The Gram form of A = D X, D = diag(sqrt(sigma)), with inner dimension
+    K is exactly PSD; gamma_k = k u / (1 - k u), and |.| and <= act entry
+    by entry (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sec. 3.5).  For M > N, G = fl(A^T A) of the rounded A, and
+    the bound of the product gives |fl(G) - A^T A| <= gamma_K |A|^T |A|.
+    For M <= N, P = fl(X X^T) = X X^T + E with |E| <= gamma_K |X| |X|^T,
+    and the two scalings round each entry twice: fl(G) = (D P D) o (1 +
+    theta), |theta| <= gamma_2.  So fl(G) - A A^T = D E D + (D P D) o
+    theta, and as |D P D| <= (1 + gamma_K) |A| |A|^T,
+
+        |fl(G) - A A^T| <= (gamma_K + gamma_2 + gamma_K gamma_2) |A| |A|^T
+                        <= gamma_{K+2} |A| |A|^T        (Higham, Lemma 3.3).
+
+    eigvalsh and Cholesky read one triangle of G, where the bound holds
+    too.  The 2-norm of a matrix is at most that of its modulus, and that
+    of |A| |A|^T is at most |A|_F^2, so lambda_min(fl(G)) >= -gamma_{K+2}
+    |A|_F^2 in both cases.  |A|_F^2 = tr G, and the factor 2 covers the
+    rounding of tr G itself.  Where that bound does not reach EIG_CLAMP, a
+    Cholesky factorization of G + EIG_CLAMP I decides.
     """
     u = np.finfo(float).eps / 2.0
-    gamma = K * u / (1.0 - K * u)
+    gamma = (K + 2) * u / (1.0 - (K + 2) * u)
     if 2.0 * gamma * trace < EIG_CLAMP:
         return
     try:
@@ -167,10 +182,22 @@ def _population(sigma, M: int) -> np.ndarray:
     return sigma
 
 
-def _gram_sample(A: np.ndarray) -> EigenSample:
-    """EigenSample of the smaller Gram form of A = Sigma^(1/2) X."""
-    M, N = A.shape
-    gram = A @ A.T if M <= N else A.T @ A
+def _gram_sample(sigma, X: np.ndarray, own: bool) -> EigenSample:
+    """EigenSample of the smaller Gram form of A = Sigma^(1/2) X.
+
+    For M <= N, G = diag(r) (X X^T) diag(r) with r = sqrt(sigma), scaled in
+    place, so no M x N array is made.  For M > N, G = A^T A, with A scaled
+    into X itself when the caller owns X and into a copy otherwise.
+    """
+    M, N = X.shape
+    r = np.sqrt(_population(sigma, M))
+    if M <= N:
+        gram = X @ X.T
+        gram *= r[:, None]
+        gram *= r
+    else:
+        A = np.multiply(X, r[:, None], out=X if own else None)
+        gram = A.T @ A
     e = EigenSample._of_gram(gram, M, N)
     # tr G = |A|_F^2 is finite iff every entry of X is
     if not np.isfinite(e.power_sums[0]):
@@ -187,28 +214,27 @@ def eigenvalues(sigma, X: np.ndarray) -> EigenSample:
     `values` is read; eigenvalues in (-EIG_CLAMP, 0) are then clamped to 0
     and anything lower raises.  X itself is never written to.
     """
-    M, _ = X.shape
-    sigma = _population(sigma, M)
-    return _gram_sample(np.sqrt(sigma)[:, None] * X)
+    return _gram_sample(sigma, X, own=False)
 
 
 def draw_sample(sigma, spec: DataMatrixSpec,
                 rng: np.random.Generator) -> EigenSample:
     """eigenvalues(sigma, sample_data_matrix(spec, rng)), bit for bit, on
-    one M x N array: the fresh X is multiplied by sqrt(sigma) in place."""
-    sigma = _population(sigma, spec.M)
-    A = sample_data_matrix(spec, rng)
-    A *= np.sqrt(sigma)[:, None]
-    return _gram_sample(A)
+    one M x N array: for M > N the fresh X is scaled by sqrt(sigma) in
+    place."""
+    return _gram_sample(sigma, sample_data_matrix(spec, rng), own=True)
 
 
 def empirical_stieltjes(e: EigenSample, z):
     """m_N(z) = (1/N) sum 1/(lambda_i - z); batched over z.  The n0 exact
     zeros among the eigenvalues add -n0/z in closed form; the others take
-    one reciprocal per term, in chunks of at most _CHUNK_ELEMS terms."""
+    one reciprocal per term, in chunks of at most _CHUNK_ELEMS terms.  A z
+    on the real axis is looked up in the sorted values."""
     z_arr = np.asarray(z, dtype=complex)
-    on_axis = z_arr.imag == 0.0
-    if np.any(on_axis & np.isin(z_arr.real, e.values)):
+    x = z_arr.real[z_arr.imag == 0.0]
+    ascending = e.values[::-1]
+    at = np.minimum(np.searchsorted(ascending, x), e.N - 1)
+    if np.any(ascending[at] == x):
         raise DomainError("z coincides with an eigenvalue on the real axis")
     flat = z_arr.ravel()
     lam = e.values[e.values != 0.0]

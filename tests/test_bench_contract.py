@@ -3,12 +3,12 @@
 perfbench/workloads.py is frozen with the benchmark and imports freemp
 names directly (default_contour, build_contour, CltReport, ...).  Importing
 it resolves every one of them.  Untraced and traced passes of the limit
-workload, and shrunken ones of clt and hat, run its calls, replays and
-correctness checks, so a library change that breaks the
-benchmark fails here rather than at benchmark time.  The traced limit and
-hat passes must also keep the worst backward error of their solves within
-the solver's own RESIDUAL_TOL, so a solver change that keeps the keys but
-loses accuracy fails too.
+workload, and shrunken ones of clt and hat (its rate check in two solves),
+run its calls, replays and correctness checks, so a library change that
+breaks the benchmark fails here rather than at benchmark time.  The traced
+limit and hat passes must also keep the worst backward error of their
+solves within the solver's own RESIDUAL_TOL, so a solver change that keeps
+the keys but loses accuracy fails too.
 """
 
 import time
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from freemp import freeconv
+from freemp import freeconv, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,7 +40,8 @@ def workloads(monkeypatch, tmp_path):
     cfg.write_text(SMALL_CLT_CFG, encoding="utf-8")
     monkeypatch.setattr(workloads, "CLT_CONFIG", cfg)
     monkeypatch.setattr(workloads, "HAT_N", (50, 100, 400))
-    monkeypatch.setattr(workloads, "HAT_REPS", 3)
+    # 3 sizes x 11 replicates: 33 draws, one more than a rate solve takes
+    monkeypatch.setattr(workloads, "HAT_REPS", 11)
     monkeypatch.setattr(workloads, "LOCAL_LAW_N", 100)
     monkeypatch.setattr(workloads, "LOCAL_LAW_DRAWS", 1)
     monkeypatch.setattr(workloads, "SCRATCH", tmp_path / "scratch")
@@ -70,8 +71,16 @@ def test_clt_workload_pass_and_replay(workloads):
     _clean_pass(workloads, "clt", "traced")
 
 
-def test_hat_workload_replay_reproduces_pass(workloads):
+def test_hat_workload_replay_reproduces_pass(workloads, monkeypatch):
+    rows = []
+
+    def spy(fcs, z, m0=None):
+        rows.append(len(fcs))
+        return freeconv.stieltjes_rows(fcs, z, m0)
+
+    monkeypatch.setattr(verify, "stieltjes_rows", spy)
     untraced = _clean_pass(workloads, "hat", "pass")
+    assert rows == [32, 1]
     traced = _clean_pass(workloads, "hat", "traced")
     assert traced["key"] == untraced["key"]
     assert traced["max_residual"] <= freeconv.RESIDUAL_TOL

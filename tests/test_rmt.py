@@ -115,6 +115,21 @@ class TestEigenvalues:
         with pytest.raises(DomainError, match="non-finite"):
             eigenvalues([0.5, 0.5, 0.5], X)
 
+    # G = diag(r) (X X^T) diag(r) is scaled in place: at ratio 1/4 the
+    # M x M Gram form is a quarter of X, and no scaled copy of X is made
+    def test_no_m_by_n_allocation(self, rng):
+        M, N = 200, 800
+        sigma = rng.uniform(0.5, 1.0, M)
+        X = sample_data_matrix(DataMatrixSpec(M, N), rng)
+        eigenvalues(sigma, X)
+        tracemalloc.start()
+        try:
+            eigenvalues(sigma, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * M * N * 8
+
     @pytest.mark.parametrize("shape", [(40, 80), (80, 40)])
     def test_leaves_x_unchanged(self, rng, shape):
         X = sample_data_matrix(DataMatrixSpec(*shape), rng)
@@ -164,10 +179,21 @@ class TestEmpiricalStieltjes:
         dn = empirical_stieltjes(e, np.conj(zs))
         assert np.max(np.abs(dn - np.conj(up))) < 1e-15
 
-    def test_eigenvalue_on_axis_rejected(self):
-        e = EigenSample(values=np.array([1.0, 0.0]), M=1, N=2)
-        with pytest.raises(DomainError):
-            empirical_stieltjes(e, 1.0)
+    # real z are looked up in the descending values, repeated and zero
+    # ones included; off the axis, or between eigenvalues, z is accepted
+    @pytest.mark.parametrize("z", [3.0, 1.0, 0.0, [0.5, 2.0, 1.0]])
+    def test_eigenvalue_on_axis_rejected(self, z):
+        e = EigenSample(values=np.array([3.0, 1.0, 1.0, 0.0]), M=3, N=4)
+        with pytest.raises(DomainError, match="coincides"):
+            empirical_stieltjes(e, z)
+
+    @pytest.mark.parametrize("z", [-1.0, 0.5, 2.0, 4.0, 1.0 + 1e-3j,
+                                   [1.0 + 1j, 2.0, -0.5]])
+    def test_real_z_off_the_spectrum_accepted(self, z):
+        e = EigenSample(values=np.array([3.0, 1.0, 1.0, 0.0]), M=3, N=4)
+        got = np.atleast_1d(empirical_stieltjes(e, z))
+        want = np.mean(1.0 / (e.values - np.atleast_1d(z)[:, None]), axis=1)
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_local_law_scale(self, uniform_half):
         rng = np.random.default_rng(41)
@@ -281,8 +307,12 @@ class TestLazyValues:
     def test_values_are_the_eigvalsh_spectrum(self, ratio):
         sigma, X = _draw(ratio, 120, 17)
         M, N = X.shape
-        A = np.sqrt(sigma)[:, None] * X
-        gram = A @ A.T if M <= N else A.T @ A
+        r = np.sqrt(sigma)
+        if M <= N:
+            gram = (X @ X.T) * r[:, None] * r
+        else:
+            A = r[:, None] * X
+            gram = A.T @ A
         want = np.maximum(np.linalg.eigvalsh(gram), 0.0)
         want = np.sort(np.concatenate([want, np.zeros(N - want.size)]))[::-1]
         got = eigenvalues(sigma, X).values
@@ -371,9 +401,12 @@ class TestPsdGuard:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         return calls
 
-    def test_default_clt_shape_certifies_without_factoring(self, monkeypatch):
+    # the clt default (400 x 800) and the local law's draws (500 x 1000):
+    # the scaled Gram's bound gamma_(N+2) tr G stays under EIG_CLAMP
+    @pytest.mark.parametrize("N", [800, 1000])
+    def test_default_shapes_certify_without_factoring(self, monkeypatch, N):
         calls = self._spy_cholesky(monkeypatch)
-        sigma, X = _draw(0.5, 800, 21)
+        sigma, X = _draw(0.5, N, 21)
         e = eigenvalues(sigma, X)
         linear_statistic(e, Polynomial((0.0, 0.0, 1.0)), mean_inside=0.0,
                          gamma0=0.5)

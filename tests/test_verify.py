@@ -20,7 +20,7 @@ from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         sample_data_matrix)
 from freemp.contour import default_contour, mean_statistic
 from freemp.freeconv import (FreeConvolution, stieltjes, stieltjes_batch,
-                             support_edges)
+                             stieltjes_rows, support_edges)
 from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
                            _clt_gates, _clt_replicate, _kolmogorov_sf,
                            _map_tasks, check_edges, check_hat_rate,
@@ -215,6 +215,45 @@ class TestRunClt:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    # numpy.ma costs about 10 ms and 1 MB of every fresh interpreter that
+    # imports it, and np.isin against 27 or more points sorts them with a
+    # plain np.unique, which does; the local law skips 30 forced failures
+    def test_checks_load_no_numpy_ma(self, run_at_threads):
+        code = """\
+import sys
+import numpy as np
+from freemp import verify
+from freemp.errors import ConvergenceError
+from freemp.grammar import parse_func
+from freemp.measures import LinearLaw, sample_population
+from freemp.rmt import (DataMatrixSpec, draw_sample, empirical_stieltjes,
+                        sample_data_matrix)
+nu = LinearLaw(0.5, 1.0)
+rng = np.random.default_rng(5)
+spec = DataMatrixSpec.from_ratio(0.5, 100)
+e = draw_sample(sample_population(nu, spec.M, rng), spec, rng)
+empirical_stieltjes(e, np.array([1.0 + 0.5j, 3.0, -1.0]))
+empirical_stieltjes(e, 2.0)
+solve, calls = verify.stieltjes_batch, []
+
+def first_point_fails(fc, z, m0=None):
+    calls.append(z.size)
+    if len(calls) == 1:
+        raise ConvergenceError("forced", z=z[:30])
+    return solve(fc, z, m0)
+
+verify.stieltjes_batch = first_point_fails
+sigma = sample_population(nu, spec.M, rng)
+local = verify.check_local_law(sigma, sample_data_matrix(spec, rng), 0.1, 0.1)
+verify.check_hat_rate(nu, 0.5, (32, 64, 256), 2, 0)
+cfg = verify.ExperimentConfig(gamma0=0.5, nu=nu, f=parse_func("exp:0.5"),
+                              N_list=(50,), replicates=100, seed=3)
+verify.run_clt_experiment(cfg)
+print(len(local.skipped), calls[1] == calls[0] - 30,
+      "numpy.ma" in sys.modules)
+"""
+        assert run_at_threads(code, 1).split() == ["30", "True", "False"]
 
 
 class TestCltReplicate:
@@ -524,7 +563,44 @@ class TestBatchedRate:
         assert report.averages == tuple(
             float(np.mean(got[k:k + reps])) for k in range(0, got.size, reps))
 
-    # the draws are dealt round-robin, one batch per worker
+    # a budget of five draws splits the twelve into solves of 5, 5 and 2
+    # rows; the batch boundaries leave every sup, average and the slope
+    # bit-identical to one stieltjes_batch per draw
+    def test_batches_equal_per_draw_solves(self, uniform_half, monkeypatch):
+        rows = []
+
+        def spy(fcs, z, m0=None):
+            rows.append(len(fcs))
+            return stieltjes_rows(fcs, z, m0)
+
+        monkeypatch.setattr(verify, "_RATE_BATCH_POINTS", 5 * 256)
+        monkeypatch.setattr(verify, "stieltjes_rows", spy)
+        report = check_hat_rate(uniform_half, *self.ARGS)
+        assert rows == [5, 5, 2]
+        _, sups = self.per_law_sups(uniform_half, *self.ARGS)
+        n_values, reps = self.ARGS[1], self.ARGS[2]
+        averages = [float(np.mean(sups[k:k + reps]))
+                    for k in range(0, len(sups), reps)]
+        assert report.averages == tuple(averages)
+        assert report.slope == float(
+            np.polyfit(np.log(n_values), np.log(averages), 1)[0])
+
+    # 35 draws at 5 replicates fill one 32-draw solve already, so 280 at
+    # 40 replicates take no more memory
+    def test_memory_flat_in_replicates(self, uniform_half):
+        sizes = (8, 12, 16, 24, 32, 48, 64)
+        check_hat_rate(uniform_half, 0.5, sizes, 1, 0)
+        peaks = []
+        for reps in (5, 40):
+            tracemalloc.start()
+            try:
+                check_hat_rate(uniform_half, 0.5, sizes, reps, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
+
+    # the draws are dealt round-robin, one deal per worker
     def test_workers_give_the_same_bits(self, uniform_half):
         serial = check_hat_rate(uniform_half, *self.ARGS, workers=1)
         pooled = check_hat_rate(uniform_half, *self.ARGS, workers=2)
