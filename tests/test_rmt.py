@@ -179,10 +179,15 @@ class TestEmpiricalStieltjes:
         dn = empirical_stieltjes(e, np.conj(zs))
         assert np.max(np.abs(dn - np.conj(up))) < 1e-15
 
+    def test_eigenvalue_on_axis_rejected(self):
+        e = EigenSample(values=np.array([1.0, 0.0]), M=1, N=2)
+        with pytest.raises(DomainError):
+            empirical_stieltjes(e, 1.0)
+
     # real z are looked up in the descending values, repeated and zero
     # ones included; off the axis, or between eigenvalues, z is accepted
     @pytest.mark.parametrize("z", [3.0, 1.0, 0.0, [0.5, 2.0, 1.0]])
-    def test_eigenvalue_on_axis_rejected(self, z):
+    def test_repeated_and_zero_eigenvalues_rejected(self, z):
         e = EigenSample(values=np.array([3.0, 1.0, 1.0, 0.0]), M=3, N=4)
         with pytest.raises(DomainError, match="coincides"):
             empirical_stieltjes(e, z)
@@ -401,16 +406,21 @@ class TestPsdGuard:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         return calls
 
-    # the clt default (400 x 800) and the local law's draws (500 x 1000):
-    # the scaled Gram's bound gamma_(N+2) tr G stays under EIG_CLAMP
-    @pytest.mark.parametrize("N", [800, 1000])
-    def test_default_shapes_certify_without_factoring(self, monkeypatch, N):
+    def _certifies_without_factoring(self, monkeypatch, N):
         calls = self._spy_cholesky(monkeypatch)
         sigma, X = _draw(0.5, N, 21)
         e = eigenvalues(sigma, X)
         linear_statistic(e, Polynomial((0.0, 0.0, 1.0)), mean_inside=0.0,
                          gamma0=0.5)
         assert calls == []
+
+    # the scaled Gram's bound gamma_(N+2) tr G stays under EIG_CLAMP at the
+    # clt default (400 x 800) and at the local law's draws (500 x 1000)
+    def test_default_clt_shape_certifies_without_factoring(self, monkeypatch):
+        self._certifies_without_factoring(monkeypatch, 800)
+
+    def test_local_law_shape_certifies_without_factoring(self, monkeypatch):
+        self._certifies_without_factoring(monkeypatch, 1000)
 
     def test_large_shape_falls_back_to_cholesky(self, monkeypatch):
         calls = self._spy_cholesky(monkeypatch)
