@@ -10,8 +10,9 @@ class DomainError(FreempError, ValueError):
 
 
 class ConvergenceError(FreempError):
-    """An iterative solve did not reach its target at the points z; a solve
-    over several convolutions gives each point's row as row."""
+    """An iterative solve did not reach its target.  The message names the
+    first failed point; z carries every failed point, and a solve over
+    several convolutions gives each point's row as row."""
 
     def __init__(self, message: str, z=(), row=()):
         super().__init__(message)

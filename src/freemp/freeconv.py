@@ -102,16 +102,6 @@ def _rows(fcs):
     return LawStack(fc.base for fc in fcs), np.array([fc.ratio for fc in fcs])
 
 
-class _Stalled(Exception):
-    """Continuation points whose step ratio was rejected up to
-    MAX_STEP_RATIO: their positions in the solve, ascending, and the height
-    and residual each had reached."""
-
-    def __init__(self, idx, eta, res):
-        super().__init__()
-        self.idx, self.eta, self.res = idx, eta, res
-
-
 def _phi(laws, ratio, row, m, z, sums=None):
     """phi(m) = 1/m + z - r S(m) and phi'(m) = -1/m^2 + r T(m) at each
     point, on its row's law and ratio, from the sums (S, T) at m if the
@@ -204,8 +194,11 @@ def _continuation(laws, ratio, row, z):
     solved once for all of them (_shared_newton); a batch in which no two
     points share both skips the search for shared steps.  Each point keeps
     S and T of its accepted iterate and hands them to its next step, so a
-    step evaluates only new iterates.  Returns m and its sums (S, T); a
-    step ratio rejected up to MAX_STEP_RATIO raises _Stalled.
+    step evaluates only new iterates.  A point whose first step fails, or
+    whose step ratio is rejected up to MAX_STEP_RATIO, stalls: it stops at
+    the last height it reached and leaves the ladder, and the others go
+    on.  Returns m, its sums (S, T), each point's stall height (0 where it
+    landed) and its last residual.
     """
     x, a = z.real, np.abs(z.imag)
     floor = np.maximum(a, np.finfo(float).eps * np.maximum(1.0, np.abs(z)))
@@ -216,14 +209,15 @@ def _continuation(laws, ratio, row, z):
     zeta = x + 1j * eta
     m, res, (s, t2), tol = _shared_newton(laws, ratio, row, zeta,
                                           -1.0 / zeta, None, share)
-    bad = ~_solved(zeta, m, res, tol)
+    # a stalled point's target a moves up to its stall height, so it
+    # leaves the ladder (eta > a)
+    stall = np.where(_solved(zeta, m, res, tol), 0.0, eta)
+    a = np.maximum(a, stall)
     q = np.full(z.shape, FIRST_STEP_RATIO)
     while True:
-        if bad.any():
-            raise _Stalled(np.flatnonzero(bad), eta[bad], res[bad])
         idx = np.flatnonzero(eta > a)
         if idx.size == 0:
-            return m, (s, t2)
+            return m, (s, t2), stall, res
         nxt = eta[idx] * q[idx]
         nxt = np.where(nxt <= floor[idx], a[idx], nxt)
         zt = x[idx] + 1j * nxt
@@ -235,7 +229,8 @@ def _continuation(laws, ratio, row, z):
         eta[k], m[k], res[idx] = nxt[ok], mt[ok], rt
         s[k], t2[k] = st[ok], tt2[ok]
         q[idx] = np.where(ok, q[idx] ** 2, np.sqrt(q[idx]))
-        bad[idx] = q[idx] > MAX_STEP_RATIO
+        stop = idx[q[idx] > MAX_STEP_RATIO]
+        stall[stop] = a[stop] = eta[stop]
 
 
 def _refuse_non_finite(points: np.ndarray, name: str):
@@ -258,31 +253,32 @@ def _real_axis_guard(fc: FreeConvolution, x: np.ndarray):
 
 
 def _solve_upper(laws, ratio, row, z, m0):
-    """m and its residual at each z of the closed upper half plane, warm
-    from m0 where it holds (see _solve), polished but not yet accepted;
-    m0 is overwritten."""
+    """m, its residual and its stall height at each z of the closed upper
+    half plane, warm from m0 where it holds (see _solve), polished but not
+    yet accepted; m0 is overwritten.  A point whose continuation stalled
+    keeps the height and the residual it stalled with; every other point's
+    stall height is 0."""
     # Backward-error scaling: 1/m + z - r S(m) carries a cancellation floor
     # of order |z| eps, so the targets are relative to max(1, |z|).
     scale = np.maximum(1.0, np.abs(z))
     if m0 is None:
-        m, (s, t2) = _continuation(laws, ratio, row, z)
+        m, (s, t2), stall, last = _continuation(laws, ratio, row, z)
     else:
         m = m0
         bad = ~np.isfinite(m.real) | ~np.isfinite(m.imag) | (m == 0)
         m[bad] = -1.0 / z[bad]
-        m, res, (s, t2) = _newton(laws, ratio, row, z, m,
-                                  RESIDUAL_TOL * scale, NEWTON_ITERS)
-        cold = np.flatnonzero(~_solved(z, m, res, RESIDUAL_TOL * scale))
+        m, last, (s, t2) = _newton(laws, ratio, row, z, m,
+                                   RESIDUAL_TOL * scale, NEWTON_ITERS)
+        stall = np.zeros(z.shape)
+        cold = np.flatnonzero(~_solved(z, m, last, RESIDUAL_TOL * scale))
         if cold.size:
-            try:
-                m[cold], (s[cold], t2[cold]) = _continuation(
-                    laws, ratio, row[cold], z[cold])
-            except _Stalled as exc:
-                exc.idx = cold[exc.idx]
-                raise
+            m[cold], (s[cold], t2[cold]), stall[cold], last[cold] = (
+                _continuation(laws, ratio, row[cold], z[cold]))
     m, res, _ = _newton(laws, ratio, row, z, m, POLISH_TOL * scale, 2,
                         (s, t2))
-    return m, res
+    stop = np.flatnonzero(stall)
+    res[stop] = last[stop]
+    return m, res, stall
 
 
 def _solve(laws, ratio, z, m0=None):
@@ -294,12 +290,14 @@ def _solve(laws, ratio, z, m0=None):
     from the conjugate of its start; when any is, each distinct (z, m0) is
     solved once per row.  With m0, each point first tries Newton at its own
     z; a point without m0, or whose Newton misses the tolerance or lands in
-    the wrong half plane, is reached by _continuation.  Two polishing
-    Newton steps then aim at POLISH_TOL from the S and T already computed
-    at each m.  One rule, _solved, accepts each of the caller's points,
-    and one ConvergenceError names the first, row by row, that it rejects
-    or whose continuation stalled, and carries every failed point as its z
-    and their rows as its row.
+    the wrong half plane, is reached by _continuation, where a stall stops
+    only its own point.  Two polishing Newton steps then aim at POLISH_TOL
+    from the S and T already computed at each m.  One rule accepts each of
+    the caller's points: its continuation did not stall, and _solved holds
+    (residual and half plane).  One ConvergenceError names the first point,
+    row by row, that the rule rejects, with the height its continuation
+    reached or with its residual and m, and carries every failed point as
+    its z and their rows as its row.
     """
     if m0 is not None:
         m0 = np.asarray(m0, dtype=complex).ravel()
@@ -317,31 +315,25 @@ def _solve(laws, ratio, z, m0=None):
         zu = zu[keep]
     n_rows, n = ratio.size, zu.size
     row = np.repeat(np.arange(n_rows), n)
-    try:
-        m, res = _solve_upper(laws, ratio, row, np.tile(zu, n_rows),
-                              None if mu is None else np.tile(mu, n_rows))
-    except _Stalled as exc:
-        stalled = np.zeros(n_rows * n, dtype=bool)
-        stalled[exc.idx] = True
-        stalled = stalled.reshape(n_rows, n)
-        r, k = np.nonzero(stalled[:, back] if fold else stalled)
-        first = r[0] * n + (back[k[0]] if fold else k[0])
-        at = np.searchsorted(exc.idx, first)
-        raise ConvergenceError(
-            f"stieltjes continuation stalled at z = {complex(z[k[0]])!r}: "
-            f"eta reached {float(exc.eta[at]):.3e}, residual "
-            f"{float(exc.res[at]):.3e}", z=z[k], row=r) from None
-    m, res = m.reshape(n_rows, n), res.reshape(n_rows, n)
+    out = _solve_upper(laws, ratio, row, np.tile(zu, n_rows),
+                       None if mu is None else np.tile(mu, n_rows))
+    m, res, stall = (v.reshape(n_rows, n) for v in out)
     if fold:
-        m, res = np.take(m, back, axis=1), np.take(res, back, axis=1)
+        m, res, stall = (np.take(v, back, axis=1) for v in (m, res, stall))
         m[:, flip] = m[:, flip].conj()
-    bad = ~_solved(z, m, res, RESIDUAL_TOL * np.maximum(1.0, np.abs(z)))
+    bad = ((stall > 0.0)
+           | ~_solved(z, m, res, RESIDUAL_TOL * np.maximum(1.0, np.abs(z))))
     if bad.any():
         r, k = np.nonzero(bad)
-        raise ConvergenceError(
-            f"stieltjes solve failed at z = {complex(z[k[0]])!r}: residual "
-            f"{float(res[r[0], k[0]]):.3e}, m = {complex(m[r[0], k[0]])!r}",
-            z=z[k], row=r)
+        at, first = complex(z[k[0]]), (r[0], k[0])
+        if stall[first]:
+            msg = (f"stieltjes continuation stalled at z = {at!r}: eta "
+                   f"reached {float(stall[first]):.3e}, residual "
+                   f"{float(res[first]):.3e}")
+        else:
+            msg = (f"stieltjes solve failed at z = {at!r}: residual "
+                   f"{float(res[first]):.3e}, m = {complex(m[first])!r}")
+        raise ConvergenceError(msg, z=z[k], row=r)
     return m
 
 

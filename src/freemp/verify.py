@@ -324,9 +324,11 @@ def check_local_law(sigma, X: np.ndarray, tau: float,
     (log-spaced, restricted to |z| >= tau); each point contributes
     |m_N - m_hat| * N * eta / N^eps, and the check passes when the max
     ratio stays under GATES.local_law_ratio.  The theorem allows
-    exceptional z: the points a ConvergenceError names are skipped, and the
-    rest, whose solves do not depend on their batch, solved in one more
-    batch.  X is not written to.
+    exceptional z: one solve's ConvergenceError carries every failed point,
+    those points are skipped with its message, and the rest, whose solves
+    do not depend on their batch, are solved in one more batch, so the
+    check makes at most two solves.  An error that carries no lattice point
+    propagates.  X is not written to.
     """
     if not (0.0 < tau < 0.5):
         raise DomainError(f"tau {tau!r} must lie in (0, 0.5)")
@@ -344,18 +346,15 @@ def check_local_law(sigma, X: np.ndarray, tau: float,
 
     skipped = []
     keep = np.ones(z.size, dtype=bool)
-    while True:
-        try:
-            m_hat = stieltjes_batch(fc, z[keep])
-            break
-        except ConvergenceError as exc:
-            bad = {complex(zk) for zk in exc.z}
-            failed = keep & np.fromiter((zk in bad for zk in z.tolist()),
-                                        bool, z.size)
-            if not failed.any():
-                raise
-            skipped += [(complex(zk), str(exc)) for zk in z[failed]]
-            keep &= ~failed
+    try:
+        m_hat = stieltjes_batch(fc, z)
+    except ConvergenceError as exc:
+        bad = {complex(zk) for zk in exc.z}
+        keep = ~np.fromiter((zk in bad for zk in z.tolist()), bool, z.size)
+        if keep.all():
+            raise
+        skipped = [(complex(zk), str(exc)) for zk in z[~keep]]
+        m_hat = stieltjes_batch(fc, z[keep])
     ratio = np.abs(m_emp[keep] - m_hat) * N * z[keep].imag / N ** eps
     max_ratio = float(ratio.max()) if ratio.size else math.inf
     return LocalLawReport(max_ratio=max_ratio,

@@ -335,6 +335,26 @@ class TestFailurePath:
                    for x in zs.real[1:3])
         assert np.array_equal(err.value.z, [-1.0, 5.0])
 
+    # the local-law lattice at N = 200, where S and T read NaN beyond
+    # |m| = 1.5: a stall stops only its own point, so one batch's error
+    # carries, in the caller's order, exactly the points that fail alone
+    def test_one_error_carries_every_failure(self, fc_uniform, monkeypatch):
+        blind_beyond(monkeypatch, 1.5)
+        etas = np.geomspace(200 ** -0.9, 10.0, 40)
+        z = (np.geomspace(0.1, 10.0, 20)[:, None]
+             + 1j * etas[None, :]).ravel()
+        alone = np.zeros(z.size, dtype=bool)
+        for k, zk in enumerate(z):
+            try:
+                stieltjes_batch(fc_uniform, np.array([zk]))
+            except ConvergenceError:
+                alone[k] = True
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            stieltjes_batch(fc_uniform, z)
+        assert alone.sum() == 173
+        assert np.array_equal(err.value.z, z[alone])
+        assert f"z = {complex(z[alone][0])!r}:" in str(err.value)
+
 
 def fold_laws():
     """A density law, a compressed atomic law and dirac:1."""
@@ -440,6 +460,22 @@ class TestRows:
         assert f"z = {complex(z[0])!r}:" in str(err.value)
         assert np.array_equal(err.value.z, z)
         assert np.array_equal(err.value.row, np.full(z.size, 2))
+
+    # two failed rows: the one error carries both, each with its points
+    def test_error_carries_every_failed_row(self, rng, monkeypatch):
+        transforms = LawStack.transforms
+
+        def blind(self, row, m):
+            s, t2 = transforms(self, row, m)
+            dead = (row == 1) | (row == 3)
+            return np.where(dead, np.nan, s), np.where(dead, np.nan, t2)
+
+        monkeypatch.setattr(LawStack, "transforms", blind)
+        z = random_z(rng, 10)
+        with pytest.raises(ConvergenceError, match="stalled") as err:
+            stieltjes_rows(self.FCS, z)
+        assert np.array_equal(err.value.row, np.repeat([1, 3], z.size))
+        assert np.array_equal(err.value.z, np.tile(z, 2))
 
 
 class TestDerivative:

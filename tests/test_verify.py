@@ -379,7 +379,8 @@ class TestLocalLaw:
 
     # a law whose transforms read NaN where |m| > 1.5 stalls the solve at
     # every z whose continuation passes there; the check drops exactly the
-    # points that fail alone, from a few batches, and keeps the others' bits
+    # points that fail alone, all carried by the first solve's error, and
+    # solves the others once more with their own bits
     def test_skips_exactly_the_points_that_fail_alone(self, uniform_half,
                                                       monkeypatch):
         transforms = LawStack.transforms
@@ -402,7 +403,7 @@ class TestLocalLaw:
 
         monkeypatch.setattr("freemp.verify.stieltjes_batch", spy)
         report = check_local_law(sigma, X, tau=0.1, eps=0.1)
-        assert 1 < len(calls) <= 5 and calls[0] == 800
+        assert calls == [800, 628]
         assert report.points + len(report.skipped) == 800
 
         fc = hat_fc(sigma, *X.shape)
@@ -421,6 +422,24 @@ class TestLocalLaw:
         ratio = (np.abs(m_emp - stieltjes_batch(fc, kept)) * 200 * kept.imag
                  / 200 ** 0.1)
         assert report.max_ratio == float(ratio.max())
+
+    # an error that carries no lattice point is not an exceptional z: it
+    # propagates after the one solve
+    @pytest.mark.parametrize("carried", [(), (100.0 + 5.0j,)])
+    def test_error_without_lattice_points_propagates(self, local_law_sample,
+                                                     carried, monkeypatch):
+        sigma, X = local_law_sample
+        calls = []
+
+        def fail(fc, z, m0=None):
+            calls.append(z.size)
+            raise ConvergenceError("synthetic failure",
+                                   z=np.array(carried, dtype=complex))
+
+        monkeypatch.setattr("freemp.verify.stieltjes_batch", fail)
+        with pytest.raises(ConvergenceError, match="synthetic failure"):
+            check_local_law(sigma, X, tau=0.1, eps=0.1)
+        assert calls == [800]
 
 
 class TestEdges:
