@@ -4,7 +4,7 @@ The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
 0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
 point mass there) outside.  It supplies the margin d, its real crossings
 left and right, and one fixed rule of Gauss-Legendre nodes in exact
-conjugate pairs, on which check_hat_rate solves.
+conjugate pairs, whose upper half check_hat_rate solves on.
 
 Every fluctuation functional runs on a circle in the m-plane instead.  The
 theory needs Cauchy integrals over the rectangle, and xi = z(m) = -1/m +
@@ -138,9 +138,9 @@ class RectContour:
         """(points, weights) of the full rectangle: NODES_PER_SIDE *
         2**level Gauss-Legendre nodes per side, from the lower left corner
         counterclockwise.  The nodes come in exact conjugate pairs, the
-        bottom side the top's mirror and each vertical side its own, so a
-        solve on them folds onto the upper half.  The library solves on
-        level 0."""
+        bottom side the top's mirror and each vertical side its own, so m
+        on the upper half gives m on the lower, m(conj z) = conj m(z).  The
+        library solves on level 0."""
         s, w = _leggauss(NODES_PER_SIDE << level)    # s[::-1] == -s exactly
         h = 2.0 * self.d
         x = self.right + (self.left - self.right) * 0.5 * (s + 1.0)

@@ -24,9 +24,11 @@ continuation in Im z from a height where -1/z is a good start, with the
 step ratio adapted to how Newton fares at each step (Dobriban,
 arXiv:1507.01649; Ledoit & Wolf's QuEST).  Each step is solved to the
 tolerance of its own height, so points that share a real part and a row
-share their steps until each leaves the common ladder for its own target,
-and a step is solved once per distinct (z, start, row).  Two final Newton
-steps land residuals near machine precision.
+share their steps until each leaves the common ladder for its own target;
+this share, which covers a conjugate pair after its reflection, is the
+solver's one sharing rule, and a caller that wants each pair solved once
+passes one point of it.  Two final Newton steps land residuals near
+machine precision.
 The same continuation lands on eta = 0 for real z: outside the support it gives
 the real value of m, and inside it the boundary value m(x + i0), whose
 |Im m| / pi is the density.  The transforms are evaluated once per new
@@ -284,43 +286,36 @@ def _solve_upper(laws, ratio, row, z, m0):
 def _solve(laws, ratio, z, m0=None):
     """Complex m of every convolution (laws, ratio) at every z, real z too,
     with residual within RESIDUAL_TOL, as a (len(ratio), z.size) array,
-    every row from the same start m0.
+    every row from the same start m0, which holds one value per z.
 
     A point below the real axis is solved as the conjugate of its mirror
-    from the conjugate of its start; when any is, each distinct (z, m0) is
-    solved once per row.  With m0, each point first tries Newton at its own
-    z; a point without m0, or whose Newton misses the tolerance or lands in
-    the wrong half plane, is reached by _continuation, where a stall stops
-    only its own point.  Two polishing Newton steps then aim at POLISH_TOL
-    from the S and T already computed at each m.  One rule accepts each of
-    the caller's points: its continuation did not stall, and _solved holds
-    (residual and half plane).  One ConvergenceError names the first point,
+    from the conjugate of its start, so a conjugate pair shares the steps
+    of its continuation, the one sharing rule of the solver; a caller that
+    wants each pair solved once passes one point of it.  With m0, each
+    point first tries Newton at its own z; a point without m0, or whose
+    Newton misses the tolerance or lands in the wrong half plane, is
+    reached by _continuation, where a stall stops only its own point.
+    Two polishing Newton steps then aim at POLISH_TOL from the S and T
+    already computed at each m.  One rule accepts each of the caller's
+    points: its continuation did not stall, and _solved holds (residual
+    and half plane).  One ConvergenceError names the first point,
     row by row, that the rule rejects, with the height its continuation
     reached or with its residual and m, and carries every failed point as
     its z and their rows as its row.
     """
+    flip = z.imag < 0.0
+    zu, mu = np.where(flip, z.conj(), z), None
     if m0 is not None:
         m0 = np.asarray(m0, dtype=complex).ravel()
-    flip = z.imag < 0.0
-    fold = flip.any()
-    zu, mu = z, m0
-    if fold:
-        zu = np.where(flip, z.conj(), z)
-        if m0 is None:
-            keep, back = _distinct(zu)
-        else:
-            mu = np.where(flip, m0.conj(), m0)
-            keep, back = _distinct(zu, mu)
-            mu = mu[keep]
-        zu = zu[keep]
-    n_rows, n = ratio.size, zu.size
+        if m0.size != z.size:
+            raise DomainError(f"start m0 has {m0.size} values for "
+                              f"{z.size} points z")
+        mu = np.tile(np.where(flip, m0.conj(), m0), ratio.size)
+    n_rows, n = ratio.size, z.size
     row = np.repeat(np.arange(n_rows), n)
-    out = _solve_upper(laws, ratio, row, np.tile(zu, n_rows),
-                       None if mu is None else np.tile(mu, n_rows))
+    out = _solve_upper(laws, ratio, row, np.tile(zu, n_rows), mu)
     m, res, stall = (v.reshape(n_rows, n) for v in out)
-    if fold:
-        m, res, stall = (np.take(v, back, axis=1) for v in (m, res, stall))
-        m[:, flip] = m[:, flip].conj()
+    m[:, flip] = m[:, flip].conj()
     bad = ((stall > 0.0)
            | ~_solved(z, m, res, RESIDUAL_TOL * np.maximum(1.0, np.abs(z))))
     if bad.any():
@@ -341,14 +336,17 @@ def stieltjes_rows(fcs, z, m0=None) -> np.ndarray:
     """Stieltjes transform of each convolution in fcs at every point z, as
     a (len(fcs), z.size) array, in one solve (_solve) from the start m0
     shared by every row.  A point's solve depends only on its own z, start
-    and row, so row k has the bits of stieltjes_batch(fcs[k], z, m0).
+    and row, so row k has the bits of stieltjes_batch(fcs[k], z, m0).  A
+    conjugate pair shares only its continuation's steps, so a caller that
+    wants each pair solved once passes one point of it.
 
     Warm Newton from m0 where it holds, per-point continuation in Im z
     elsewhere, two polishing steps toward 1e-14 max(1, |z|), and the
     solution must lie in the half plane of z.  Real z must clear each
     row's support by the edge-distance guard; they keep the real part,
     whose residual is checked again where dropping the imaginary part
-    moved m.  A non-finite z raises DomainError before any solve.
+    moved m.  A non-finite z, or an m0 without one value per z, raises
+    DomainError before any solve.
     """
     fcs = tuple(fcs)
     laws, ratio = _rows(fcs)
@@ -396,7 +394,7 @@ def stieltjes_derivative_batch(fc: FreeConvolution, z, m=None) -> np.ndarray:
     _, t2 = fc.base.transforms(m)
     den = 1.0 - fc.ratio * m * m * t2
     if np.any(np.abs(den) < DERIV_SINGULAR_TOL):
-        bad = z[int(np.argmin(np.abs(den)))]
+        bad = complex(z[int(np.argmin(np.abs(den)))])
         raise SingularDerivativeError(
             f"derivative denominator vanished at z = {bad!r} (spectral edge)")
     return m * m / den

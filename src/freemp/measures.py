@@ -115,14 +115,11 @@ class PopulationLaw:
     lo: float
     hi: float
 
-    def _pole_is_far(self, m: np.ndarray) -> np.ndarray:
-        return _pole_is_far(self.lo, self.hi, m)
-
     def transforms(self, m: np.ndarray):
-        """(S(m), T(m)), elementwise over the array m: sums over _rule where
-        _pole_is_far(m), and _exact_sums elsewhere: the one-law case of
-        LawStack.transforms, which does not build the rule for a batch with
-        no point on it.
+        """(S(m), T(m)), elementwise over the array m: sums over _rule
+        where _pole_is_far(lo, hi, m), and _exact_sums elsewhere: the
+        one-law case of LawStack.transforms, which does not build the rule
+        for a batch with no point on it.
 
         There the rule is exact to rounding.  g(t) = t/(1+mt) and T's g^2
         are analytic inside the ellipse E_rho through the pole; for 1 <

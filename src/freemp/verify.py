@@ -34,8 +34,8 @@ LOCAL_LAW_ETA_POINTS = 40
 LOCAL_LAW_E_POINTS = 20
 RATE_MIN_SIZES = 3
 RATE_MIN_SPAN = 8.0
-# folded points, solved once per row, in one rate-check solve: 32 draws on
-# the rectangle's 256 conjugate pairs
+# points per row times rows in one rate-check solve: 32 draws on the
+# rectangle's 256 upper-half nodes
 _RATE_BATCH_POINTS = 8192
 CSV_HEADER = "replicate,seed,statistic"
 
@@ -224,11 +224,8 @@ def run_clt_experiment(cfg: ExperimentConfig,
     fc = FreeConvolution(cfg.nu, cfg.gamma0)
     contour = build_contour(support_edges(fc), d=cfg.d)
     ratio = spec.M / N
-    if ratio == cfg.gamma0:
-        fc_centre, contour_centre = fc, contour
-    else:
-        fc_centre = FreeConvolution(cfg.nu, ratio)
-        contour_centre = build_contour(support_edges(fc_centre), d=cfg.d)
+    fc_centre = FreeConvolution(cfg.nu, ratio)
+    contour_centre = build_contour(support_edges(fc_centre), d=cfg.d)
     mean_inside = mean_statistic(fc_centre, cfg.f, contour=contour_centre)
     theoretical = clt_variance(fc, cfg.f, contour=contour)
 
@@ -390,9 +387,9 @@ class RateReport:
 def _rate_sups(task):
     """Sup over xi of |m_hat - m_pop| for each draw (seed, M, N, replicate)
     of a deal, one row each of warm solves of consecutive draws, each of at
-    most _RATE_BATCH_POINTS folded points; a failure names its draw."""
+    most _RATE_BATCH_POINTS points; a failure names its draw."""
     nu, xi, m_pop, draws = task
-    step = max(1, _RATE_BATCH_POINTS // np.count_nonzero(xi.imag >= 0.0))
+    step = max(1, _RATE_BATCH_POINTS // xi.size)
     sups = np.empty(len(draws))
     for i in range(0, len(draws), step):
         batch = draws[i:i + step]
@@ -419,8 +416,9 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     error and says nothing about the sampling rate.
 
     Every draw is one row of a warm solve from m_fc on the rectangle's
-    nodes, 32 draws to a solve, so memory stays flat in reps; workers > 1
-    deal the draws round-robin, one deal per process, with the same bits.
+    upper-half nodes, 32 draws to a solve, so memory stays flat in reps;
+    workers > 1 deal the draws round-robin, one deal per process, with the
+    same bits.
     The rectangle is built on nu's edges: where L_plus(nu_hat) lies beyond
     it (9 of the benchmark's 20 draws, up to 2.335 against 2.2952), the
     nodes in nu_hat's bulk go cold.
@@ -451,6 +449,8 @@ def check_hat_rate(nu: PopulationLaw, gamma0: float, N_list, reps: int,
     fc = FreeConvolution(nu, gamma0)
     contour = default_contour(fc)
     xi, _ = contour.nodes(0)
+    # the lower nodes mirror the upper ones, and |conj a - conj b| = |a - b|
+    xi = xi[xi.imag > 0.0]
     m_pop = stieltjes_batch(fc, xi)
 
     children = np.random.SeedSequence(seed).spawn(len(n_values))

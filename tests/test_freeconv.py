@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from freemp import freeconv
-from freemp.errors import ConvergenceError, DomainError, EdgeBracketError
+from freemp.errors import (ConvergenceError, DomainError, EdgeBracketError,
+                           SingularDerivativeError)
 from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              density_batch, stieltjes, stieltjes_batch,
-                             stieltjes_derivative, stieltjes_rows,
+                             stieltjes_derivative,
+                             stieltjes_derivative_batch, stieltjes_rows,
                              support_edges)
 from freemp.grammar import parse_law
 from freemp.measures import (CHEB_NODES, AtomicLaw, LawStack, LinearLaw,
@@ -371,8 +373,8 @@ FOLD_LAWS = fold_laws()
 
 class TestConjugateFold:
     """A point below the real axis is solved as the conjugate of its
-    mirror, m(conj z) = conj m(z), and each distinct (z, m0) once per
-    row."""
+    mirror, m(conj z) = conj m(z), and a pair shares only the steps of its
+    continuation."""
 
     # conjugating z and the start conjugates m, bit for bit
     @pytest.mark.parametrize("name", sorted(FOLD_LAWS))
@@ -389,11 +391,13 @@ class TestConjugateFold:
                                None if m0 is None else np.conj(m0))
         assert np.array_equal(down.view(float), np.conj(up).view(float))
 
-    # a point and its mirror cost one solve: the pair evaluates the
-    # transforms at the same m as the upper point alone
+    # a point and its mirror in one batch give conjugate bits; they share
+    # the continuation's steps, while the warm Newton and the polish run
+    # for each, so a caller that wants each pair solved once passes one
+    # point of it
     @pytest.mark.parametrize("start", ["cold", "warm"])
-    def test_mirror_pairs_solved_once(self, hat_500, start, rng,
-                                      monkeypatch):
+    def test_mirror_pairs_in_one_batch(self, hat_500, start, rng,
+                                       monkeypatch):
         z = random_z(rng, 40)
         z = z.real + 1j * np.abs(z.imag)
         m0 = None if start == "cold" else stieltjes_batch(hat_500, z) * 1.01
@@ -404,7 +408,8 @@ class TestConjugateFold:
         seen.clear()
         pair = stieltjes_batch(hat_500, np.concatenate([z, np.conj(z)]),
                                pair_m0)
-        assert sum(m.size for m in seen) == n_alone
+        if start == "cold":     # at most two polish steps per mirror
+            assert sum(m.size for m in seen) <= n_alone + 2 * z.size
         assert np.array_equal(pair, np.concatenate([alone, np.conj(alone)]))
 
     # a stalled continuation names the caller's point, not its mirror,
@@ -479,6 +484,14 @@ class TestRows:
 
 
 class TestDerivative:
+    # -2 = -x_minus of dirac:1 at ratio 1/4, where 1 - r m^2 T(m) = 0
+    # exactly; the message prints z as a Python complex
+    def test_singular_denominator_names_z(self):
+        fc = FreeConvolution(AtomicLaw([1.0], [1.0]), 0.25)
+        with pytest.raises(SingularDerivativeError) as err:
+            stieltjes_derivative_batch(fc, [1 + 1j], m=[-2.0])
+        assert "z = (1+1j)" in str(err.value)
+
     def test_against_closed_form(self, mp_quarter, rng):
         zs = random_z(rng, 40)
         for z in zs:
@@ -781,6 +794,19 @@ class TestGuards:
             with pytest.raises(DomainError, match=r"x = .* is not finite"):
                 density_batch(fc_uniform, z.real)
         assert seen == []
+
+    # a start needs one value per point: neither a short nor a long m0
+    # is broadcast, above the axis or below it
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_start_of_wrong_length_rejected(self, fc_uniform, size, sign):
+        z = np.array([1.0 + 1j * sign, 2.0 + 0.5j])
+        m0 = np.full(size, 0.1j)
+        match = f"m0 has {size} values for 2 points"
+        with pytest.raises(DomainError, match=match):
+            stieltjes_batch(fc_uniform, z, m0)
+        with pytest.raises(DomainError, match=match):
+            stieltjes_rows((fc_uniform, fc_uniform), z, m0)
 
     def test_base_support_outside_unit_interval_rejected(self):
         base = DensityLaw(0.5, 1.5, lambda t: np.ones_like(t))

@@ -11,7 +11,7 @@ from freemp.freeconv import FreeConvolution, stieltjes_batch, support_edges
 from freemp.grammar import format_func, format_law, parse_func, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
                              LINEAR_NODES, MASS_TOL, SUPPORT_MIN, AtomicLaw,
-                             LawStack, LinearLaw, _rule_sums,
+                             LawStack, LinearLaw, _pole_is_far, _rule_sums,
                              empirical_measure, sample_population)
 
 from oracles import DensityLaw, integrate, quad_transforms
@@ -254,7 +254,7 @@ class TestLinearLawTransforms:
         law = LinearLaw(lo, hi, slope)
         p = lambda t: 1.0 / (hi - lo) + slope * (t - 0.5 * (lo + hi))
         m = transform_points(lo, hi)
-        far = law._pole_is_far(m)
+        far = _pole_is_far(law.lo, law.hi, m)
         assert far.any() and not far.all()
         S, T = law.transforms(m)
         for k, mk in enumerate(m):
@@ -449,7 +449,7 @@ class TestCompressedTransforms:
                          (CHEB_RHO_MIN * (1.0 - 1e-6), False),
                          (1.2 * CHEB_RHO_MIN, True), (1.05, False)):
             m = ellipse_points(law.lo, law.hi, rho)
-            assert np.all(law._pole_is_far(m) == far), rho
+            assert np.all(_pole_is_far(law.lo, law.hi, m) == far), rho
             S, T = law.transforms(m)
             s_ref, t_ref = longdouble_sums(law.locs, law.weights, m)
             assert np.all(np.abs(S - s_ref) <= 1e-13 * np.abs(s_ref)), rho
@@ -461,7 +461,7 @@ class TestCompressedTransforms:
         law = two_cluster_law()
         p = np.linspace(0.25, 0.75, 41)
         m = -1.0 / np.concatenate([p + 1e-3j, p - 0.1j])
-        assert not law._pole_is_far(m).any()
+        assert not _pole_is_far(law.lo, law.hi, m).any()
         S, T = law.transforms(m)
         s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
         assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
@@ -473,7 +473,7 @@ class TestCompressedTransforms:
     def test_zero_and_real_m(self):
         law = random_atomic_law(1000, 9)
         m = np.array([0.0, 0.3, -0.5, 4.0, -(1.0 / law.lo + 5.0), -40.0])
-        far = law._pole_is_far(m)
+        far = _pole_is_far(law.lo, law.hi, m)
         assert far[0] and far.any() and not far.all()
         S, T = law.transforms(m)
         assert S.dtype == T.dtype == float
@@ -495,7 +495,7 @@ class TestCompressedTransforms:
                               * np.exp(2j * np.pi * rng.random(size)))
         near = ellipse_points(law.lo, law.hi, 1.5, size)
         m = np.ravel(np.column_stack([far, near]))
-        assert law._pole_is_far(m).tolist() == [True, False] * size
+        assert _pole_is_far(law.lo, law.hi, m).tolist() == [True, False] * size
         S, T = law.transforms(m)
         for step in steps:
             for n in (1, 2 * step - 1, 2 * step, 2 * step + 1, 4 * step + 3):
@@ -580,8 +580,8 @@ class TestOneRuleChoice:
     def batches(law):
         far = np.concatenate([[0.0], ellipse_points(law.lo, law.hi, 3.0, 40)])
         near = ellipse_points(law.lo, law.hi, 1.5, 40)
-        assert law._pole_is_far(far).all()
-        assert not law._pole_is_far(near).any()
+        assert _pole_is_far(law.lo, law.hi, far).all()
+        assert not _pole_is_far(law.lo, law.hi, near).any()
         return far, near
 
     # the rule is built on first use and never again, and an empty batch

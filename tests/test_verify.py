@@ -642,7 +642,7 @@ class TestBatchedRate:
         assert dealt == [draws[w::5] for w in range(5)]
 
     # a forced stall in one draw's row names its size and replicate, and
-    # the first failed node, which lies below the real axis, as itself
+    # the first failed node, the first of the rectangle's upper half
     def test_failure_names_size_and_replicate(self, uniform_half,
                                               monkeypatch):
         transforms = LawStack.transforms
@@ -659,10 +659,30 @@ class TestBatchedRate:
             check_hat_rate(uniform_half, *self.ARGS)
         msg = str(err.value)
         xi, _ = default_contour(FreeConvolution(uniform_half, 0.5)).nodes(0)
+        xi = xi[xi.imag > 0.0]
         assert msg.startswith("rate check at N = 64, replicate 2: ")
         assert "continuation stalled" in msg
-        assert xi[0].imag < 0.0 and f"z = {complex(xi[0])!r}:" in msg
+        assert f"z = {complex(xi[0])!r}:" in msg
         assert np.array_equal(err.value.z, xi)
+
+    # the lower half mirrors the upper, so only the 256 upper-half nodes
+    # of the default rectangle are solved, for the population and each draw
+    def test_solves_the_upper_half_only(self, uniform_half, monkeypatch):
+        seen = []
+
+        def spy(fcs, z, m0=None):
+            seen.append(z.copy())
+            return stieltjes_rows(fcs, z, m0)
+
+        monkeypatch.setattr(verify, "stieltjes_rows", spy)
+        monkeypatch.setattr(verify, "stieltjes_batch",
+                            lambda fc, z, m0=None: spy((fc,), z, m0)[0])
+        check_hat_rate(uniform_half, *self.ARGS)
+        xi, _ = default_contour(FreeConvolution(uniform_half, 0.5)).nodes(0)
+        assert len(seen) == 2
+        for z in seen:
+            assert z.size == 256 and (z.imag > 0.0).all()
+            assert np.array_equal(z, xi[xi.imag > 0.0])
 
 
 def _exact_sums(monkeypatch):
