@@ -386,11 +386,14 @@ def stieltjes(fc: FreeConvolution, z: complex) -> complex:
 
 
 def stieltjes_derivative_batch(fc: FreeConvolution, z, m=None) -> np.ndarray:
-    """m'(z) = m^2 / (1 - ratio * m^2 * int t^2/(1+mt)^2 dpi), batched."""
+    """m'(z) = m^2 / (1 - ratio * m^2 * int t^2/(1+mt)^2 dpi), batched,
+    from m = m(z) if given, which must hold one value per z."""
     z = np.asarray(z, dtype=complex).ravel()
     if m is None:
         m = stieltjes_batch(fc, z)
     m = np.asarray(m, dtype=complex).ravel()
+    if m.size != z.size:
+        raise DomainError(f"m has {m.size} values for {z.size} points z")
     _, t2 = fc.base.transforms(m)
     den = 1.0 - fc.ratio * m * m * t2
     if np.any(np.abs(den) < DERIV_SINGULAR_TOL):
@@ -414,10 +417,11 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
     stieltjes_batch landing on eta = 0, where Newton runs with complex m;
     |Im| takes it from either conjugate root.  m meets the solver's residual
     tolerance, which pins it to rounding level in the bulk but only to about
-    the tolerance's square root at a square-root edge.  Outside [L_minus,
-    L_plus] the density is exactly 0, and only the points inside are
-    solved.  A non-finite x raises DomainError, and so does x = 0 when the
-    law has a point mass there.
+    the tolerance's square root at a square-root edge.  The density is
+    exactly 0 outside (L_minus, L_plus), at both edges too, which are soft
+    for every law freemp accepts; only the points inside are solved.  A
+    non-finite x raises DomainError, and so does x = 0 when the law has a
+    point mass there.
     warn is accepted for existing callers and has no effect.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -426,7 +430,7 @@ def density_batch(fc: FreeConvolution, x, warn: bool = True) -> np.ndarray:
         raise DomainError(f"density is undefined at x = 0 (point mass "
                           f"{atom_at_zero(fc)!r})")
     e = fc._edge_data
-    inside = ~((x < e.L_minus) | (x > e.L_plus))
+    inside = (x > e.L_minus) & (x < e.L_plus)
     rho = np.zeros(x.shape)
     m = _solve(*_rows((fc,)), x[inside].astype(complex))[0]
     rho[inside] = np.abs(m.imag) / np.pi

@@ -22,8 +22,8 @@ from .freeconv import (FreeConvolution, stieltjes_batch, stieltjes_rows,
                        support_edges)
 from .grammar import format_func, format_law
 from .measures import PopulationLaw, sample_population
-from .rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, draw_sample,
-                  eigenvalues, empirical_stieltjes, hat_fc, linear_statistic)
+from .rmt import (DataMatrixSpec, EigenSample, draw_sample, eigenvalues,
+                  empirical_stieltjes, hat_fc, linear_statistic)
 
 DEGENERATE_VARIANCE = 1e-12
 DEGENERATE_SAMPLE_TOL = 1e-6
@@ -64,7 +64,9 @@ GATES = GateTolerances()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of a CLT Monte Carlo run."""
+    """Full description of a CLT Monte Carlo run, checked when built: its
+    matrix through DataMatrixSpec.from_ratio, with M = N refused; the
+    margin d is checked where the contour is built."""
 
     gamma0: float
     nu: PopulationLaw
@@ -78,11 +80,6 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma0) and self.gamma0 > 0.0):
-            raise DomainError(f"dimension ratio {self.gamma0!r} must be positive")
-        if self.gamma0 == 1.0:
-            raise DomainError("dimension ratio 1 sits on the hard-edge case "
-                              "the solver excludes")
         n_list = tuple(int(n) for n in self.N_list)
         if len(n_list) != 1:
             raise DomainError(f"N_list {n_list} must hold exactly one size; "
@@ -90,17 +87,18 @@ class ExperimentConfig:
         if any(n < 50 for n in n_list):
             raise DomainError(f"every N in {n_list} must be at least 50")
         object.__setattr__(self, "N_list", n_list)
+        spec = DataMatrixSpec.from_ratio(self.gamma0, n_list[0],
+                                         self.entry_law)
+        if spec.M == spec.N:
+            raise DomainError(f"M = {spec.M} and N = {spec.N}: the sampled "
+                              f"matrix has ratio 1, which is excluded "
+                              f"(support reaches 0)")
         if self.replicates < 100:
             raise DomainError(
                 f"{self.replicates} replicates cannot support the "
                 "distributional gates; need at least 100")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise DomainError(f"seed {self.seed!r} must fit in 64 bits")
-        if self.entry_law not in ENTRY_LAWS:
-            raise DomainError(
-                f"unknown entry law {self.entry_law!r}; pick one of {ENTRY_LAWS}")
-        if self.d is not None and not self.d > 0.0:
-            raise DomainError(f"contour margin {self.d!r} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +206,8 @@ def run_clt_experiment(cfg: ExperimentConfig,
     The matrix has M = round(gamma0 N) rows, so each statistic is centred
     on the free convolution at the sampled ratio M/N, not at gamma0, which
     would shift the mean by O(N^-1/2); the predicted variance is the one at
-    gamma0.  M = N raises DomainError.
+    gamma0.  cfg has refused M = N when it was built; a margin d outside
+    (0, L_minus/10) raises DomainError when the contour is built.
 
     pass requires the variance, KS and mean gates of _clt_gates, the
     gates acceptance check 06 applies.  When the predicted variance is
@@ -218,9 +217,6 @@ def run_clt_experiment(cfg: ExperimentConfig,
     workers = _resolve_workers(workers)
     N = cfg.N_list[0]
     spec = DataMatrixSpec.from_ratio(cfg.gamma0, N, cfg.entry_law)
-    if spec.M == N:
-        raise DomainError(f"M = {spec.M} and N = {N}: the sampled matrix has "
-                          f"ratio 1, which is excluded (support reaches 0)")
     fc = FreeConvolution(cfg.nu, cfg.gamma0)
     contour = build_contour(support_edges(fc), d=cfg.d)
     ratio = spec.M / N
@@ -307,9 +303,6 @@ class LocalLawReport:
     passed: bool
     points: int
     skipped: tuple
-    tau: float
-    eps: float
-    N: int
 
 
 def check_local_law(sigma, X: np.ndarray, tau: float,
@@ -356,8 +349,7 @@ def check_local_law(sigma, X: np.ndarray, tau: float,
     max_ratio = float(ratio.max()) if ratio.size else math.inf
     return LocalLawReport(max_ratio=max_ratio,
                           passed=max_ratio <= GATES.local_law_ratio,
-                          points=int(ratio.size), skipped=tuple(skipped),
-                          tau=tau, eps=eps, N=N)
+                          points=int(ratio.size), skipped=tuple(skipped))
 
 
 def check_edges(e: EigenSample, fc_hat: FreeConvolution,

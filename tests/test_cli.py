@@ -9,7 +9,7 @@ from freemp import contour
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
 from freemp.errors import DomainError
 from freemp.freeconv import FreeConvolution
-from freemp.grammar import parse_func, parse_law
+from freemp.grammar import format_func, parse_func, parse_law
 from freemp.measures import LinearLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
                         sample_data_matrix)
@@ -102,6 +102,22 @@ class TestParseConfig:
         with pytest.raises(DomainError,
                            match=f"spec '{spec}' has a non-finite argument"):
             parse(spec)
+
+    # each refusal of the grammar names what is wrong with its input
+    @pytest.mark.parametrize("call, arg, fragment", [
+        (parse_law, "uniform", "must look like name:args"),
+        (parse_law, "uniform:a,b", "non-numeric argument"),
+        (parse_law, "uniform:0.5", "takes 2 argument\\(s\\), got 1"),
+        (parse_func, "exp:1,2", "takes 1 argument\\(s\\), got 2"),
+        (parse_law, "gamma:1", "unknown law 'gamma'"),
+        (parse_func, "sin:1", "unknown function 'sin'"),
+        (format_func, contour.TestFunction(),
+         "function TestFunction has no spec form")],
+        ids=["no-colon", "non-numeric", "law-arity", "function-arity",
+             "unknown-law", "unknown-function", "no-spec-form"])
+    def test_grammar_refusals_name_the_fault(self, call, arg, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            call(arg)
 
 
 class TestDispatch:

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             build_contour(e, d=0.0)
 
+    @pytest.mark.parametrize("L_plus", [0.4, 0.5])
+    def test_edges_out_of_order_rejected(self, L_plus):
+        with pytest.raises(DomainError,
+                           match=rf"bad edge interval \[0.5, {L_plus}\]"):
+            contour.RectContour(0.01, 0.5, L_plus)
+
     def test_thin_default_rebuilt_equal(self, fc_uniform):
         # L_minus ~ 0.06 forces a sliver rectangle, rebuilt from the
         # cached edges on every call

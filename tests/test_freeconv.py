@@ -492,6 +492,16 @@ class TestDerivative:
             stieltjes_derivative_batch(fc, [1 + 1j], m=[-2.0])
         assert "z = (1+1j)" in str(err.value)
 
+    # a given m must hold one value per z; otherwise the result would take
+    # its length from m and pair no value with its z
+    @pytest.mark.parametrize("n_m", [1, 2])
+    def test_m_of_wrong_length_rejected(self, mp_quarter, n_m):
+        z = np.array([0.5 + 0.1j, 1.0 + 0.1j, 1.5 + 0.1j])
+        m = stieltjes_batch(mp_quarter, z)[:n_m]
+        with pytest.raises(DomainError, match=f"m has {n_m} values for 3 "
+                                              f"points z"):
+            stieltjes_derivative_batch(mp_quarter, z, m=m)
+
     def test_against_closed_form(self, mp_quarter, rng):
         zs = random_z(rng, 40)
         for z in zs:
@@ -540,20 +550,23 @@ class TestDensity:
         interior = (xs >= lo + 1e-3) & (xs <= hi - 1e-3)
         assert err[interior].max() <= 1e-12
 
-    # exactly 0 on both sides of the support, not the residual-level
-    # values a solve at eta = 0 leaves there
+    # exactly 0 on both sides of the support and at its soft edges, with no
+    # solve, not the residual-level values a solve at eta = 0 leaves there
+    # (1e-8 to 1e-6 at the edges)
     @pytest.mark.parametrize("spec, ratio", [
         ("dirac:1", 0.25), ("uniform:0.5,1", 0.25), ("uniform:0.5,1", 4.0),
-        ("linear:0.2,1,1", 2.0)])
-    def test_exact_zero_outside_support(self, spec, ratio):
+        ("linear:0.2,1,1", 2.0), ("uniform:0.5,1", 0.5)])
+    def test_exact_zero_outside_support(self, spec, ratio, monkeypatch):
         fc = FreeConvolution(parse_law(spec), ratio)
         e = support_edges(fc)
         xs = np.concatenate([np.geomspace(1e-4, e.L_minus, 50)[:-1],
                              -np.geomspace(1e-3, 5.0, 10),
-                             [np.nextafter(e.L_minus, 0.0),
-                              np.nextafter(e.L_plus, np.inf)],
+                             [np.nextafter(e.L_minus, 0.0), e.L_minus,
+                              e.L_plus, np.nextafter(e.L_plus, np.inf)],
                              np.geomspace(e.L_plus, 4.0 * e.L_plus, 50)[1:]])
+        seen = spy_transforms(monkeypatch, fc)
         assert np.all(density_batch(fc, xs) == 0.0)
+        assert sum(m.size for m in seen) == 0
 
     def test_zero_between_atom_and_support(self, mp_quarter):
         xs = np.geomspace(1e-4, mp_edges(0.25)[0] - 1e-3, 200)
@@ -765,6 +778,12 @@ class TestGuards:
             stieltjes(mp_quarter, 1.0)          # inside [0.25, 2.25]
         with pytest.raises(DomainError):
             stieltjes(mp_quarter, 2.25 + 1e-7)  # within the guard band
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, np.nan, np.inf])
+    def test_ratio_not_positive_and_finite_rejected(self, dirac_one, ratio):
+        with pytest.raises(DomainError, match=f"ratio {ratio} must be "
+                                              f"positive and finite"):
+            FreeConvolution(dirac_one, ratio)
 
     def test_ratio_one_rejected(self, dirac_one):
         with pytest.raises(DomainError):

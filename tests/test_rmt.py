@@ -30,6 +30,14 @@ class TestDataMatrixSpec:
         with pytest.raises(DomainError):
             DataMatrixSpec(M=2, N=4, entry_law="cauchy")
 
+    @pytest.mark.parametrize("gamma0, N, fragment", [
+        (0.5, 1, "N = 1 must be at least 2"),
+        (0.001, 100, r"round\(0.001 \* 100\) gives an empty matrix"),
+        (float("nan"), 100, "dimension ratio nan must be positive")])
+    def test_from_ratio_refusals_name_the_input(self, gamma0, N, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            DataMatrixSpec.from_ratio(gamma0, N)
+
 
 class TestSampleDataMatrix:
     def test_rademacher_two_point(self, rng):

@@ -69,16 +69,29 @@ class TestExperimentConfig:
                                N_list=[100], replicates=100, seed=1)
         assert cfg.N_list == (100,)
 
+    # every rule but the margin's is checked when the config is built; the
+    # matrix rules through DataMatrixSpec.from_ratio, the margin by the
+    # contour that the run builds
     def test_invalid_configs_rejected(self, uniform_half):
         good = dict(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
                     N_list=(100,), replicates=100, seed=1)
-        for bad in (dict(gamma0=1.0), dict(gamma0=-2.0),
-                    dict(N_list=(49,)), dict(N_list=()),
-                    dict(N_list=(100, 200)),
-                    dict(replicates=99), dict(seed=-1),
-                    dict(entry_law="cauchy"), dict(d=0.0)):
-            with pytest.raises(DomainError):
+        for bad, fragment in (
+                (dict(gamma0=1.0), "M = 100 and N = 100"),
+                (dict(gamma0=-2.0), "must be positive"),
+                (dict(gamma0=math.nan), "must be positive"),
+                (dict(gamma0=0.001), "gives an empty matrix"),
+                (dict(N_list=(49,)), "at least 50"),
+                (dict(N_list=()), "exactly one size"),
+                (dict(N_list=(100, 200)), "exactly one size"),
+                (dict(replicates=99), "need at least 100"),
+                (dict(seed=-1), "64 bits"),
+                (dict(entry_law="cauchy"), "unknown entry law")):
+            with pytest.raises(DomainError, match=fragment):
                 ExperimentConfig(**{**good, **bad})
+        cfg = ExperimentConfig(**{**good, "d": 0.0})
+        with pytest.raises(DomainError,
+                           match=r"margin d = 0.0 outside \(0, L_minus/10\)"):
+            run_clt_experiment(cfg)
 
 
 class TestKsNormality:
@@ -180,10 +193,9 @@ class TestRunClt:
         assert abs(means[405] - means[400]) < shift / 2.0
 
     def test_sampled_ratio_one_names_m_and_n(self, uniform_half):
-        cfg = ExperimentConfig(gamma0=0.999, nu=uniform_half, f=F_IDENTITY,
-                               N_list=(400,), replicates=100, seed=1)
         with pytest.raises(DomainError, match="M = 400 and N = 400"):
-            run_clt_experiment(cfg)
+            ExperimentConfig(gamma0=0.999, nu=uniform_half, f=F_IDENTITY,
+                             N_list=(400,), replicates=100, seed=1)
 
     def test_constant_statistic_flagged_degenerate(self, clt_degenerate):
         _, report = clt_degenerate
@@ -480,6 +492,18 @@ class TestHatRate:
             check_hat_rate(uniform_half, 0.5, (250, 250, 2000), 5, 1)
         with pytest.raises(DomainError):
             check_hat_rate(uniform_half, 0.5, (250, 500, 2000), 0, 1)
+
+    # both entry points that take a worker count refuse 0 before any draw
+    @pytest.mark.parametrize("call", [
+        lambda nu: check_hat_rate(nu, 0.5, (50, 100, 400), 2, 1, workers=0),
+        lambda nu: run_clt_experiment(
+            ExperimentConfig(gamma0=0.5, nu=nu, f=F_IDENTITY, N_list=(50,),
+                             replicates=100, seed=1), workers=0)],
+        ids=["check_hat_rate", "run_clt_experiment"])
+    def test_worker_count_below_one_rejected(self, uniform_half, call):
+        with pytest.raises(DomainError,
+                           match="worker count 0 must be at least 1"):
+            call(uniform_half)
 
     def test_dispersionless_population_rejected(self):
         with pytest.raises(DomainError):
