@@ -8,12 +8,14 @@ free convolution needs,
 
 and its inverse CDF is what the Monte Carlo layer draws from.  Every law
 evaluates them the same way (LawStack.transforms): over its fixed rule
-where the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho >=
-CHEB_RHO_MIN, and at m = 0, where the rule is exact to rounding, and by its
-exact sums elsewhere.  A LinearLaw's rule is its 32-node Gauss-Legendre
-quad_rule and its exact sums are closed forms; an AtomicLaw's rule is
-CHEB_NODES Chebyshev points weighted by the law, or its atoms for a law of
-at most CHEB_NODES atoms (dirac:c), and its exact sums run over the atoms.
+where the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho at
+least the rule's reach, and at m = 0, where the rule is exact to rounding,
+and by its exact sums elsewhere.  A LinearLaw's rule is its
+LINEAR_NODES-node Gauss-Legendre quad_rule, reaching to rho =
+LINEAR_RHO_MIN, and its exact sums are closed forms; an AtomicLaw's rule
+is CHEB_NODES Chebyshev points weighted by the law, reaching to rho =
+CHEB_RHO_MIN, or its atoms for a law of at most CHEB_NODES atoms (dirac:c),
+and its exact sums run over the atoms.
 Every sum takes one complex reciprocal 1/(1+mt) per term, reduced by numpy
 rather than BLAS in chunks of at most _CHUNK_ELEMS terms, so a value
 depends only on its own m, not on its batch or the BLAS thread count.
@@ -35,8 +37,9 @@ MASS_TOL = 1e-9
 # sqrt(ratio) != 1; the closed forms' x^3 stays finite for lo >= 2^-288
 SUPPORT_MIN = 2.0 ** -288
 LINEAR_NODES = 32             # a LinearLaw's fixed rule
-CHEB_NODES = 64               # an AtomicLaw's fixed rule
-CHEB_RHO_MIN = 2.0            # ellipse of the pole where the fixed rule is used
+LINEAR_RHO_MIN = 2.0          # its reach: the pole's ellipse where it is used
+CHEB_NODES = 32               # an AtomicLaw's fixed rule
+CHEB_RHO_MIN = 4.0            # its reach
 _CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 
 
@@ -44,6 +47,23 @@ _CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
     return np.polynomial.legendre.leggauss(n)
+
+
+@cache
+def _cheb_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n first-kind Chebyshev points x_j = cos((j + 1/2) pi/n) and the
+    table T_k(x_j), row k < n, by the three-term recurrence; cached per
+    order and read-only."""
+    x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    table = np.empty((n, n))
+    table[0] = 1.0
+    table[1] = x
+    x2 = 2.0 * x
+    for k in range(2, n):
+        np.multiply(x2, table[k - 1], out=table[k])
+        table[k] -= table[k - 2]
+    x.flags.writeable = table.flags.writeable = False
+    return x, table
 
 
 def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray, row=None):
@@ -95,13 +115,17 @@ def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray, row=None):
     return s, tt
 
 
-def _pole_is_far(lo, hi, m: np.ndarray) -> np.ndarray:
+def _focal_sum(lo, hi, reach):
+    """(reach + 1/reach)(hi - lo)/2, the focal-distance sum of the Bernstein
+    ellipse E_reach of [lo, hi], whose foci are lo and hi."""
+    return 0.5 * (reach + 1.0 / reach) * (hi - lo)
+
+
+def _pole_is_far(lo, hi, m: np.ndarray, sum_min) -> np.ndarray:
     """True where the pole -1/m lies on a Bernstein ellipse E_rho of [lo,
-    hi] with rho >= CHEB_RHO_MIN, or m = 0; lo and hi are floats or arrays
-    of m's shape.  E_rho has foci lo and hi and focal-distance sum (rho +
-    1/rho)(hi - lo)/2; multiplied by |m|, the test needs no division and
-    holds at m = 0."""
-    sum_min = 0.5 * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN) * (hi - lo)
+    hi] with rho >= reach, or m = 0, for sum_min = _focal_sum(lo, hi,
+    reach); lo, hi and sum_min are floats or arrays of m's shape.
+    Multiplied by |m|, the test needs no division and holds at m = 0."""
     return np.abs(1.0 + m * lo) + np.abs(1.0 + m * hi) >= sum_min * np.abs(m)
 
 
@@ -109,17 +133,19 @@ class PopulationLaw:
     """Population law on [lo, hi], itself the measure FreeConvolution
     integrates against.  Subclasses provide quantile(u), the inverse CDF
     mapping [0, 1] onto [lo, hi]; _rule, the fixed rule (nodes, weights) of
-    S and T, built once per law; _exact_sums(m), the S and T off that rule;
+    S and T, built once per law; _reach, the least rho of the pole's
+    ellipse where _rule is used; _exact_sums(m), the S and T off that rule;
     and quad_rule(n), the law's rule of other integrals."""
 
     lo: float
     hi: float
+    _reach: float
 
     def transforms(self, m: np.ndarray):
         """(S(m), T(m)), elementwise over the array m: sums over _rule
-        where _pole_is_far(lo, hi, m), and _exact_sums elsewhere: the
-        one-law case of LawStack.transforms, which does not build the rule
-        for a batch with no point on it.
+        where the pole lies on E_rho with rho >= _reach, and _exact_sums
+        elsewhere: the one-law case of LawStack.transforms, which does not
+        build the rule for a batch with no point on it.
 
         There the rule is exact to rounding.  g(t) = t/(1+mt) and T's g^2
         are analytic inside the ellipse E_rho through the pole; for 1 <
@@ -132,12 +158,20 @@ class PopulationLaw:
         to within (64/15) max|f| rho'^-2n / (rho'^2 - 1) (ibid., Thm 19.3);
         an affine density is at most 2.25/(hi - lo) on E_rho', so at n =
         LINEAR_NODES that is (24/5) M rho'^-64 / (rho'^2 - 1).  T takes M^2.
-        At rho = 2, minimized over rho', the bounds are 4.6e-17 max|g| for S
-        and 1.3e-15 max|g|^2 for T (Chebyshev) and 9.5e-18 and 2.6e-16
-        (Gauss-Legendre), max over [lo, hi], on intervals from [1e-80, 1] to
-        widths of 1e-10.  The path depends on m alone, so a value has the
-        same bits in any batch as alone, and real m stay real."""
-        return LawStack((self,)).transforms(np.zeros(m.shape, np.intp), m)
+        Minimized over rho' and maximized over the pole's place on E_rho,
+        the bounds at each rule's reach are 2.7e-17 max|g| for S and 6.0e-16
+        max|g|^2 for T (Chebyshev, rho = CHEB_RHO_MIN = 4) and 9.5e-18 and
+        2.6e-16 (Gauss-Legendre, rho = LINEAR_RHO_MIN = 2), max over [lo,
+        hi], on intervals from [1e-80, 1] to widths of 1e-10.  The path
+        depends on m alone, so a value has the same bits in any batch as
+        alone, and real m stay real."""
+        return self._stack.transforms(np.zeros(m.shape, np.intp), m)
+
+    @cached_property
+    def _stack(self) -> "LawStack":
+        """The law's one-row LawStack, built once: every transforms call
+        reuses its arrays and its grouped rule."""
+        return LawStack((self,))
 
     def as_measure(self) -> "PopulationLaw":
         """The law itself: a law is already a measure."""
@@ -155,6 +189,7 @@ class LinearLaw(PopulationLaw):
     lo: float
     hi: float
     slope: float = 0.0
+    _reach = LINEAR_RHO_MIN
 
     def __post_init__(self):
         if not (SUPPORT_MIN <= self.lo < self.hi <= 1.0):
@@ -230,6 +265,7 @@ class AtomicLaw(PopulationLaw):
 
     locs: np.ndarray
     weights: np.ndarray
+    _reach = CHEB_RHO_MIN
 
     def __post_init__(self):
         locs = np.asarray(self.locs, dtype=float)
@@ -289,7 +325,7 @@ class AtomicLaw(PopulationLaw):
         T_k(x_j), halved at k = 0, so W_j = (2/n)(sum_k mu_k T_k(x_j) -
         mu_0/2) with the law's Chebyshev moments mu_k = sum_i w_i T_k(s_i).
         The moments come from the three-term recurrence on vectors of the
-        atoms and the series from chebval at the n points, so no
+        atoms and the series from the cached table T_k(x_j), so no
         atoms-by-nodes array is made."""
         n = CHEB_NODES
         if self.locs.size <= n:
@@ -305,18 +341,19 @@ class AtomicLaw(PopulationLaw):
             np.multiply(s2, cur, out=nxt)
             nxt -= prev
             prev, cur, nxt = cur, nxt, prev
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        W = (2.0 / n) * (np.polynomial.chebyshev.chebval(x, mu) - 0.5 * mu[0])
+        x, table = _cheb_table(n)
+        W = (2.0 / n) * (np.einsum("k,kj->j", mu, table) - 0.5 * mu[0])
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, W
 
 
 class LawStack:
     """Population laws side by side, one row each.  transforms(row, m)
     evaluates each m[i] on law row[i]: over the law's _rule where
-    _pole_is_far, by its _exact_sums elsewhere.  The rules of one node
-    count are stacked, so one _rule_sums call sums the far points of every
-    law of that count; the exact sums run law by law.  A law that
-    overrides transforms is refused, since the stack never calls it."""
+    _pole_is_far at the law's _reach, by its _exact_sums elsewhere.  The
+    rules of one node count are stacked, so one _rule_sums call sums the
+    far points of every law of that count, each tested against its own
+    reach; the exact sums run law by law.  A law that overrides transforms
+    is refused, since the stack never calls it."""
 
     def __init__(self, laws):
         self.laws = tuple(laws)
@@ -327,6 +364,8 @@ class LawStack:
                                 f"transforms, which a LawStack never calls")
         self.lo = np.array([law.lo for law in self.laws])
         self.hi = np.array([law.hi for law in self.laws])
+        self.sum_min = _focal_sum(self.lo, self.hi, np.array(
+            [law._reach for law in self.laws]))
 
     @cached_property
     def _rules(self):
@@ -351,7 +390,7 @@ class LawStack:
         """(S, T) of each m[i] under laws[row[i]]; each call's points are
         picked out only as it runs, and a batch that one call covers is
         returned as that call gives it."""
-        far = _pole_is_far(self.lo[row], self.hi[row], m)
+        far = _pole_is_far(self.lo[row], self.hi[row], m, self.sum_min[row])
         n_far = np.count_nonzero(far)
         calls = []                  # (stack, None) and (None, law)
         if n_far:

@@ -10,6 +10,7 @@ from freemp.errors import ContourError, DomainError, NearSingularityError
 from freemp.freeconv import (FreeConvolution, density_batch, stieltjes,
                              support_edges)
 from freemp.grammar import parse_law
+from freemp.measures import LinearLaw
 
 from oracles import (NODE_LEVELS, rectangle_clt_variance, rectangle_f_sigma,
                      rectangle_integral)
@@ -188,6 +189,18 @@ class TestCltVariance:
     def test_exponential_regression(self, fc_uniform):
         assert clt_variance(fc_uniform, Exponential(0.5)) == pytest.approx(
             0.008665473155232473, abs=1e-9)
+
+    # F = 1 at every node under weights of mass 2 gives ratio (2 - 4) < 0,
+    # far below the clamp: refused, not clamped to 0
+    def test_negative_variance_refused(self, monkeypatch):
+        quad_rule = LinearLaw.quad_rule
+        monkeypatch.setattr(LinearLaw, "quad_rule",
+                            lambda law, n: (quad_rule(law, n)[0],
+                                            2.0 * quad_rule(law, n)[1]))
+        monkeypatch.setattr(contour, "_f_values",
+                            lambda fc, c, f, sig: np.ones_like(sig))
+        with pytest.raises(ContourError, match="variance came out negative"):
+            clt_variance(FreeConvolution(LinearLaw(0.5, 1.0), 0.5), SQ)
 
     def test_nonnegative(self, fc_uniform, mp_quarter):
         for fc in (fc_uniform, mp_quarter):

@@ -827,6 +827,20 @@ class TestGuards:
         with pytest.raises(DomainError, match=match):
             stieltjes_rows((fc_uniform, fc_uniform), z, m0)
 
+    # S enters only the edge values L = 1/x + ratio S(-x), so an S pushed
+    # down by 1e3 leaves the bisection alone and makes L_minus negative
+    def test_edge_values_out_of_order_rejected(self, uniform_half,
+                                               monkeypatch):
+        transforms = LawStack.transforms
+
+        def low_s(self, row, m):
+            s, t2 = transforms(self, row, m)
+            return s - 1e3, t2
+
+        monkeypatch.setattr(LawStack, "transforms", low_s)
+        with pytest.raises(DomainError, match="edge values out of order"):
+            support_edges(FreeConvolution(uniform_half, 0.5))
+
     def test_base_support_outside_unit_interval_rejected(self):
         base = DensityLaw(0.5, 1.5, lambda t: np.ones_like(t))
         with pytest.raises(DomainError, match="inside"):

@@ -11,8 +11,9 @@ from freemp.freeconv import FreeConvolution, stieltjes_batch, support_edges
 from freemp.grammar import format_func, format_law, parse_func, parse_law
 from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
                              LINEAR_NODES, MASS_TOL, SUPPORT_MIN, AtomicLaw,
-                             LawStack, LinearLaw, _pole_is_far, _rule_sums,
-                             empirical_measure, sample_population)
+                             LawStack, LinearLaw, _cheb_table, _focal_sum,
+                             _pole_is_far, _rule_sums, empirical_measure,
+                             sample_population)
 
 from oracles import DensityLaw, integrate, quad_transforms
 
@@ -225,21 +226,28 @@ def ellipse_points(lo: float, hi: float, rho: float, k: int = 48):
     return -1.0 / (0.5 * (lo + hi) + 0.25 * (hi - lo) * (w + 1.0 / w))
 
 
-def transform_points(lo: float, hi: float) -> np.ndarray:
-    """m = 0; real m whose poles sit on both sides of the rho = CHEB_RHO_MIN
-    ellipse where it crosses the real axis; real m next to the poles -1/hi
-    and -1/lo and beyond -1/lo; off-axis m next to the poles; and m whose
-    poles go around ellipses just inside and outside rho = CHEB_RHO_MIN,
-    near the support and far from it."""
+def is_far(law, m: np.ndarray) -> np.ndarray:
+    """Where law.transforms sums m over the law's fixed rule."""
+    return _pole_is_far(law.lo, law.hi, m,
+                        _focal_sum(law.lo, law.hi, law._reach))
+
+
+def transform_points(law) -> np.ndarray:
+    """m = 0; real m whose poles sit on both sides of the ellipse of the
+    law's reach where it crosses the real axis; real m next to the poles
+    -1/hi and -1/lo and beyond -1/lo; off-axis m next to the poles; and m
+    whose poles go around ellipses just inside and outside the reach, near
+    the support and far from it."""
+    lo, hi, reach = law.lo, law.hi, law._reach
     c = 0.5 * (lo + hi)
-    a = 0.25 * (hi - lo) * (CHEB_RHO_MIN + 1.0 / CHEB_RHO_MIN)
+    a = 0.25 * (hi - lo) * (reach + 1.0 / reach)
     real = [0.0, 0.1 / hi, 5.0 / hi, 40.0, -(1.0 - 1e-3) / hi,
             -(1.0 + 1e-3) / lo, -2.0 / lo]
     real += [-1.0 / (c + f * side * a) for side in (1.0, -1.0)
              for f in (0.98, 0.999, 1.001, 1.02)]
     poles = [-(1.0 + 1e-2j) / hi, -(1.0 - 1e-2j) / lo,
              -(1.0 + 0.1j) / (0.5 * (lo + hi))]
-    rings = [ellipse_points(lo, hi, rho * CHEB_RHO_MIN, 12)
+    rings = [ellipse_points(lo, hi, rho * reach, 12)
              for rho in (0.6, 0.98, 1.02, 2.0, 8.0)]
     return np.concatenate([np.array(real + poles, dtype=complex)] + rings)
 
@@ -253,8 +261,8 @@ class TestLinearLawTransforms:
     def test_against_quad(self, lo, hi, slope):
         law = LinearLaw(lo, hi, slope)
         p = lambda t: 1.0 / (hi - lo) + slope * (t - 0.5 * (lo + hi))
-        m = transform_points(lo, hi)
-        far = _pole_is_far(law.lo, law.hi, m)
+        m = transform_points(law)
+        far = is_far(law, m)
         assert far.any() and not far.all()
         S, T = law.transforms(m)
         for k, mk in enumerate(m):
@@ -268,7 +276,7 @@ class TestLinearLawTransforms:
         (0.5, 1.0, 0.0), (0.05, 1.0, 0.0), (0.2, 1.0, 1.0)])
     def test_batch_bit_identical_to_alone(self, lo, hi, slope, rng):
         law = LinearLaw(lo, hi, slope)
-        m = np.concatenate([transform_points(lo, hi),
+        m = np.concatenate([transform_points(law),
                             rng.normal(size=200) + 1j * rng.normal(size=200)])
         S, T = law.transforms(m)
         for k in range(m.size):
@@ -317,7 +325,7 @@ class TestAtomicLawTransforms:
     def test_batch_bit_identical_to_alone(self, atoms, rng):
         law = random_atomic_law(atoms, atoms)
         step = _CHUNK_ELEMS // law.locs.size
-        base = transform_points(law.lo, law.hi)
+        base = transform_points(law)
         extra = max(2 * step + 3 - base.size, 200)
         m = np.concatenate([base, rng.normal(size=extra)
                             + 1j * rng.normal(size=extra)])
@@ -435,21 +443,41 @@ class TestCompressedTransforms:
         assert tau.min() > law.lo and tau.max() < law.hi
         s = (2.0 * law.locs - law.lo - law.hi) / (law.hi - law.lo)
         x = (2.0 * tau - law.lo - law.hi) / (law.hi - law.lo)
-        for k in (0, 1, 2, 7, 31, CHEB_NODES - 1):
+        for k in (0, 1, 2, 7, CHEB_NODES // 2, CHEB_NODES - 1):
             ref = law.weights @ np.cos(k * np.arccos(s))
             assert abs(W @ np.cos(k * np.arccos(x)) - ref) <= 1e-14, k
 
-    # just outside rho = 2 the compressed rule, just inside the atoms:
-    # both within the 1e-13 bound of the long-double sums
-    @pytest.mark.parametrize("law", [random_atomic_law(1000, 5),
+    # the cached table T_k(x_j) is the Chebyshev-Vandermonde matrix at the
+    # points, and its rows are cos(k theta_j) to the recurrence's rounding
+    def test_table_is_the_vandermonde_matrix(self):
+        n = CHEB_NODES
+        x, table = _cheb_table(n)
+        assert table.shape == (n, n) and not table.flags.writeable
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        assert np.array_equal(x, np.cos(theta))
+        ref = np.polynomial.chebyshev.chebvander(x, n - 1).T
+        assert np.all(np.abs(table - ref) <= 4 * np.spacing(1.0))
+        k = np.arange(n)[:, None]
+        assert np.all(np.abs(table - np.cos(k * theta)) <= n * 1e-15)
+        assert _cheb_table(n) is _cheb_table(n)
+
+    # just outside rho = CHEB_RHO_MIN the compressed rule, just inside the
+    # atoms: both within the 1e-13 bound of the long-double sums, from the
+    # least law that is compressed, CHEB_NODES + 1 atoms, up
+    @pytest.mark.parametrize("law", [random_atomic_law(CHEB_NODES + 1, 5),
+                                     random_atomic_law(2 * CHEB_NODES, 5),
+                                     random_atomic_law(1000, 5),
                                      two_cluster_law()],
-                             ids=["atoms-1000", "two-cluster"])
+                             ids=[f"atoms-{CHEB_NODES + 1}",
+                                  f"atoms-{2 * CHEB_NODES}", "atoms-1000",
+                                  "two-cluster"])
     def test_accuracy_on_both_sides_of_the_threshold(self, law):
+        assert law._rule[0].size == CHEB_NODES < law.locs.size
         for rho, far in ((CHEB_RHO_MIN * (1.0 + 1e-6), True),
                          (CHEB_RHO_MIN * (1.0 - 1e-6), False),
                          (1.2 * CHEB_RHO_MIN, True), (1.05, False)):
             m = ellipse_points(law.lo, law.hi, rho)
-            assert np.all(_pole_is_far(law.lo, law.hi, m) == far), rho
+            assert np.all(is_far(law, m) == far), rho
             S, T = law.transforms(m)
             s_ref, t_ref = longdouble_sums(law.locs, law.weights, m)
             assert np.all(np.abs(S - s_ref) <= 1e-13 * np.abs(s_ref)), rho
@@ -461,7 +489,7 @@ class TestCompressedTransforms:
         law = two_cluster_law()
         p = np.linspace(0.25, 0.75, 41)
         m = -1.0 / np.concatenate([p + 1e-3j, p - 0.1j])
-        assert not _pole_is_far(law.lo, law.hi, m).any()
+        assert not is_far(law, m).any()
         S, T = law.transforms(m)
         s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
         assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
@@ -473,7 +501,7 @@ class TestCompressedTransforms:
     def test_zero_and_real_m(self):
         law = random_atomic_law(1000, 9)
         m = np.array([0.0, 0.3, -0.5, 4.0, -(1.0 / law.lo + 5.0), -40.0])
-        far = _pole_is_far(law.lo, law.hi, m)
+        far = is_far(law, m)
         assert far[0] and far.any() and not far.all()
         S, T = law.transforms(m)
         assert S.dtype == T.dtype == float
@@ -495,7 +523,7 @@ class TestCompressedTransforms:
                               * np.exp(2j * np.pi * rng.random(size)))
         near = ellipse_points(law.lo, law.hi, 1.5, size)
         m = np.ravel(np.column_stack([far, near]))
-        assert _pole_is_far(law.lo, law.hi, m).tolist() == [True, False] * size
+        assert is_far(law, m).tolist() == [True, False] * size
         S, T = law.transforms(m)
         for step in steps:
             for n in (1, 2 * step - 1, 2 * step, 2 * step + 1, 4 * step + 3):
@@ -517,17 +545,18 @@ class TestCompressedTransforms:
         assert law._rule[0] is law.locs and law._rule[1] is law.weights
 
     # the rule is built once, from vectors of the atoms: no atoms-by-nodes
-    # array (512 KB here) is allocated
+    # array, CHEB_NODES atom-length vectors, is allocated; the peak stays
+    # under 8 of them
     def test_rule_allocates_no_atoms_by_nodes_array(self):
         law = random_atomic_law(1000, 6)
-        full = law.locs.size * CHEB_NODES * 8
         tracemalloc.start()
         try:
             rule = law._rule
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < full / 8
+        assert 8 < CHEB_NODES
+        assert peak < 8 * law.locs.nbytes
         assert law._rule is rule
 
 
@@ -578,10 +607,11 @@ class TestOneRuleChoice:
 
     @staticmethod
     def batches(law):
-        far = np.concatenate([[0.0], ellipse_points(law.lo, law.hi, 3.0, 40)])
+        far = np.concatenate([[0.0], ellipse_points(law.lo, law.hi,
+                                                    1.5 * law._reach, 40)])
         near = ellipse_points(law.lo, law.hi, 1.5, 40)
-        assert _pole_is_far(law.lo, law.hi, far).all()
-        assert not _pole_is_far(law.lo, law.hi, near).any()
+        assert is_far(law, far).all()
+        assert not is_far(law, near).any()
         return far, near
 
     # the rule is built on first use and never again, and an empty batch
@@ -635,12 +665,16 @@ class TestLawStack:
             stieltjes_batch(FreeConvolution(law, 0.5), np.array([1.0 + 1j]))
 
     # each point is summed on its own law, far or near, in a shuffled
-    # batch of four laws: two stacked on one node count, two alone on theirs
+    # batch of four laws: three stacked on one node count, LINEAR_NODES =
+    # CHEB_NODES, each tested against its own reach, and one alone on its
+    # atoms
     def test_points_on_their_own_laws(self, rng):
         laws = (LinearLaw(0.2, 1.0, 1.0), random_atomic_law(500, 1),
                 random_atomic_law(300, 2), AtomicLaw([0.3, 0.7], [0.5, 0.5]))
+        assert LINEAR_NODES == CHEB_NODES
         m = np.concatenate([ellipse_points(law.lo, law.hi, rho, 20)
-                            for law in laws for rho in (3.0, 1.5)])
+                            for law in laws for rho in (1.5 * law._reach,
+                                                        1.5)])
         row = np.repeat(np.arange(len(laws)), 40)
         shuffle = rng.permutation(m.size)
         m, row = m[shuffle], row[shuffle]
@@ -767,3 +801,14 @@ class TestSampling:
     def test_bad_sample_size(self, uniform_half, rng):
         with pytest.raises(DomainError):
             sample_population(uniform_half, 0, rng)
+
+    # a quantile that leaves the support by more than 1e-12 is refused, not
+    # clipped back into it
+    @pytest.mark.parametrize("shift", [-0.1, 0.1])
+    def test_quantile_leaving_the_support_refused(self, rng, shift):
+        class Leaky(LinearLaw):
+            def quantile(self, u):
+                return super().quantile(u) + shift
+
+        with pytest.raises(DomainError, match="outside the support"):
+            sample_population(Leaky(0.5, 1.0), 100, rng)

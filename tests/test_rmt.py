@@ -7,7 +7,7 @@ from freemp.contour import Exponential, Polynomial, RationalShift
 from freemp.errors import DomainError, PsdViolationError
 from freemp.freeconv import support_edges
 from freemp.measures import sample_population
-from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample,
+from freemp.rmt import (EIG_CLAMP, ENTRY_LAWS, DataMatrixSpec, EigenSample,
                         _certify_psd, draw_sample, empirical_stieltjes,
                         eigenvalues, hat_fc, linear_statistic,
                         sample_data_matrix)
@@ -341,6 +341,21 @@ class TestLazyValues:
         assert e.values is values
         with pytest.raises(ValueError):
             values[0] = 0.0
+
+    # a Gram eigenvalue below -EIG_CLAMP is refused, not clamped to 0
+    def test_negative_eigenvalue_refused(self, monkeypatch):
+        sigma, X = _draw(0.5, 60, 18)
+        e = eigenvalues(sigma, X)
+        eigvalsh = np.linalg.eigvalsh
+
+        def dented(gram):
+            vals = eigvalsh(gram)
+            vals[0] = -2.0 * EIG_CLAMP
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dented)
+        with pytest.raises(PsdViolationError, match="below the"):
+            e.values
 
     def test_constructs_from_values(self):
         e = EigenSample(values=np.array([2.0, 1.0, 0.0]), M=2, N=3)

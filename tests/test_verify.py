@@ -14,18 +14,19 @@ import freemp
 from freemp import freeconv, measures, verify
 from freemp.errors import ConvergenceError, DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import AtomicLaw, LawStack, sample_population
+from freemp.measures import (CHEB_NODES, AtomicLaw, LawStack,
+                             sample_population)
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
                         sample_data_matrix)
 from freemp.contour import default_contour, mean_statistic
 from freemp.freeconv import (FreeConvolution, stieltjes, stieltjes_batch,
                              stieltjes_rows, support_edges)
-from freemp.verify import (CSV_HEADER, ExperimentConfig, GateTolerances,
-                           _clt_gates, _clt_replicate, _kolmogorov_sf,
-                           _map_tasks, check_edges, check_hat_rate,
-                           check_local_law, ks_normality, report_to_csv,
-                           report_to_json, run_clt_experiment)
+from freemp.verify import (CSV_HEADER, CltReport, ExperimentConfig,
+                           GateTolerances, _clt_gates, _clt_replicate,
+                           _kolmogorov_sf, _map_tasks, check_edges,
+                           check_hat_rate, check_local_law, ks_normality,
+                           report_to_csv, report_to_json, run_clt_experiment)
 from oracles import (ExactAtomicLaw, exact_empirical_measure, kolmogorov_sf,
                      mp_stieltjes)
 
@@ -339,6 +340,18 @@ class TestCltInvariants:
         band = 3.0 * rg.theoretical_variance * math.sqrt(2.0 / 150 + 2.0 / 150)
         assert abs(rg.empirical_variance - rr.empirical_variance) < band
 
+    # a report needs one seed per sample and a variance of at least 0
+    @pytest.mark.parametrize("seeds, variance, match", [
+        (np.arange(2, dtype=np.uint64), 0.1, "one seed per sample"),
+        (np.arange(3, dtype=np.uint64), -1e-300, "negative empirical")],
+        ids=["seeds", "variance"])
+    def test_report_guards(self, seeds, variance, match):
+        with pytest.raises(DomainError, match=match):
+            CltReport(samples=np.zeros(3), replicate_seeds=seeds,
+                      empirical_variance=variance, theoretical_variance=0.1,
+                      mean=0.0, ks_statistic=0.1, ks_pvalue=0.5, passed=True,
+                      degenerate=False, N=400, M=200, d=0.05)
+
 
 class TestLocalLaw:
     def test_ratio_bounded(self, local_law_sample):
@@ -527,6 +540,23 @@ class TestHatRate:
         assert report.averages[0] > report.averages[-1]
         assert report.slope < -0.15
 
+    # A work count, not a correctness check: the terms (points x nodes)
+    # that _rule_sums sums in check_hat_rate at the benchmark's rate
+    # configuration, the exact atom sums among them.  Summing 64-term rules
+    # gave 1,636,832.  The count repeats exactly; a change that moves it on
+    # purpose sets the new count, printed by the failure, here and states
+    # both counts in CHANGES.md.
+    def test_rate_terms_summed(self, uniform_half, monkeypatch):
+        terms, rule_sums = [0], measures._rule_sums
+
+        def count(t, w, m, row=None):
+            terms[0] += m.size * t.shape[-1]
+            return rule_sums(t, w, m, row)
+
+        monkeypatch.setattr(measures, "_rule_sums", count)
+        check_hat_rate(uniform_half, 0.5, (250, 500, 1000, 2000), 5, 20240817)
+        assert terms[0] == 916_610
+
     def test_gates_on_shared_tolerances(self, uniform_half, monkeypatch):
         args = (uniform_half, 0.5, (50, 100, 400), 8, 2024)
         loose = check_hat_rate(*args)
@@ -561,11 +591,13 @@ class TestBatchedRate:
                 sups.append(float(np.abs(m_hat - m_pop).max()))
         return xi, sups
 
-    # N <= 128 makes each law's rule its 16, 32 or 64 atoms, so the batch
+    # M = CHEB_NODES/4, CHEB_NODES/2, CHEB_NODES and 2 CHEB_NODES make each
+    # law's rule its atoms or CHEB_NODES Chebyshev points, so the batch
     # stacks rules of three lengths; some draws miss warm Newton and go
     # cold at shared nodes, where the first continuation iterates of two
     # rows coincide; and some points take the exact atom sums
     def test_sups_equal_per_law_solves(self, uniform_half, monkeypatch):
+        args = (0.5, tuple(CHEB_NODES * k // 2 for k in (1, 2, 4, 8)), 3, 0)
         seen = {"sups": [], "cold": [], "exact": 0, "sizes": set()}
         rate_sups, cont = verify._rate_sups, freeconv._continuation
         exact, rule_sums = measures.AtomicLaw._exact_sums, measures._rule_sums
@@ -592,17 +624,17 @@ class TestBatchedRate:
         monkeypatch.setattr(freeconv, "_continuation", spy_cont)
         monkeypatch.setattr(measures.AtomicLaw, "_exact_sums", spy_exact)
         monkeypatch.setattr(measures, "_rule_sums", spy_rule)
-        report = check_hat_rate(uniform_half, *self.ARGS)
-        assert seen["sizes"] == {16, 32, 64}
+        report = check_hat_rate(uniform_half, *args)
+        assert seen["sizes"] == {CHEB_NODES // 4, CHEB_NODES // 2, CHEB_NODES}
         assert seen["exact"] > 0
         cold_rows = np.concatenate([row for row, _ in seen["cold"]])
         assert np.unique(cold_rows).size > 1
         assert any(np.unique(z).size < z.size for _, z in seen["cold"])
 
-        _, want = self.per_law_sups(uniform_half, *self.ARGS)
+        _, want = self.per_law_sups(uniform_half, *args)
         got = np.concatenate(seen["sups"])
         assert np.array_equal(got, want)
-        reps = self.ARGS[2]
+        reps = args[2]
         assert report.averages == tuple(
             float(np.mean(got[k:k + reps])) for k in range(0, got.size, reps))
 
