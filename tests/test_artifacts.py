@@ -1,15 +1,22 @@
 """Artifact digests: the commands whose artifacts read no eigenvalues, run
-in process, against the SHA-256 digests in artifact_digests.json.
+in process, against the SHA-256 digests in artifact_digests.json; and the
+two that read eigenvalues, against the values in artifact_values.json.
 
-These bytes depend on freemp and numpy alone, not on the BLAS thread
-count, so a change that moves a last bit of any of them fails here.  The
-digests were taken under the numpy version stored beside them; under
+The digested bytes depend on freemp and numpy alone, not on the BLAS
+thread count, so a change that moves a last bit of any of them fails here.
+The digests were taken under the numpy version stored beside them; under
 another version the tests skip and name both.  A change that moves bytes
 on purpose regenerates the file,
 
     PYTHONPATH=src python tests/test_artifacts.py > tests/artifact_digests.json
 
 and states in CHANGES.md which artifacts moved, by how much and why.
+
+Eigenvalues come from eigvalsh, whose last bits follow the BLAS thread
+count, so `simulate` and `locallaw` are held to their values within
+VALUE_ATOL and RATIO_RTOL.  Between one and two threads the eigenvalues
+moved by 6.0e-15 and max_ratio by 2.9e-14 relative.  The values file is
+printed by `PYTHONPATH=src python tests/test_artifacts.py values`.
 """
 
 import contextlib
@@ -26,6 +33,9 @@ from freemp.cli import main
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "clt_default.cfg"
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
+VALUES = Path(__file__).with_name("artifact_values.json")
+VALUE_ATOL = 1e-13        # each eigenvalue of simulate.csv
+RATIO_RTOL = 1e-12        # locallaw.json's max_ratio
 
 # name: (argv without --output, the files the command writes)
 RUNS = {
@@ -52,6 +62,15 @@ RUNS = {
 }
 
 
+# name: argv without --output of a command whose artifact reads eigenvalues
+VALUE_RUNS = {
+    "simulate": ["simulate", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                 "--n", "1000", "--seed", "7"],
+    "locallaw": ["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                 "--n", "1000", "--seed", "20240817"],
+}
+
+
 def run_digests(name: str, out_dir: str) -> dict:
     """Run RUNS[name] into out_dir; the SHA-256 of each file it writes."""
     argv, files = RUNS[name]
@@ -69,17 +88,50 @@ def stored() -> dict:
     return record["digests"]
 
 
+def run_values(name: str, out_dir: str) -> dict:
+    """Run VALUE_RUNS[name] into out_dir; the values its artifact holds."""
+    code = main(VALUE_RUNS[name] + ["--output", out_dir])
+    if name == "simulate":
+        lines = Path(out_dir, "simulate.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        return {"code": code, "eigenvalues": [float(row.split(",")[1])
+                                              for row in rows]}
+    doc = json.loads(Path(out_dir, "locallaw.json").read_text())
+    return {"code": code, "max_ratio": doc["max_ratio"],
+            "points": doc["points"], "pass": doc["pass"]}
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_artifact_bytes(name, stored, tmp_path):
     got = run_digests(name, str(tmp_path))
     assert got == {key: stored[key] for key in got}
 
 
+@pytest.mark.parametrize("name", VALUE_RUNS)
+def test_artifact_values(name, tmp_path):
+    want = json.loads(VALUES.read_text())[name]
+    got = run_values(name, str(tmp_path))
+    if name == "simulate":
+        assert got["code"] == want["code"] == 0
+        assert len(got["eigenvalues"]) == len(want["eigenvalues"]) == 1000
+        assert np.max(np.abs(np.subtract(got["eigenvalues"],
+                                         want["eigenvalues"]))) <= VALUE_ATOL
+    else:
+        assert {k: got[k] for k in ("code", "points", "pass")} == \
+            {k: want[k] for k in ("code", "points", "pass")}
+        assert abs(got["max_ratio"] - want["max_ratio"]) <= \
+            RATIO_RTOL * want["max_ratio"]
+
+
 if __name__ == "__main__":
-    digests = {}
+    values = sys.argv[1:] == ["values"]
+    found = {}
     with contextlib.redirect_stdout(sys.stderr):
-        for name in RUNS:
+        for name in VALUE_RUNS if values else RUNS:
             with tempfile.TemporaryDirectory() as out_dir:
-                digests.update(run_digests(name, out_dir))
-    print(json.dumps({"numpy": np.__version__, "digests": digests},
-                     indent=2))
+                if values:
+                    found[name] = run_values(name, out_dir)
+                else:
+                    found.update(run_digests(name, out_dir))
+    print(json.dumps(found if values else {"numpy": np.__version__,
+                                           "digests": found}, indent=2))

@@ -352,6 +352,24 @@ class TestDispatch:
         assert "ContourError" in err and "not settled" in err
         assert not (tmp_path / "variance.json").exists()
 
+    # every Gauss-Legendre rule comes from measures._leggauss's recurrence:
+    # neither the variance's law rules nor the rate check's rectangle
+    # import numpy.polynomial, a few ms of every fresh interpreter
+    def test_rules_import_no_numpy_polynomial(self, run_at_threads,
+                                              tmp_path):
+        code = f"""\
+import sys
+from freemp.cli import main
+out = {str(tmp_path)!r}
+law = ["--nu", "uniform:0.5,1", "--gamma0", "0.5", "--output", out]
+assert main(["variance", "--f", "poly:0,0,1"] + law) == 0
+assert main(["rate", "--n_list", "100,200,800", "--reps", "2"] + law) in (0, 2)
+print("numpy.polynomial" in sys.modules)
+"""
+        assert run_at_threads(code, 1).splitlines()[-1] == "False"
+        assert {p.name for p in tmp_path.iterdir()} == {"variance.json",
+                                                        "rate.json"}
+
 
 class TestCltCommand:
     def test_run_and_artifacts(self, tmp_path):

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from freemp import contour
+from freemp import contour, measures
 from freemp.contour import (Exponential, Polynomial, RationalShift,
                             build_contour, clt_variance, default_contour,
                             f_sigma, mean_statistic, _m_circle)
@@ -10,7 +12,6 @@ from freemp.errors import ContourError, DomainError, NearSingularityError
 from freemp.freeconv import (FreeConvolution, density_batch, stieltjes,
                              support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import LinearLaw
 
 from oracles import (NODE_LEVELS, rectangle_clt_variance, rectangle_f_sigma,
                      rectangle_integral)
@@ -77,7 +78,7 @@ class TestConstruction:
         # every rate artifact: the top side from right to left, the bottom
         # side its mirror, the vertical sides at heights h s
         c = default_contour(mp_quarter)
-        s, w = np.polynomial.legendre.leggauss(128)
+        s, w = measures._leggauss(128)
         h = 2.0 * c.d
         left, right = c.L_minus - h, c.L_plus + h
         top = right + (left - right) * 0.5 * (s + 1.0)
@@ -190,17 +191,21 @@ class TestCltVariance:
         assert clt_variance(fc_uniform, Exponential(0.5)) == pytest.approx(
             0.008665473155232473, abs=1e-9)
 
-    # F = 1 at every node under weights of mass 2 gives ratio (2 - 4) < 0,
-    # far below the clamp: refused, not clamped to 0
-    def test_negative_variance_refused(self, monkeypatch):
-        quad_rule = LinearLaw.quad_rule
-        monkeypatch.setattr(LinearLaw, "quad_rule",
-                            lambda law, n: (quad_rule(law, n)[0],
-                                            2.0 * quad_rule(law, n)[1]))
-        monkeypatch.setattr(contour, "_f_values",
-                            lambda fc, c, f, sig: np.ones_like(sig))
-        with pytest.raises(ContourError, match="variance came out negative"):
-            clt_variance(FreeConvolution(LinearLaw(0.5, 1.0), 0.5), SQ)
+    # F(sigma; x^2) = sigma^2 + 2 ratio E[t] sigma varies by about 1e-5
+    # over a law of width 1e-5, so E[F^2] - (E F)^2 would cancel about 10
+    # of its 16 digits; the exact V is a rational in the law's ends
+    @pytest.mark.parametrize("ratio", [0.5, 10.0])
+    def test_narrow_law_quadratic_f(self, ratio):
+        a, b = Fraction(0.5), Fraction(0.50001)
+        r = Fraction(ratio)
+        moment = [(b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+                  for k in range(5)]
+        c = 2 * r * moment[1]
+        mean = moment[2] + c * moment[1]
+        second = moment[4] + 2 * c * moment[3] + c * c * moment[2]
+        want = float(r * (second - mean * mean))
+        fc = FreeConvolution(parse_law("uniform:0.5,0.50001"), ratio)
+        assert abs(clt_variance(fc, SQ) - want) <= 1e-10 * want
 
     def test_nonnegative(self, fc_uniform, mp_quarter):
         for fc in (fc_uniform, mp_quarter):
