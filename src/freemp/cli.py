@@ -312,7 +312,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
     p = cfg.parameters
     fc = FreeConvolution(p["nu"], p["gamma0"])
     contour = build_contour(support_edges(fc), d=p["d"])
-    v = clt_variance(fc, p["f"], contour=contour)
+    v = clt_variance(fc, p["f"])
     resolved = dict(p)
     resolved["d"] = contour.d
     body = {"V_derivation": v, "contour_params": asdict(contour)}

@@ -1,52 +1,63 @@
 """Contour functionals of the limiting law, evaluated in the m-plane.
 
-The rectangle has vertices (L_minus - 2d) +- 2di and (L_plus + 2d) +- 2di with
-0 < d < L_minus/10, so it encloses [L_minus, L_plus] and leaves 0 (and any
-point mass there) outside.  It supplies the margin d, its real crossings
-left and right, and one fixed rule of Gauss-Legendre nodes in exact
-conjugate pairs, whose upper half check_hat_rate solves on.
-
-Every fluctuation functional runs on a circle in the m-plane instead.  The
-theory needs Cauchy integrals over the rectangle, and xi = z(m) = -1/m +
-ratio int t/(1+tm) dpi, the explicit inverse of the Stieltjes transform,
-turns each into an m-plane integral that needs no fixed-point solve (Bai &
-Silverstein, Ann. Probab. 32, 2004):
+Each fluctuation functional is a Cauchy integral over a z-contour around
+the support (Bai & Silverstein, Ann. Probab. 32, 2004), and xi = z(m) =
+-1/m + ratio S(m), the explicit inverse of the Stieltjes transform, turns
+each into an m-plane integral that needs no fixed-point solve:
 
     F(sigma)     = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi
                  = (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm
-    mean inside  = -(1/2 pi i) oint f(xi) m(xi) dxi
+    mean         = -(1/2 pi i) oint f(xi) m(xi) dxi
                  = -(1/2 pi i) oint f(z(m)) m z'(m) dm
     clt variance = ratio * E_pi[(F - E_pi F)^2]
 
-The m-plane path is the circle on the diameter [m(left), m(right)], the
-images of the rectangle's real crossings: counterclockwise for ratio < 1,
-clockwise around 0 for ratio > 1.  The two crossings are the real values
-that the Stieltjes solver lands on at eta = 0; all real-axis and edge
-arithmetic stays in freeconv.  Every singularity of the integrands is real,
-so the circle separates them as the image of the rectangle does and d keeps
-its meaning.  The periodic trapezoid rule on it converges geometrically
+The m-plane path is the circle |m| = rho, clockwise, for every ratio and
+every f.  rho is RADIUS_FRACTION min(x_plus, |x_minus|), the nearer edge
+root, and at most |m(p)|/2 for each real pole p that f declares
+(TestFunction.poles).  z maps the circle onto a counterclockwise contour
+that encloses the support, the point 0 and every such pole, so two
+residues take each integral back to the support alone:
+
+  - for ratio < 1, the point mass 1 - ratio at 0: F gains f(0) and the
+    mean loses (1 - ratio) f(0);
+  - each pole p, where f ~ c/(x - p), from one real Stieltjes value
+    m_p = m(p): F gains -c sigma/((1 + sigma m_p) z'(m_p)) and the mean
+    gains c m_p, with z'(m) = 1/m^2 - ratio T(m).
+
+F is taken for sigma in the population's [lo, hi], where the pole -1/sigma
+of its integrand lies outside the circle: x_plus < 1/hi, so |1 + sigma m|
+>= 1 - RADIUS_FRACTION on it.  The circle reads only the edge roots of
+support_edges, the base law's transforms and, per pole, one real value of
+stieltjes.  The periodic trapezoid rule on it converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014); a sum that has not settled at
 MAX_CIRCLE_NODES raises ContourError rather than return a wrong number.
+
+The rectangle RectContour has vertices (L_minus - 2d) +- 2di and (L_plus +
+2d) +- 2di with 0 < d < L_minus/10.  It supplies the margin d that the
+artifacts echo and one fixed rule of Gauss-Legendre nodes in exact
+conjugate pairs, whose upper half check_hat_rate solves on.  The
+functionals accept a contour= keyword for existing callers and ignore it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContourError, DomainError, NearSingularityError
-from .freeconv import FreeConvolution, _rows, _solve, support_edges
+from .freeconv import (FreeConvolution, atom_at_zero, stieltjes,
+                       support_edges)
 from .measures import _leggauss
 
 NODES_PER_SIDE = 128
 DEFAULT_D_CAP = 0.05
+RADIUS_FRACTION = 0.9         # rho over the nearer edge root
 CIRCLE_NODES = 64
 MAX_CIRCLE_NODES = 1 << 14
 FUNC_RTOL = 1e-9
 FUNC_ATOL = 1e-10
-DENOM_FLOOR = 1e-8
 IMAG_TOL = 1e-7
 SIGMA_NODES = 128
 
@@ -57,12 +68,12 @@ SIGMA_NODES = 128
 class TestFunction:
     """Analytic test function f applied to eigenvalues and contour nodes.
 
-    Subclasses are callables accepting real or complex arrays.  validate()
-    checks that every declared singularity stays clear of a given contour.
+    Subclasses are callables accepting real or complex arrays.  poles
+    declares each real pole p of f as a pair (p, c), f ~ c/(x - p) near
+    p; f must be analytic everywhere else.
     """
 
-    def validate(self, contour: "RectContour") -> None:
-        return None
+    poles = ()
 
 
 @dataclass(frozen=True)
@@ -93,17 +104,17 @@ class Exponential(TestFunction):
 
 @dataclass(frozen=True)
 class RationalShift(TestFunction):
-    """f(x) = 1/(x - pole); the pole must stay outside any contour in use."""
+    """f(x) = 1/(x - pole) for a real pole off the spectrum: below it, in
+    the gap (0, L_minus) or above it, and not at 0 where the law has a
+    point mass."""
     pole: float
 
     def __call__(self, x):
         return 1.0 / (np.asarray(x) - self.pole)
 
-    def validate(self, contour: "RectContour") -> None:
-        if not (self.pole < 0.0 or self.pole > contour.L_plus + 4.0 * contour.d):
-            raise DomainError(
-                f"pole {self.pole!r} is too close to the contour; need "
-                f"pole < 0 or pole > {contour.L_plus + 4.0 * contour.d!r}")
+    @property
+    def poles(self):
+        return ((self.pole, 1.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -171,61 +182,45 @@ def default_contour(fc: FreeConvolution) -> RectContour:
 # ---------------------------------------------------------------------------
 # the m-plane circle
 
-@lru_cache(maxsize=64)
-def _m_circle(fc: FreeConvolution, c: RectContour):
-    """(center, radius, turn) of the circle on the diameter [m(c.left),
-    m(c.right)], counterclockwise (turn 1) for ratio < 1.  The crossings
-    are the solver's real-axis landing at c.left and c.right; _solve, not
-    stieltjes_batch, so that no edge-distance guard limits the margin d.
-    A landing costs about twice the transform work of a bisection, so circles
-    are kept per (fc, c): every functional on one contour shares them."""
-    m = _solve(*_rows((fc,)), np.array([c.left, c.right], dtype=complex))[0]
-    if np.any(np.abs(m.imag) > IMAG_TOL * np.abs(m)):
-        raise ContourError(
-            f"the real crossings {c.left!r} and {c.right!r} map to non-real "
-            f"m = {complex(m[0])!r}, {complex(m[1])!r}; the edges are off")
-    a, b = m.real
-    return 0.5 * (a + b), 0.5 * abs(b - a), (1.0 if a < b else -1.0)
+def _circle(fc: FreeConvolution, f: TestFunction):
+    """The radius rho of the m-plane circle for f, and (c, m_p, z'(m_p))
+    for each pole (p, c) that f declares.  A pole where m is not real, on
+    the spectrum or at the point mass, raises DomainError naming it."""
+    e = support_edges(fc)
+    rho = RADIUS_FRACTION * min(e.x_plus, abs(e.x_minus))
+    residues = []
+    for p, c in f.poles:
+        try:
+            m_p = stieltjes(fc, p).real
+        except DomainError as exc:
+            raise DomainError(f"pole {p!r} of f is not clear of the "
+                              f"spectrum: {exc}") from None
+        t2 = fc.base.transforms(np.array([m_p]))[1][0]
+        residues.append((c, m_p, 1.0 / (m_p * m_p) - fc.ratio * t2))
+        rho = min(rho, 0.5 * abs(m_p))
+    return rho, residues
 
 
-def _margin(circle, values) -> float:
-    """Exact min over the circle and values v of |1 + v m|."""
-    center, radius, _ = circle
-    v = np.asarray(values, dtype=float).ravel()
-    return float(np.min(v * np.abs(radius - np.abs(center + 1.0 / v))))
-
-
-def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
-    """oint f(z(m)) weight(m, S, T) dm around the m-plane circle of c (the
-    default contour if None), with S(m) and T(m) = int t^2/(1+tm)^2 dpi
-    from one call of the base law's transforms.  f must validate against
-    c.
+def _circle_trapezoid(fc, rho, f, weight, what: str):
+    """oint f(z(m)) weight(m, S, T) dm clockwise around |m| = rho, with S(m)
+    and T(m) = int t^2/(1+tm)^2 dpi from one call of the base law's
+    transforms.
 
     The last axis of weight's result runs over the nodes.  The periodic
     trapezoid rule doubles its nodes, evaluating only the new ones, until
-    two levels agree.  Each v in clear_of must keep |1 + v m| off zero, and
-    each entry of the result must come out real, with |Im| below IMAG_TOL
-    max(1, |Re|); a sum not settled at MAX_CIRCLE_NODES raises ContourError.
+    two levels agree.  Each entry of the result must come out real, with
+    |Im| below IMAG_TOL max(1, |Re|); a sum not settled at
+    MAX_CIRCLE_NODES raises ContourError.
     """
-    if c is None:
-        c = default_contour(fc)
-    f.validate(c)
-    circle = center, radius, turn = _m_circle(fc, c)
-    margin = _margin(circle, clear_of) if len(clear_of) else np.inf
-    if margin <= DENOM_FLOOR:
-        raise NearSingularityError(
-            f"|1 + v m| fell to {margin:.3e} on the m-plane circle ({what}); "
-            f"the margin d is too small or the edges are off")
     theta = 2.0 * np.pi * np.arange(CIRCLE_NODES) / CIRCLE_NODES
     total, n, prev, gap = 0.0, 0, None, np.inf
     while True:
-        u = np.exp(1j * turn * theta)
-        m = center + radius * u
+        m = rho * np.exp(-1j * theta)
         S, T = fc.base.transforms(m)
         # an overflow shows up as a non-finite value, checked next
         with np.errstate(over="ignore", invalid="ignore"):
             vals = (f(-1.0 / m + fc.ratio * S) * weight(m, S, T)
-                    * (1j * turn * radius * u))
+                    * (-1j * m))
         bad = ~np.isfinite(vals)
         if bad.any():
             raise NearSingularityError(
@@ -254,22 +249,31 @@ def _circle_trapezoid(fc, c, f, weight, what: str, clear_of=()):
 # ---------------------------------------------------------------------------
 # fluctuation functionals
 
-def _f_values(fc, c, f, sigmas) -> np.ndarray:
-    """F(sigma) for a batch of sigma values, adaptively refined jointly."""
-    sig = np.asarray(sigmas, dtype=float).ravel()
-    if np.any(sig <= 0.0):
-        raise DomainError("sigma values must be positive")
-    return _circle_trapezoid(
-        fc, c, f, lambda m, S, T: sig[:, None] / (
+def _f_values(fc, f, sig) -> np.ndarray:
+    """F(sigma) for an array of sigma in the law's [lo, hi], refined
+    jointly, with the residues of the point mass and of f's poles."""
+    rho, residues = _circle(fc, f)
+    F = _circle_trapezoid(
+        fc, rho, f, lambda m, S, T: sig[:, None] / (
             2j * np.pi * (1.0 + np.multiply.outer(sig, m))),
-        "F(sigma)", clear_of=sig)
+        "F(sigma)")
+    if atom_at_zero(fc) > 0.0:
+        F = F + float(f(0.0))
+    for c, m_p, dz in residues:
+        F = F - c * sig / ((1.0 + sig * m_p) * dz)
+    return F
 
 
 def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
             contour: RectContour | None = None) -> float:
-    """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi,
-    evaluated as (1/2 pi i) oint f(z(m)) sigma/(1 + sigma m) dm."""
-    return float(_f_values(fc, contour, f, np.array([float(sigma)]))[0])
+    """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi
+    around the support, for sigma in the population's [lo, hi]; contour is
+    accepted for existing callers and ignored."""
+    law = fc.base
+    if not law.lo <= sigma <= law.hi:
+        raise DomainError(f"sigma = {sigma!r} lies outside the population's "
+                          f"support [{law.lo!r}, {law.hi!r}]")
+    return float(_f_values(fc, f, np.array([float(sigma)]))[0])
 
 
 def clt_variance(fc: FreeConvolution, f: TestFunction,
@@ -283,22 +287,38 @@ def clt_variance(fc: FreeConvolution, f: TestFunction,
     negative, and it keeps the digits that E[F^2] - (E F)^2 cancels where F
     varies little over the law: on uniform:0.5,0.50001 with f = x^2, at
     ratios 1/2 and 10, that difference was up to 8e-6 relative off the
-    exact V and the centred sum is within 7e-12.
+    exact V and the centred sum is within 7e-12.  A V past the float range
+    raises ContourError.  contour is accepted for existing callers and
+    ignored.
     """
     sig, wts = fc.base.quad_rule(SIGMA_NODES)
-    F = _f_values(fc, contour, f, sig)
-    dev = F - (wts * F).sum()
-    return fc.ratio * float((wts * dev * dev).sum())
+    F = _f_values(fc, f, sig)
+    # a finite F can still square past the float range, checked next
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = F - (wts * F).sum()
+        v = fc.ratio * float((wts * dev * dev).sum())
+    if not math.isfinite(v):
+        raise ContourError(f"clt variance is not finite: F(sigma) reaches "
+                           f"{float(np.max(np.abs(F))):.3e}")
+    return v
 
 
 def mean_statistic(fc: FreeConvolution, f: TestFunction,
                    contour: RectContour | None = None) -> float:
-    """integral of f against the part of the limiting law inside the contour:
-    -(1/2 pi i) oint f(xi) m(xi) dxi = -(1/2 pi i) oint f(z(m)) m z'(m) dm
-    with z'(m) = 1/m^2 - ratio T(m).  For f = 1 this is the mass of the
-    absolutely continuous part, 1 - (1 - ratio)^+."""
-    return float(_circle_trapezoid(
-        fc, contour, f,
+    """Integral of f against the absolutely continuous part of the
+    limiting law: -(1/2 pi i) oint f(xi) m(xi) dxi around the support, as
+    -(1/2 pi i) oint f(z(m)) m z'(m) dm with z'(m) = 1/m^2 - ratio T(m),
+    less the point mass and plus the poles' residues.  For f = 1 it is
+    1 - (1 - ratio)^+.  contour is accepted for existing callers and
+    ignored."""
+    rho, residues = _circle(fc, f)
+    mean = float(_circle_trapezoid(
+        fc, rho, f,
         lambda m, S, T: (fc.ratio * m * T - 1.0 / m) / (2j * np.pi),
         "mean"))
-
+    atom = atom_at_zero(fc)
+    if atom > 0.0:
+        mean -= atom * float(f(0.0))
+    for c, m_p, _ in residues:
+        mean += c * m_p
+    return mean

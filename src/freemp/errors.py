@@ -33,7 +33,7 @@ class ContourError(FreempError):
 
 
 class NearSingularityError(ContourError):
-    """A contour integrand denominator came within tolerance of zero."""
+    """A contour integrand came out non-finite on the path."""
 
 
 class PsdViolationError(FreempError):

@@ -268,7 +268,7 @@ def linear_statistic(e: EigenSample, f, mean_inside: float,
     For a Polynomial with at most three coefficients c0, c1, c2 the sum is
     c0 N + c1 tr G + c2 |G|_F^2, read from e.power_sums without an
     eigensolve; any other f is applied to e.values.  The integral of f
-    against the limiting law splits into the part inside the contour
+    against the limiting law splits into its absolutely continuous part
     (mean_inside) plus the atom at 0 of mass (1 - gamma0)^+, where gamma0
     is the ratio of the law the statistic is centred on (M/N for a sampled
     M x N matrix).

@@ -220,10 +220,8 @@ def run_clt_experiment(cfg: ExperimentConfig,
     fc = FreeConvolution(cfg.nu, cfg.gamma0)
     contour = build_contour(support_edges(fc), d=cfg.d)
     ratio = spec.M / N
-    fc_centre = FreeConvolution(cfg.nu, ratio)
-    contour_centre = build_contour(support_edges(fc_centre), d=cfg.d)
-    mean_inside = mean_statistic(fc_centre, cfg.f, contour=contour_centre)
-    theoretical = clt_variance(fc, cfg.f, contour=contour)
+    mean_inside = mean_statistic(FreeConvolution(cfg.nu, ratio), cfg.f)
+    theoretical = clt_variance(fc, cfg.f)
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         cfg.replicates, np.uint64)

@@ -20,8 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from freemp.contour import (Polynomial, RectContour, build_contour,
-                            clt_variance, default_contour)
+from freemp import contour
+from freemp.contour import Polynomial, RectContour, clt_variance
 from freemp.freeconv import (FreeConvolution, stieltjes_batch,
                              stieltjes_derivative_batch, density_batch,
                              support_edges)
@@ -147,10 +147,10 @@ def test_03_derivative(fc_half):
     _budget(3, "derivative", elapsed, 5.0)
 
 
-def test_04_contour_calculus(fc_half):
+def test_04_contour_calculus(fc_half, monkeypatch):
     # a well-proportioned rectangle keeps the test poles clear of the
-    # sides; the thin production contours are exercised by the variance
-    # invariance below, whose integrands have no poles near the path
+    # sides; the m-plane circle of the functionals is exercised by the
+    # variance invariance below, the circle's radius rho against rho/2
     c = RectContour(d=0.4, L_minus=6.0, L_plus=8.0)
     inside = 7.0 + 0.3j
     errs = (
@@ -159,15 +159,14 @@ def test_04_contour_calculus(fc_half):
         abs(rectangle_integral(c, lambda z: 1.0 / (z + 1.0))),
         abs(rectangle_integral(c, lambda z: z * z)),
     )
-    edges = support_edges(fc_half)
-    d0 = default_contour(fc_half).d
-    v1 = clt_variance(fc_half, F_SQUARE, contour=build_contour(edges, d0))
-    v2 = clt_variance(fc_half, F_SQUARE,
-                      contour=build_contour(edges, d0 / 2.0))
+    v1 = clt_variance(fc_half, F_SQUARE)
+    monkeypatch.setattr(contour, "RADIUS_FRACTION",
+                        contour.RADIUS_FRACTION / 2.0)
+    v2 = clt_variance(fc_half, F_SQUARE)
     dv = abs(v1 - v2)
     _gate(4, "contour calculus", max(errs) < 1e-10 and dv < 1e-6,
           f"cauchy errs {errs[0]:.2e}/{errs[1]:.2e}/{errs[2]:.2e} "
-          f"(tol 1e-10), variance shift under d/2 {dv:.2e} (tol 1e-06)")
+          f"(tol 1e-10), variance shift under rho/2 {dv:.2e} (tol 1e-06)")
 
 
 def test_05_variance_oracle(fc_half):

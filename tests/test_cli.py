@@ -217,6 +217,34 @@ class TestDispatch:
         assert len(err.strip().splitlines()) == 1 and "np." not in err
         assert not (tmp_path / "variance.json").exists()
 
+    # exp(30 x) stays finite on the circle, but F(sigma) near 1e169
+    # squares past the float range: one freemp error line, no numpy
+    # warning and no "V_derivation": Infinity, which is not JSON
+    def test_non_finite_variance_exits_one(self, tmp_path, capsys):
+        code = main(["variance", "--gamma0", "10", "--nu", "uniform:0.5,1",
+                     "--f", "exp:30", "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: freemp.errors.ContourError: clt "
+                              "variance is not finite")
+        assert len(err.strip().splitlines()) == 1 and "np." not in err
+        assert not (tmp_path / "variance.json").exists()
+
+    # a wide population and a ratio next to 1, where the circle of the
+    # rectangle's crossings did not settle
+    @pytest.mark.parametrize("gamma0, law, f, want", [
+        ("0.5", "uniform:0.001,1", "poly:0,1", 0.041583375),
+        ("0.99", "uniform:0.5,1", "poly:0,0,1", None)])
+    def test_hard_variances_run(self, tmp_path, gamma0, law, f, want):
+        code = main(["variance", "--gamma0", gamma0, "--nu", law, "--f", f,
+                     "--output", str(tmp_path)])
+        assert code == 0
+        v = json.loads((tmp_path / "variance.json").read_text())[
+            "V_derivation"]
+        assert v > 0.0
+        if want is not None:
+            assert abs(v - want) <= 1e-10 * want
+
     @pytest.mark.parametrize("args, name, keys", [
         (["locallaw", "--n", "100"], "locallaw.json",
          ["config", "max_ratio", "pass", "points", "skipped"]),
@@ -341,8 +369,7 @@ class TestDispatch:
 
     def test_unsettled_variance_exits_one(self, tmp_path, capsys,
                                           monkeypatch):
-        # ratio 0.999 does not settle at the default margin; a small node
-        # cap reaches the same failure quickly
+        # a node cap below the first comparison of two levels
         monkeypatch.setattr(contour, "MAX_CIRCLE_NODES",
                             contour.CIRCLE_NODES)
         code = main(["variance", "--gamma0", "0.999", "--nu", "uniform:0.5,1",

@@ -7,11 +7,11 @@ from scipy import integrate as sp_integrate
 from freemp import contour, measures
 from freemp.contour import (Exponential, Polynomial, RationalShift,
                             build_contour, clt_variance, default_contour,
-                            f_sigma, mean_statistic, _m_circle)
-from freemp.errors import ContourError, DomainError, NearSingularityError
+                            f_sigma, mean_statistic, _circle)
+from freemp.errors import ContourError, DomainError
 from freemp.freeconv import (FreeConvolution, density_batch, stieltjes,
                              support_edges)
-from freemp.grammar import parse_law
+from freemp.grammar import parse_func, parse_law
 
 from oracles import (NODE_LEVELS, rectangle_clt_variance, rectangle_f_sigma,
                      rectangle_integral)
@@ -143,16 +143,15 @@ class TestContourIntegral:
 
 
 class TestFSigma:
-    def test_constant_f_counts_winding(self, mp_quarter, mp_four):
-        # F(sigma; f=1) is the winding number of 1 + sigma*m around 0: equal
-        # to 1 exactly when -1/sigma falls between the edge boundary values
-        # m(L_minus) = -2 and m(L_plus) = -2/3, i.e. sigma in (1/2, 3/2).
-        assert abs(f_sigma(mp_quarter, ONE, 0.37)) < 1e-10
+    def test_constant_f_counts_winding(self, mp_quarter, mp_four,
+                                       fc_uniform):
+        # F(sigma; f=1) is the winding number of 1 + sigma*m around 0 along
+        # the support: 1 for sigma on the population's support where ratio
+        # < 1 (the point mass at 0 lies outside), 0 where ratio > 1
         assert abs(f_sigma(mp_quarter, ONE, 1.0) - 1.0) < 1e-10
-        # ratio 4: boundary values -x_minus = 1 > 0, so no sign change and
-        # no winding for any sigma in (0, 1]
-        for s in (0.37, 1.0):
-            assert abs(f_sigma(mp_four, ONE, s)) < 1e-10
+        assert abs(f_sigma(mp_four, ONE, 1.0)) < 1e-10
+        for s in (0.5, 0.75, 1.0):
+            assert abs(f_sigma(fc_uniform, ONE, s) - 1.0) < 1e-10
 
     def test_linear_f_is_identity(self, mp_quarter, fc_uniform):
         assert abs(f_sigma(mp_quarter, LIN, 1.0) - 1.0) < 1e-6
@@ -162,6 +161,14 @@ class TestFSigma:
     def test_sigma_positive_required(self, mp_quarter):
         with pytest.raises(DomainError):
             f_sigma(mp_quarter, LIN, -0.5)
+
+    # off the support F would depend on the contour, so it is refused
+    @pytest.mark.parametrize("sigma", [0.37, 0.5 - 1e-12, 1.0 + 1e-12, 3.0,
+                                       float("nan")])
+    def test_sigma_outside_the_law_rejected(self, fc_uniform, sigma):
+        with pytest.raises(DomainError, match=r"outside the population's "
+                                              r"support \[0.5, 1.0\]"):
+            f_sigma(fc_uniform, LIN, sigma)
 
 
 class TestCltVariance:
@@ -178,14 +185,14 @@ class TestCltVariance:
         # c = 2*0.5*0.75: V = 0.5*Var(sigma^2 + 0.75 sigma) = 1219/23040
         assert abs(clt_variance(fc_uniform, SQ) - 1219.0 / 23040.0) < 1e-10
 
-    def test_contour_invariance(self, fc_uniform):
-        e = support_edges(fc_uniform)
-        d = min(e.L_minus / 20.0, 0.05)
-        half = build_contour(e, d=d / 2.0)
-        for f in (SQ, Exponential(0.5)):
-            v0 = clt_variance(fc_uniform, f)
-            v1 = clt_variance(fc_uniform, f, contour=half)
-            assert abs(v0 - v1) < 1e-6
+    def test_contour_invariance(self, fc_uniform, monkeypatch):
+        # the circle's radius rho against rho/2
+        funcs = (SQ, Exponential(0.5), RationalShift(-1.0))
+        v0 = [clt_variance(fc_uniform, f) for f in funcs]
+        monkeypatch.setattr(contour, "RADIUS_FRACTION",
+                            contour.RADIUS_FRACTION / 2.0)
+        v1 = [clt_variance(fc_uniform, f) for f in funcs]
+        assert np.max(np.abs(np.subtract(v0, v1))) < 1e-12
 
     def test_exponential_regression(self, fc_uniform):
         assert clt_variance(fc_uniform, Exponential(0.5)) == pytest.approx(
@@ -214,35 +221,58 @@ class TestCltVariance:
 
 
 class TestRectangleOracle:
-    """The m-plane circle against Stieltjes solves on the rectangle."""
+    """The m-plane circle against Stieltjes solves on the rectangle, for
+    sigma on the population's support, where F does not depend on the
+    contour."""
 
-    SIGMAS = (0.37, 0.6, 1.0, 1.5, 3.0)   # the population is the atom at 1
+    FUNCS = [ONE, LIN, SQ, Exponential(0.5), RationalShift(-5.0)]
 
-    @pytest.mark.parametrize("f", [ONE, LIN, SQ, Exponential(0.5),
-                                   RationalShift(-5.0)])
+    @pytest.mark.parametrize("f", FUNCS)
     def test_f_sigma_mp_quarter(self, mp_quarter, c_mpq, f):
-        want = rectangle_f_sigma(mp_quarter, f, self.SIGMAS, c_mpq)
-        got = [f_sigma(mp_quarter, f, s, contour=c_mpq) for s in self.SIGMAS]
+        want = rectangle_f_sigma(mp_quarter, f, [1.0], c_mpq)
+        assert abs(want[0].imag) < 1e-12
+        assert abs(f_sigma(mp_quarter, f, 1.0) - want[0].real) < 1e-10
+
+    @pytest.mark.parametrize("f", FUNCS)
+    def test_f_sigma_uniform(self, fc_uniform, f):
+        sigmas = (0.5, 0.75, 1.0)
+        want = rectangle_f_sigma(fc_uniform, f, sigmas,
+                                 default_contour(fc_uniform))
+        got = [f_sigma(fc_uniform, f, s) for s in sigmas]
         assert np.max(np.abs(want.imag)) < 1e-12
         assert np.max(np.abs(np.array(got) - want.real)) < 1e-10
-
-    def test_margin_moves_winding(self, mp_quarter, c_mpq):
-        # -1/0.37 lies inside the image of the d = 0.02 rectangle but outside
-        # that of the default d = 0.0125 one, and the circle follows suit
-        assert abs(f_sigma(mp_quarter, ONE, 0.37, contour=c_mpq) - 1.0) < 1e-10
-        assert abs(f_sigma(mp_quarter, ONE, 0.37)) < 1e-10
 
     @pytest.mark.parametrize("law, ratio", [("uniform:0.5,1", 0.5),
                                             ("linear:0.2,1,1", 2.0)])
     def test_near_edge_pole_variance(self, law, ratio):
         fc = FreeConvolution(parse_law(law), ratio)
         c = default_contour(fc)
-        # 0.05 beyond the bound RationalShift.validate enforces
+        # 0.05 beyond the rectangle's right side and its reach 2d
         f = RationalShift(c.L_plus + 4.0 * c.d + 0.05)
         want = rectangle_clt_variance(fc, f, c)
         got = clt_variance(fc, f, contour=c)
         assert want > 1e-2
         assert abs(got - want) < 1e-10 * want
+
+    # a pole in the gap (0, L_minus) lies inside the circle's z-image and
+    # outside the rectangle; its residue takes F back to the support
+    @pytest.mark.parametrize("law, ratio", [("uniform:0.5,1", 0.5),
+                                            ("linear:0.2,1,1", 2.0),
+                                            ("dirac:1", 0.25)])
+    def test_gap_pole(self, law, ratio):
+        fc = FreeConvolution(parse_law(law), ratio)
+        c = default_contour(fc)
+        f = RationalShift(0.5 * c.L_minus)
+        sigmas = np.unique([fc.base.lo, fc.base.hi])
+        want = rectangle_f_sigma(fc, f, sigmas, c)
+        got = [f_sigma(fc, f, s) for s in sigmas]
+        assert np.max(np.abs(np.array(got) - want.real)) < 1e-10
+        want_v = rectangle_clt_variance(fc, f, c)
+        assert abs(clt_variance(fc, f) - want_v) <= 1e-10 * max(want_v, 1.0)
+        # int rho(x)/(x - p) dx is m(p) less the point mass's (1 - r)^+/(0 - p)
+        p = f.pole
+        want_mean = stieltjes(fc, p).real + max(0.0, 1.0 - ratio) / p
+        assert abs(mean_statistic(fc, f) - want_mean) <= 1e-10 * want_mean
 
 
 class TestLargeF:
@@ -322,16 +352,17 @@ class TestMeanStatistic:
 
 
 class TestDenominatorSafety:
-    def test_margin_exceeds_floor(self, mp_quarter, fc_uniform):
-        for fc, sigmas in ((mp_quarter, [1.0]), (fc_uniform, [0.5, 1.0])):
-            circle = _m_circle(fc, default_contour(fc))
-            assert contour._margin(circle, sigmas) > 1e-4
+    # x_plus < 1/hi, so for sigma in [lo, hi] the integrand's pole -1/sigma
+    # stays outside the circle and |1 + sigma m| >= 1 - sigma rho on it
+    def test_margin_exceeds_floor(self, mp_quarter, mp_four, fc_uniform):
+        for fc in (mp_quarter, mp_four, fc_uniform):
+            rho, _ = _circle(fc, SQ)
+            assert 1.0 - fc.base.hi * rho >= 1.0 - contour.RADIUS_FRACTION
 
-    def test_sigma_on_the_circle_rejected(self, mp_quarter, c_mpq):
-        center, radius, _ = _m_circle(mp_quarter, c_mpq)
-        sigma = -1.0 / (center + radius)      # -1/sigma = m(c_mpq.right)
-        with pytest.raises(NearSingularityError):
-            f_sigma(mp_quarter, LIN, sigma, contour=c_mpq)
+    def test_sigma_on_the_circle_rejected(self, mp_quarter):
+        rho, _ = _circle(mp_quarter, LIN)
+        with pytest.raises(DomainError, match="outside the population's"):
+            f_sigma(mp_quarter, LIN, 1.0 / rho)     # -1/sigma = -rho
 
     def test_unsettled_refinement_raises(self, fc_uniform, monkeypatch):
         monkeypatch.setattr(contour, "MAX_CIRCLE_NODES", contour.CIRCLE_NODES)
@@ -340,43 +371,44 @@ class TestDenominatorSafety:
 
 
 class TestMCircle:
+    # the circle's real crossings +-rho are the real Stieltjes values of
+    # their images z(+-rho): the circle stays inside the edge roots, where
+    # z inverts m
     @pytest.mark.parametrize("name", ["mp_quarter", "mp_four", "fc_uniform"])
     def test_crossings_are_real_stieltjes_values(self, request, name):
         fc = request.getfixturevalue(name)
-        c = default_contour(fc)
-        center, radius, turn = _m_circle(fc, c)
-        a, b = center - turn * radius, center + turn * radius
-        for got, x in ((a, c.left), (b, c.right)):
-            want = stieltjes(fc, x)
-            assert want.imag == 0.0
-            assert abs(got - want.real) <= 1e-12 * abs(want.real)
+        rho, _ = _circle(fc, SQ)
+        m = np.array([-rho, rho])
+        for x, want in zip(-1.0 / m + fc.ratio * fc.base.transforms(m)[0],
+                           m):
+            got = stieltjes(fc, x)
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 1e-12 * rho
 
-    def test_functionals_share_one_circle(self):
-        # the default contour is rebuilt per call, but equal contours hit
-        # the same cached circle: one landing serves the mean and the
-        # variance of a fresh convolution
+    # the variance and the mean evaluate the law's transforms on one
+    # circle |m| = rho around 0
+    def test_functionals_share_one_circle(self, monkeypatch):
         fc = FreeConvolution(parse_law("uniform:0.5,1"), 0.5)
-        misses = _m_circle.cache_info().misses
+        rho, _ = _circle(fc, SQ)         # the edge search runs here
+        seen = []
+        transforms = measures.PopulationLaw.transforms
+
+        def spy(law, m):
+            seen.append(np.abs(m))
+            return transforms(law, m)
+
+        monkeypatch.setattr(measures.PopulationLaw, "transforms", spy)
         mean_statistic(fc, SQ)
         clt_variance(fc, SQ)
-        assert _m_circle.cache_info().misses == misses + 1
-
-    # edges well inside the true support put both crossings in the bulk,
-    # where the solver lands on non-real m
-    def test_wrong_edges_rejected(self, fc_uniform):
-        e = support_edges(fc_uniform)
-        mid = 0.5 * (e.L_minus + e.L_plus)
-        c = contour.RectContour(d=0.01, L_minus=mid - 0.2, L_plus=mid + 0.2)
-        with pytest.raises(ContourError,
-                           match="real crossings .* map to non-real m = "
-                                 r"\(-?[0-9.]+[+-][0-9.]+j\)"):
-            mean_statistic(fc_uniform, SQ, contour=c)
+        radii = np.concatenate(seen)
+        assert np.max(np.abs(radii - rho)) <= 1e-15
 
     def test_margin_below_the_real_axis_guard(self, fc_uniform):
-        # d = 1e-9 puts the crossings inside stieltjes_batch's 1e-6 guard;
-        # the circle takes them from the solver directly
+        # the contour keyword is accepted and ignored: a d = 1e-9 rectangle,
+        # inside stieltjes_batch's 1e-6 guard, changes nothing
         c = build_contour(support_edges(fc_uniform), d=1e-9)
         got = clt_variance(fc_uniform, SQ, contour=c)
+        assert got == clt_variance(fc_uniform, SQ)
         assert abs(got - 1219.0 / 23040.0) < 1e-12
 
 
@@ -387,12 +419,85 @@ class TestFunctionValidation:
     def test_exponential_eval(self):
         assert Exponential(0.5)(2.0) == pytest.approx(np.e)
 
-    def test_rational_shift_pole_inside_rejected(self, c_mpq):
-        with pytest.raises(DomainError):
-            RationalShift(2.0).validate(c_mpq)
-        RationalShift(-5.0).validate(c_mpq)
-        RationalShift(c_mpq.L_plus + 4.0 * c_mpq.d + 0.01).validate(c_mpq)
+    # mp_quarter's support is [0.25, 2.25] with the point mass 0.75 at 0
+    def test_rational_shift_pole_inside_rejected(self, mp_quarter):
+        for pole, why in ((2.0, "within 1e-06 of the support"),
+                          (2.25 + 1e-7, "within 1e-06 of the support"),
+                          (0.0, "undefined at z = 0")):
+            f = RationalShift(pole)
+            for functional in (clt_variance, mean_statistic):
+                with pytest.raises(DomainError,
+                                   match=rf"pole {pole!r} of f .*{why}"):
+                    functional(mp_quarter, f)
 
     def test_empty_polynomial_rejected(self):
         with pytest.raises(DomainError):
             Polynomial(())
+
+
+def _exact_moments(law: str):
+    """E[t^k], k = 0..4, as Fractions of the law's float parameters: a
+    narrow law's variance survives the subtraction of its moments."""
+    head, _, tail = law.partition(":")
+    args = [Fraction(float(tok)) for tok in tail.split(",")]
+    if head == "dirac":
+        return [args[0] ** k for k in range(5)]
+    lo, hi = args[0], args[1]
+    slope = args[2] if head == "linear" else Fraction(0)
+    width = hi - lo
+    a0 = 1 / width - slope * width / 2 - slope * lo   # density a0 + slope t
+    return [a0 * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            + slope * (hi ** (k + 2) - lo ** (k + 2)) / (k + 2)
+            for k in range(5)]
+
+
+class TestValiditySweep:
+    """Every law x ratio x f case of the grid succeeds with a finite V and
+    mean, and x and x^2 match their closed forms V(x) = r Var t, V(x^2) =
+    r Var(t^2 + 2 r E[t] t), mean(x^2) = r E[t^2] + r^2 E[t]^2 and
+    mean(1) = min(r, 1) within 1e-10 relative.  The grid reaches wide laws,
+    narrow ones, point masses and ratios next to 1 on both sides."""
+
+    LAWS = ["uniform:1e-6,1", "uniform:0.001,1", "uniform:0.003,1",
+            "uniform:0.01,1", "uniform:0.1,1", "uniform:0.5,1",
+            "uniform:0.9,1", "uniform:0.99,1", "uniform:0.5,0.50001",
+            "linear:0.2,1,-1", "linear:0.2,1,1", "dirac:1", "dirac:0.01"]
+    RATIOS = [0.01, 0.1, 0.5, 0.9, 0.97, 0.99, 0.999, 1.001, 1.01, 1.03,
+              1.1, 2.0, 10.0, 100.0]
+    FUNCS = ["poly:0,1", "poly:0,0,1", "exp:0.5", "ratshift:-1"]
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_grid(self, law):
+        e = _exact_moments(law)
+        for ratio in self.RATIOS:
+            fc = FreeConvolution(parse_law(law), ratio)
+            r = Fraction(ratio)
+            c = 2 * r * e[1]
+            want = {
+                ("poly:0,1", "V"): r * (e[2] - e[1] ** 2),
+                ("poly:0,0,1", "V"): r * (e[4] + 2 * c * e[3] + c * c * e[2]
+                                          - (e[2] + c * e[1]) ** 2),
+                ("poly:0,0,1", "mean"): r * e[2] + r * r * e[1] ** 2,
+            }
+            for spec in self.FUNCS:
+                f = parse_func(spec)
+                got = {"V": clt_variance(fc, f), "mean": mean_statistic(fc, f)}
+                for key, value in got.items():
+                    assert np.isfinite(value), (law, ratio, spec, key)
+                    exact = want.get((spec, key))
+                    if exact is not None:
+                        assert abs(value - float(exact)) <= 1e-10 * float(
+                            exact), (law, ratio, spec, key, value)
+            mass = mean_statistic(fc, ONE)
+            assert abs(mass - min(ratio, 1.0)) <= 1e-10 * min(ratio, 1.0)
+
+    @pytest.mark.parametrize("law, ratio", [
+        ("uniform:0.5,1", 0.5), ("uniform:0.1,1", 0.1),
+        ("linear:0.2,1,-1", 2.0), ("uniform:0.9,1", 10.0)])
+    def test_against_rectangle_oracle(self, law, ratio):
+        fc = FreeConvolution(parse_law(law), ratio)
+        c = default_contour(fc)
+        for spec in ("exp:0.5", "ratshift:-1"):
+            f = parse_func(spec)
+            want = rectangle_clt_variance(fc, f, c)
+            assert abs(clt_variance(fc, f) - want) <= 1e-10 * want, spec
