@@ -283,6 +283,10 @@ def _write(out_dir: str, filename: str, text: str) -> str:
     return path
 
 
+def _write_json(out_dir: str, filename: str, config: dict, body: dict) -> str:
+    return _write(out_dir, filename, json_artifact(config, body, filename))
+
+
 def _cmd_density(cfg: CliConfig) -> int:
     p = cfg.parameters
     fc = FreeConvolution(p["nu"], p["gamma0"])
@@ -304,7 +308,7 @@ def _cmd_edges(cfg: CliConfig) -> int:
     edges = support_edges(fc)
     body = {"L_minus": edges.L_minus, "L_plus": edges.L_plus,
             "x_plus": edges.x_plus, "x_minus": edges.x_minus}
-    _write(cfg.output, "edges.json", json_artifact(_echo(p), body))
+    _write_json(cfg.output, "edges.json", _echo(p), body)
     return 0
 
 
@@ -316,7 +320,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
     resolved = dict(p)
     resolved["d"] = contour.d
     body = {"V_derivation": v, "contour_params": asdict(contour)}
-    _write(cfg.output, "variance.json", json_artifact(_echo(resolved), body))
+    _write_json(cfg.output, "variance.json", _echo(resolved), body)
     return 0
 
 
@@ -356,13 +360,15 @@ def _cmd_locallaw(cfg: CliConfig) -> int:
     X = sample_data_matrix(spec, rng)
     report = check_local_law(sigma, X, p["tau"], p["eps"])
     body = {
-        "max_ratio": report.max_ratio,
+        # the max over no solved point is inf, which strict JSON has no
+        # number for
+        "max_ratio": report.max_ratio if report.points else None,
         "pass": report.passed,
         "points": report.points,
         "skipped": [{"z_real": z.real, "z_imag": z.imag, "error": msg}
                     for z, msg in report.skipped],
     }
-    _write(cfg.output, "locallaw.json", json_artifact(_echo(p), body))
+    _write_json(cfg.output, "locallaw.json", _echo(p), body)
     print(f"locallaw: {'pass' if report.passed else 'FAIL'} "
           f"(max ratio {report.max_ratio:.4g} over {report.points} points)")
     return 0 if report.passed else 2
@@ -378,7 +384,7 @@ def _cmd_rate(cfg: CliConfig) -> int:
         "slope": report.slope,
         "pass": report.passed,
     }
-    _write(cfg.output, "rate.json", json_artifact(_echo(p), body))
+    _write_json(cfg.output, "rate.json", _echo(p), body)
     print(f"rate: {'pass' if report.passed else 'FAIL'} "
           f"(slope {report.slope:.4f})")
     return 0 if report.passed else 2

@@ -10,12 +10,13 @@ and its inverse CDF is what the Monte Carlo layer draws from.  Every law
 evaluates them the same way (LawStack.transforms): over its fixed rule
 where the pole -1/m lies on a Bernstein ellipse of [lo, hi] with rho at
 least the rule's reach, and at m = 0, where the rule is exact to rounding,
-and by its exact sums elsewhere.  A LinearLaw's rule is its
-LINEAR_NODES-node Gauss-Legendre quad_rule, reaching to rho =
-LINEAR_RHO_MIN, and its exact sums are closed forms; an AtomicLaw's rule
-is CHEB_NODES Chebyshev points weighted by the law, reaching to rho =
-CHEB_RHO_MIN, or its atoms for a law of at most CHEB_NODES atoms (dirac:c),
-and its exact sums run over the atoms.
+and by its exact sums elsewhere.  Every rule has RULE_NODES nodes.  A
+LinearLaw's rule is its RULE_NODES-node Gauss-Legendre quad_rule, reaching
+to rho = LINEAR_RHO_MIN, and its exact sums are closed forms; an
+AtomicLaw's rule is RULE_NODES Chebyshev points weighted by the law,
+reaching to rho = CHEB_RHO_MIN, and its exact sums run over the atoms.  A
+law of at most RULE_NODES atoms (dirac:c) has no rule: its atom sums are no
+longer than a rule's, so it takes them at every m.
 Every sum takes one complex reciprocal 1/(1+mt) per term, reduced by numpy
 rather than BLAS in chunks of at most _CHUNK_ELEMS terms, so a value
 depends only on its own m, not on its batch or the BLAS thread count.
@@ -39,10 +40,10 @@ MASS_TOL = 1e-9
 # sqrt(ratio) != 1; the closed forms' x^3 stays finite for lo >= 2^-288
 SUPPORT_MIN = 2.0 ** -288
 LEGENDRE_PASSES = 3           # Newton passes of _leggauss
-LINEAR_NODES = 32             # a LinearLaw's fixed rule
-LINEAR_RHO_MIN = 2.0          # its reach: the pole's ellipse where it is used
-CHEB_NODES = 32               # an AtomicLaw's fixed rule
-CHEB_RHO_MIN = 4.0            # its reach
+RULE_NODES = 32               # the nodes of every law's fixed rule
+LINEAR_RHO_MIN = 2.0          # a LinearLaw's reach: the pole's ellipse where
+                              # its rule is used
+CHEB_RHO_MIN = 4.0            # an AtomicLaw's reach
 _CHUNK_ELEMS = 16_384         # terms per chunk: 256 KB complex, inside L2
 
 
@@ -116,8 +117,7 @@ def _cheb_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _rule_sums(t: np.ndarray, w: np.ndarray, m: np.ndarray, row=None):
     """S(m) = sum w t/(1+mt) and T(m) = sum w t^2/(1+mt)^2 over the nodes t
     with weights w, in chunks of at most _CHUNK_ELEMS terms.  With row, t
-    and w stack one rule per row, all of one node count, and m[i] is summed
-    over rule row[i].
+    and w stack one rule per row, and m[i] is summed over rule row[i].
 
     Each term takes one reciprocal r = 1/(1+mt), inverted in place, and the
     sums are r.(w t) and (r r).(w t^2).  einsum forms and reduces each m's
@@ -180,31 +180,33 @@ class PopulationLaw:
     """Population law on [lo, hi], itself the measure FreeConvolution
     integrates against.  Subclasses provide quantile(u), the inverse CDF
     mapping [0, 1] onto [lo, hi]; _rule, the fixed rule (nodes, weights) of
-    S and T, built once per law; _reach, the least rho of the pole's
-    ellipse where _rule is used; _exact_sums(m), the S and T off that rule;
-    and quad_rule(n), the law's rule of other integrals."""
+    S and T, RULE_NODES long and built once per law; _reach, the least rho
+    of the pole's ellipse where _rule is used, or None for a law with no
+    rule; _exact_sums(m), the S and T off that rule; and quad_rule(n), the
+    law's rule of other integrals."""
 
     lo: float
     hi: float
-    _reach: float
+    _reach: float | None
 
     def transforms(self, m: np.ndarray):
         """(S(m), T(m)), elementwise over the array m: sums over _rule
         where the pole lies on E_rho with rho >= _reach, and _exact_sums
-        elsewhere: the one-law case of LawStack.transforms, which does not
-        build the rule for a batch with no point on it.
+        elsewhere and for a law with no rule: the one-law case of
+        LawStack.transforms, which does not build the rule for a batch with
+        no point on it.
 
         There the rule is exact to rounding.  g(t) = t/(1+mt) and T's g^2
         are analytic inside the ellipse E_rho through the pole; for 1 <
         rho' < rho let M be the max of |g| on E_rho'.  The Chebyshev rule of
-        n = CHEB_NODES points integrates g's interpolant against positive
+        n = RULE_NODES points integrates g's interpolant against positive
         weights of sum 1, and the interpolant aliases each T_k, k >= n, onto
         a lower one, so it is within 4 M rho'^-(n-1) / (rho' - 1) of g on
         [lo, hi] (Trefethen, Approximation Theory and Approximation
         Practice, Thm 8.2).  n Gauss-Legendre nodes integrate f on [-1, 1]
         to within (64/15) max|f| rho'^-2n / (rho'^2 - 1) (ibid., Thm 19.3);
         an affine density is at most 2.25/(hi - lo) on E_rho', so at n =
-        LINEAR_NODES that is (24/5) M rho'^-64 / (rho'^2 - 1).  T takes M^2.
+        RULE_NODES that is (24/5) M rho'^-64 / (rho'^2 - 1).  T takes M^2.
         Minimized over rho' and maximized over the pole's place on E_rho,
         the bounds at each rule's reach are 2.7e-17 max|g| for S and 6.0e-16
         max|g|^2 for T (Chebyshev, rho = CHEB_RHO_MIN = 4) and 9.5e-18 and
@@ -217,7 +219,7 @@ class PopulationLaw:
     @cached_property
     def _stack(self) -> "LawStack":
         """The law's one-row LawStack, built once: every transforms call
-        reuses its arrays and its grouped rule."""
+        reuses its arrays and its rule."""
         return LawStack((self,))
 
     def as_measure(self) -> "PopulationLaw":
@@ -268,7 +270,7 @@ class LinearLaw(PopulationLaw):
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.quad_rule(LINEAR_NODES)
+        return self.quad_rule(RULE_NODES)
 
     def _exact_sums(self, x: np.ndarray):
         """S and T of the density a0 + a1 t in closed form.  With u = 1 + x t,
@@ -312,7 +314,6 @@ class AtomicLaw(PopulationLaw):
 
     locs: np.ndarray
     weights: np.ndarray
-    _reach = CHEB_RHO_MIN
 
     def __post_init__(self):
         locs = np.asarray(self.locs, dtype=float)
@@ -347,6 +348,11 @@ class AtomicLaw(PopulationLaw):
     def hi(self) -> float:
         return float(self.locs[-1])
 
+    @property
+    def _reach(self) -> float | None:
+        """CHEB_RHO_MIN, or None for a law of at most RULE_NODES atoms."""
+        return CHEB_RHO_MIN if self.locs.size > RULE_NODES else None
+
     def quantile(self, u):
         """The first atom whose cumulative weight exceeds u."""
         step = np.searchsorted(np.cumsum(self.weights), u, side="right")
@@ -362,10 +368,10 @@ class AtomicLaw(PopulationLaw):
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms of a law of at most CHEB_NODES atoms.  Otherwise
-        CHEB_NODES first-kind Chebyshev points tau_j on [lo, hi] and weights
-        W_j = sum_i w_i l_j(t_i), so that sum_j W_j g(tau_j) is the law's
-        integral of g's interpolant in the tau_j.
+        """RULE_NODES first-kind Chebyshev points tau_j on [lo, hi] and
+        weights W_j = sum_i w_i l_j(t_i), so that sum_j W_j g(tau_j) is the
+        law's integral of g's interpolant in the tau_j; a law of at most
+        RULE_NODES atoms has no _reach and never builds it.
 
         With s = (2t - lo - hi)/(hi - lo) and tau_j at x_j = cos((j + 1/2)
         pi/n), the interpolant's coefficients are c_k = (2/n) sum_j g(tau_j)
@@ -374,9 +380,7 @@ class AtomicLaw(PopulationLaw):
         The moments come from the three-term recurrence on vectors of the
         atoms and the series from the cached table T_k(x_j), so no
         atoms-by-nodes array is made."""
-        n = CHEB_NODES
-        if self.locs.size <= n:
-            return self.locs, self.weights
+        n = RULE_NODES
         lo, hi = self.lo, self.hi
         s = (2.0 * self.locs - (lo + hi)) / (hi - lo)
         mu = np.empty(n)
@@ -396,11 +400,11 @@ class AtomicLaw(PopulationLaw):
 class LawStack:
     """Population laws side by side, one row each.  transforms(row, m)
     evaluates each m[i] on law row[i]: over the law's _rule where
-    _pole_is_far at the law's _reach, by its _exact_sums elsewhere.  The
-    rules of one node count are stacked, so one _rule_sums call sums the
-    far points of every law of that count, each tested against its own
-    reach; the exact sums run law by law.  A law that overrides transforms
-    is refused, since the stack never calls it."""
+    _pole_is_far at the law's _reach, by its _exact_sums elsewhere and on a
+    law with no rule.  The rules, all RULE_NODES long, are stacked, so one
+    _rule_sums call sums the far points of every law, each tested against
+    its own reach; the exact sums run law by law.  A law that overrides
+    transforms is refused, since the stack never calls it."""
 
     def __init__(self, laws):
         self.laws = tuple(laws)
@@ -411,61 +415,53 @@ class LawStack:
                                 f"transforms, which a LawStack never calls")
         self.lo = np.array([law.lo for law in self.laws])
         self.hi = np.array([law.hi for law in self.laws])
+        reach = [law._reach for law in self.laws]
+        self.ruled = np.array([r is not None for r in reach], dtype=bool)
+        # a row with no rule is masked out of far, whatever its sum_min
         self.sum_min = _focal_sum(self.lo, self.hi, np.array(
-            [law._reach for law in self.laws]))
+            [1.0 if r is None else r for r in reach]))
 
     @cached_property
     def _rules(self):
-        """(each row's stack, its slot there, the stacks): a stack is the
-        (nodes, weights) of one node count, 2-D for two or more laws."""
-        rules = [law._rule for law in self.laws]
-        # grouped by dict: np.unique imports numpy.ma, about 1 MB, on first
-        # use
-        counts = {}
-        for j, (t, _) in enumerate(rules):
-            counts.setdefault(t.size, []).append(j)
-        group = np.empty(len(rules), dtype=np.intp)
-        slot = np.empty(len(rules), dtype=np.intp)
-        stacks = []
-        for g, rows in enumerate(counts.values()):
-            group[rows], slot[rows] = g, np.arange(len(rows))
-            stacks.append(rules[rows[0]] if len(rows) == 1 else tuple(
-                np.stack([rules[j][i] for j in rows]) for i in (0, 1)))
-        return group, slot, stacks
+        """(each row's slot, the stacked rule): the (nodes, weights) of the
+        laws that have a rule, 2-D for two or more, law j's in row
+        slot[j]."""
+        rules = [law._rule for law, r in zip(self.laws, self.ruled) if r]
+        rule = rules[0] if len(rules) == 1 else tuple(
+            np.stack(a) for a in zip(*rules))
+        return np.cumsum(self.ruled) - 1, rule
 
     def transforms(self, row: np.ndarray, m: np.ndarray):
-        """(S, T) of each m[i] under laws[row[i]]; each call's points are
-        picked out only as it runs, and a batch that one call covers is
-        returned as that call gives it."""
-        far = _pole_is_far(self.lo[row], self.hi[row], m, self.sum_min[row])
+        """(S, T) of each m[i] under laws[row[i]]: at most one stacked
+        _rule_sums call and one _exact_sums call per law with near points,
+        each call's points picked out only as it runs; a batch that one
+        call covers is returned as that call gives it, and the poles of a
+        batch with no point on a rule are not tested."""
+        far = self.ruled[row]
+        if far.any():
+            far &= _pole_is_far(self.lo[row], self.hi[row], m,
+                                self.sum_min[row])
         n_far = np.count_nonzero(far)
-        calls = []                  # (stack, None) and (None, law)
-        if n_far:
-            group, slot, stacks = self._rules
-            used = (range(1) if len(stacks) == 1 else np.bincount(
-                group[row[far]], minlength=len(stacks)).nonzero()[0])
-            calls += [(g, None) for g in used]
+        calls = [None] if n_far else []     # None the rule, j law j's sums
         if n_far < m.size:
-            used = np.bincount(row[~far], minlength=len(self.laws))
-            calls += [(None, j) for j in used.nonzero()[0]]
+            calls += [0] if len(self.laws) == 1 else list(np.bincount(
+                row[~far], minlength=len(self.laws)).nonzero()[0])
+        if len(calls) == 1:
+            return self._sums(calls[0], row, m, slice(None))
         out = np.empty((2,) + m.shape, np.result_type(m, float))
-        for g, law in calls:
-            if len(calls) == 1:
-                on = slice(None)
-            elif law is not None:
-                on = ~far & (row == law)
-            else:
-                on = far if len(stacks) == 1 else far & (group[row] == g)
-            if law is not None:
-                sums = self.laws[law]._exact_sums(m[on])
-            elif stacks[g][0].ndim == 1:
-                sums = _rule_sums(*stacks[g], m[on])
-            else:
-                sums = _rule_sums(*stacks[g], m[on], slot[row[on]])
-            if len(calls) == 1:
-                return sums
-            out[:, on] = sums
+        for law in calls:
+            on = far if law is None else ~far & (row == law)
+            out[:, on] = self._sums(law, row, m, on)
         return tuple(out)
+
+    def _sums(self, law, row: np.ndarray, m: np.ndarray, on):
+        """The exact sums of laws[law] at m[on], or for law None the sums of
+        each m[on][i] over the rule of law row[on][i]."""
+        if law is not None:
+            return self.laws[law]._exact_sums(m[on])
+        slot, (t, w) = self._rules
+        return (_rule_sums(t, w, m[on]) if t.ndim == 1
+                else _rule_sums(t, w, m[on], slot[row[on]]))
 
 
 def sample_population(law: PopulationLaw, m: int,

@@ -254,7 +254,9 @@ def empirical_stieltjes(e: EigenSample, z):
 
 
 def hat_fc(sigma, M: int, N: int) -> FreeConvolution:
-    """Free convolution of the realized population spectrum at ratio M/N."""
+    """Free convolution of the realized population spectrum, M values
+    checked as eigenvalues checks them, at ratio M/N."""
+    sigma = _population(sigma, M)
     if M == N:
         raise DomainError(f"M = {M} and N = {N} give ratio 1, which is "
                           f"excluded (support reaches 0)")

@@ -295,7 +295,8 @@ def ks_normality(samples, variance: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class LocalLawReport:
-    """Max deviation ratio over the spectral-domain lattice."""
+    """Max deviation ratio over the spectral-domain lattice: inf when every
+    point is skipped, which the locallaw artifact writes as null."""
 
     max_ratio: float
     passed: bool
@@ -483,9 +484,16 @@ def _json_number(x: float):
     return None if math.isnan(x) else x
 
 
-def json_artifact(config: dict, body: dict) -> str:
-    """JSON artifact: the resolved config under "config", then body."""
-    return json.dumps({"config": config, **body}, indent=2) + "\n"
+def json_artifact(config: dict, body: dict, name: str) -> str:
+    """JSON artifact name: the resolved config under "config", then body.
+    Strict JSON has no Infinity or NaN, so a non-finite number raises a
+    DomainError that names the artifact."""
+    try:
+        text = json.dumps({"config": config, **body}, indent=2,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{name} is not strict JSON: {exc}") from None
+    return text + "\n"
 
 
 def csv_artifact(config: dict, header: str, rows) -> str:
@@ -508,7 +516,7 @@ def report_to_json(cfg: ExperimentConfig, report: CltReport) -> str:
         "ks_pvalue": _json_number(report.ks_pvalue),
         "pass": report.passed,
         "seed": int(cfg.seed),
-    })
+    }, "clt.json")
 
 
 def report_to_csv(cfg: ExperimentConfig, report: CltReport) -> str:

@@ -39,20 +39,23 @@ DensityLaw is a population law given by nothing but a density on [lo, hi],
 for inputs the shipped laws reject, such as densities that vanish to high
 order at an end of the support.
 
-ExactAtomicLaw sums over every atom at every m, where an AtomicLaw of many
-atoms takes its compressed Chebyshev rule: its fixed rule is its atoms, so
-both of its paths, alone or stacked in a batched solve, are the exact
-sums; exact_empirical_measure builds it from a sample, in place of rmt's
-empirical_measure.
+ExactAtomicLaw sums over every atom at every m, where an AtomicLaw of more
+than RULE_NODES atoms takes its compressed Chebyshev rule: it states no
+reach, as an AtomicLaw of at most RULE_NODES atoms does, so alone or in a
+batched solve it takes the exact sums; exact_empirical_measure builds it
+from a sample, in place of rmt's empirical_measure.
 
 scalar_edges is the edge search as two scalar bisections, one m per
 transforms call: the left and right brackets one after the other.  The
 library's joint bisection must reproduce it bit for bit.
+
+strict_json parses an artifact as strict JSON (RFC 8259), which has no
+Infinity or NaN: json.loads reads them, and strict_json refuses them.
 """
 
+import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -101,12 +104,10 @@ class DensityLaw(PopulationLaw):
 
 
 class ExactAtomicLaw(AtomicLaw):
-    """An AtomicLaw whose S and T are always the sums over its atoms: its
-    fixed rule is its atoms, however many."""
+    """An AtomicLaw whose S and T are always the sums over its atoms: it
+    has no rule, however many atoms it has."""
 
-    @cached_property
-    def _rule(self):
-        return self.locs, self.weights
+    _reach = None
 
 
 def exact_empirical_measure(samples) -> ExactAtomicLaw:
@@ -421,3 +422,11 @@ def rectangle_clt_variance(fc, f, contour, sigma_nodes: int = 128) -> float:
     F = rectangle_f_sigma(fc, f, sig, contour).real
     mean = float((wts * F).sum())
     return fc.ratio * (float((wts * F * F).sum()) - mean * mean)
+
+
+def strict_json(text: str):
+    """json.loads of text, refusing the non-standard constants Infinity,
+    -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)

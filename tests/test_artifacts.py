@@ -2,8 +2,10 @@
 in process, against the SHA-256 digests in artifact_digests.json; and the
 two that read eigenvalues, against the values in artifact_values.json.
 
-The digested bytes depend on freemp and numpy alone, not on the BLAS
-thread count, so a change that moves a last bit of any of them fails here.
+Every JSON artifact is parsed as strict JSON, so a non-finite number in
+any of them fails here.  The digested bytes depend on freemp and numpy
+alone, not on the BLAS thread count, so a change that moves a last bit of
+any of them fails here.
 The digests were taken under the numpy version stored beside them; under
 another version the tests skip and name both.  A change that moves bytes
 on purpose regenerates the file,
@@ -30,6 +32,8 @@ import numpy as np
 import pytest
 
 from freemp.cli import main
+
+from oracles import strict_json
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "clt_default.cfg"
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
@@ -72,9 +76,13 @@ VALUE_RUNS = {
 
 
 def run_digests(name: str, out_dir: str) -> dict:
-    """Run RUNS[name] into out_dir; the SHA-256 of each file it writes."""
+    """Run RUNS[name] into out_dir; the SHA-256 of each file it writes,
+    each JSON file parsed as strict JSON first."""
     argv, files = RUNS[name]
     assert main(argv + ["--output", out_dir]) in (0, 2), name
+    for f in files:
+        if f.endswith(".json"):
+            strict_json(Path(out_dir, f).read_text())
     return {f"{name}/{f}": hashlib.sha256(
         Path(out_dir, f).read_bytes()).hexdigest() for f in files}
 
@@ -96,7 +104,7 @@ def run_values(name: str, out_dir: str) -> dict:
         rows = [line for line in lines if not line.startswith("#")][1:]
         return {"code": code, "eigenvalues": [float(row.split(",")[1])
                                               for row in rows]}
-    doc = json.loads(Path(out_dir, "locallaw.json").read_text())
+    doc = strict_json(Path(out_dir, "locallaw.json").read_text())
     return {"code": code, "max_ratio": doc["max_ratio"],
             "points": doc["points"], "pass": doc["pass"]}
 

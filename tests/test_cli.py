@@ -5,15 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freemp import contour
+from freemp import contour, verify
 from freemp.cli import (CliConfig, UsageError, dispatch, main, parse_config)
-from freemp.errors import DomainError
-from freemp.freeconv import FreeConvolution
+from freemp.errors import ConvergenceError, DomainError
+from freemp.freeconv import FreeConvolution, SupportEdges
 from freemp.grammar import format_func, parse_func, parse_law
 from freemp.measures import LinearLaw, sample_population
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
                         sample_data_matrix)
-from freemp.verify import run_clt_experiment
+from freemp.verify import json_artifact, run_clt_experiment
+
+from oracles import strict_json
 
 
 class TestParseConfig:
@@ -244,6 +246,43 @@ class TestDispatch:
         assert v > 0.0
         if want is not None:
             assert abs(v - want) <= 1e-10 * want
+
+    # a solve that skips every lattice point leaves a max over nothing:
+    # the artifact writes null, not Infinity, and the run fails with exit 2
+    def test_all_skipped_locallaw_is_strict_json(self, tmp_path,
+                                                 monkeypatch, capsys):
+        solve = verify.stieltjes_batch
+
+        def refuse(fc, z, **kwargs):
+            if z.size:
+                raise ConvergenceError("no point settled", z=z)
+            return solve(fc, z, **kwargs)
+
+        monkeypatch.setattr(verify, "stieltjes_batch", refuse)
+        code = main(["locallaw", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                     "--n", "50", "--output", str(tmp_path)])
+        assert code == 2
+        assert "max ratio inf over 0 points" in capsys.readouterr().out
+        doc = strict_json((tmp_path / "locallaw.json").read_text())
+        assert doc["max_ratio"] is None and doc["points"] == 0
+        assert not doc["pass"] and len(doc["skipped"]) > 0
+
+    # strict JSON has no Infinity or NaN: an artifact holding one is
+    # refused with its name, and the command exits 1 without writing it
+    def test_non_finite_artifact_refused(self, tmp_path, monkeypatch,
+                                         capsys):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DomainError, match="rate.json is not strict"):
+                json_artifact({}, {"slope": bad}, "rate.json")
+        monkeypatch.setattr("freemp.cli.support_edges",
+                            lambda fc: SupportEdges(*[float("nan")] * 4))
+        code = main(["edges", "--gamma0", "0.5", "--nu", "uniform:0.5,1",
+                     "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: freemp.errors.DomainError: edges.json "
+                              "is not strict JSON")
+        assert not (tmp_path / "edges.json").exists()
 
     @pytest.mark.parametrize("args, name, keys", [
         (["locallaw", "--n", "100"], "locallaw.json",

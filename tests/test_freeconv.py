@@ -10,7 +10,7 @@ from freemp.freeconv import (FreeConvolution, atom_at_zero, density,
                              stieltjes_derivative_batch, stieltjes_rows,
                              support_edges)
 from freemp.grammar import parse_law
-from freemp.measures import (CHEB_NODES, AtomicLaw, LawStack, LinearLaw,
+from freemp.measures import (RULE_NODES, AtomicLaw, LawStack, LinearLaw,
                              empirical_measure, sample_population)
 from freemp.rmt import hat_fc
 
@@ -363,7 +363,7 @@ def fold_laws():
     rng = np.random.default_rng(20240817)
     compressed = empirical_measure(
         sample_population(LinearLaw(0.5, 1.0), 500, rng))
-    assert compressed._rule[0].size == CHEB_NODES < compressed.locs.size
+    assert compressed._rule[0].size == RULE_NODES < compressed.locs.size
     return {"linear": LinearLaw(0.2, 1.0, 1.0), "compressed": compressed,
             "dirac": AtomicLaw([1.0], [1.0])}
 

@@ -9,11 +9,10 @@ from freemp import measures
 from freemp.errors import DomainError
 from freemp.freeconv import FreeConvolution, stieltjes_batch, support_edges
 from freemp.grammar import format_func, format_law, parse_func, parse_law
-from freemp.measures import (_CHUNK_ELEMS, CHEB_NODES, CHEB_RHO_MIN,
-                             LINEAR_NODES, MASS_TOL, SUPPORT_MIN, AtomicLaw,
-                             LawStack, LinearLaw, _cheb_table, _focal_sum,
-                             _pole_is_far, _rule_sums, empirical_measure,
-                             sample_population)
+from freemp.measures import (_CHUNK_ELEMS, CHEB_RHO_MIN, MASS_TOL,
+                             RULE_NODES, SUPPORT_MIN, AtomicLaw, LawStack,
+                             LinearLaw, _cheb_table, _focal_sum, _pole_is_far,
+                             _rule_sums, empirical_measure, sample_population)
 
 from oracles import DensityLaw, integrate, quad_transforms
 
@@ -200,7 +199,7 @@ class TestPopulationLaws:
     @pytest.mark.parametrize("slope_frac", [0.99, -0.99])
     def test_steep_narrow_rule_keeps_mass(self, width, slope_frac):
         law = LinearLaw(0.5, 0.5 + width, slope_frac * 2.0 / width ** 2)
-        t, w = law.quad_rule(LINEAR_NODES)
+        t, w = law.quad_rule(RULE_NODES)
         lo, hi = np.longdouble(law.lo), np.longdouble(law.hi)
         mean = 0.5 * (lo + hi) + law.slope * (hi - lo) ** 3 / 12.0
         assert abs(w.sum() - 1.0) <= 4e-16
@@ -280,7 +279,10 @@ def ellipse_points(lo: float, hi: float, rho: float, k: int = 48):
 
 
 def is_far(law, m: np.ndarray) -> np.ndarray:
-    """Where law.transforms sums m over the law's fixed rule."""
+    """Where law.transforms sums m over the law's fixed rule: nowhere for a
+    law with no rule."""
+    if law._reach is None:
+        return np.zeros(m.shape, dtype=bool)
     return _pole_is_far(law.lo, law.hi, m,
                         _focal_sum(law.lo, law.hi, law._reach))
 
@@ -411,7 +413,7 @@ class TestAtomicLawTransforms:
         else:
             law = LinearLaw(0.2, 1.0, 1.0)
             t, w = law._rule
-            assert t.size == LINEAR_NODES
+            assert t.size == RULE_NODES
             scale = 0.375 / law.hi
         step = _CHUNK_ELEMS // t.size
         for size in (step - 1, step, step + 1, 2 * step + 3):
@@ -487,23 +489,23 @@ def two_cluster_law() -> AtomicLaw:
 
 
 class TestCompressedTransforms:
-    # the rule integrates every polynomial of degree < CHEB_NODES as the
+    # the rule integrates every polynomial of degree < RULE_NODES as the
     # atoms do
     def test_rule_reproduces_moments(self):
         law = random_atomic_law(1000, 8)
         tau, W = law._rule
-        assert tau.size == W.size == CHEB_NODES
+        assert tau.size == W.size == RULE_NODES
         assert tau.min() > law.lo and tau.max() < law.hi
         s = (2.0 * law.locs - law.lo - law.hi) / (law.hi - law.lo)
         x = (2.0 * tau - law.lo - law.hi) / (law.hi - law.lo)
-        for k in (0, 1, 2, 7, CHEB_NODES // 2, CHEB_NODES - 1):
+        for k in (0, 1, 2, 7, RULE_NODES // 2, RULE_NODES - 1):
             ref = law.weights @ np.cos(k * np.arccos(s))
             assert abs(W @ np.cos(k * np.arccos(x)) - ref) <= 1e-14, k
 
     # the cached table T_k(x_j) is the Chebyshev-Vandermonde matrix at the
     # points, and its rows are cos(k theta_j) to the recurrence's rounding
     def test_table_is_the_vandermonde_matrix(self):
-        n = CHEB_NODES
+        n = RULE_NODES
         x, table = _cheb_table(n)
         assert table.shape == (n, n) and not table.flags.writeable
         theta = np.pi * (np.arange(n) + 0.5) / n
@@ -516,16 +518,16 @@ class TestCompressedTransforms:
 
     # just outside rho = CHEB_RHO_MIN the compressed rule, just inside the
     # atoms: both within the 1e-13 bound of the long-double sums, from the
-    # least law that is compressed, CHEB_NODES + 1 atoms, up
-    @pytest.mark.parametrize("law", [random_atomic_law(CHEB_NODES + 1, 5),
-                                     random_atomic_law(2 * CHEB_NODES, 5),
+    # least law that is compressed, RULE_NODES + 1 atoms, up
+    @pytest.mark.parametrize("law", [random_atomic_law(RULE_NODES + 1, 5),
+                                     random_atomic_law(2 * RULE_NODES, 5),
                                      random_atomic_law(1000, 5),
                                      two_cluster_law()],
-                             ids=[f"atoms-{CHEB_NODES + 1}",
-                                  f"atoms-{2 * CHEB_NODES}", "atoms-1000",
+                             ids=[f"atoms-{RULE_NODES + 1}",
+                                  f"atoms-{2 * RULE_NODES}", "atoms-1000",
                                   "two-cluster"])
     def test_accuracy_on_both_sides_of_the_threshold(self, law):
-        assert law._rule[0].size == CHEB_NODES < law.locs.size
+        assert law._rule[0].size == RULE_NODES < law.locs.size
         for rho, far in ((CHEB_RHO_MIN * (1.0 + 1e-6), True),
                          (CHEB_RHO_MIN * (1.0 - 1e-6), False),
                          (1.2 * CHEB_RHO_MIN, True), (1.05, False)):
@@ -570,7 +572,7 @@ class TestCompressedTransforms:
     # across the chunk boundaries of both rules
     def test_mixed_batch_bit_identical_to_alone(self, rng):
         law = random_atomic_law(1000, 10)
-        steps = (_CHUNK_ELEMS // CHEB_NODES, _CHUNK_ELEMS // law.locs.size)
+        steps = (_CHUNK_ELEMS // RULE_NODES, _CHUNK_ELEMS // law.locs.size)
         size = 2 * steps[0] + 3
         far = law.hi ** -1 * (rng.uniform(0.05, 0.3, size)
                               * np.exp(2j * np.pi * rng.random(size)))
@@ -585,20 +587,21 @@ class TestCompressedTransforms:
                     assert np.array_equal(s, S[i:i + n]), (n, i)
                     assert np.array_equal(t, T[i:i + n]), (n, i)
 
-    # a law of at most CHEB_NODES atoms, dirac:c among them, always sums
-    # its atoms: its fixed rule is its atoms
-    @pytest.mark.parametrize("atoms", [1, CHEB_NODES])
+    # a law of at most RULE_NODES atoms, dirac:c among them, has no rule:
+    # it sums its atoms at every m, m = 0 among them, and builds nothing
+    @pytest.mark.parametrize("atoms", [1, RULE_NODES])
     def test_small_laws_sum_their_atoms(self, atoms):
         locs = np.linspace(0.2, 1.0, atoms)
         law = AtomicLaw(locs, np.full(atoms, 1.0 / atoms))
+        assert law._reach is None
         m = np.array([0.0, 0.1 + 0.1j, -0.3 + 1e-3j, 2.0])
         S, T = law.transforms(m)
         s_ref, t_ref = _rule_sums(law.locs, law.weights, m)
         assert np.array_equal(S, s_ref) and np.array_equal(T, t_ref)
-        assert law._rule[0] is law.locs and law._rule[1] is law.weights
+        assert "_rule" not in vars(law)
 
     # the rule is built once, from vectors of the atoms: no atoms-by-nodes
-    # array, CHEB_NODES atom-length vectors, is allocated; the peak stays
+    # array, RULE_NODES atom-length vectors, is allocated; the peak stays
     # under 8 of them
     def test_rule_allocates_no_atoms_by_nodes_array(self):
         law = random_atomic_law(1000, 6)
@@ -608,7 +611,7 @@ class TestCompressedTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 < CHEB_NODES
+        assert 8 < RULE_NODES
         assert peak < 8 * law.locs.nbytes
         assert law._rule is rule
 
@@ -656,19 +659,23 @@ ONE_RULE_LAWS = {
 
 class TestOneRuleChoice:
     # PopulationLaw.transforms chooses for every law: the fixed rule where
-    # the pole is far, the exact sums elsewhere
+    # the pole is far, the exact sums elsewhere and on a law with no rule
 
     @staticmethod
     def batches(law):
+        """m = 0 and m whose poles lie beyond the law's reach, or beyond
+        CHEB_RHO_MIN for a law with no rule; and m whose poles lie near
+        [lo, hi]."""
+        reach = CHEB_RHO_MIN if law._reach is None else law._reach
         far = np.concatenate([[0.0], ellipse_points(law.lo, law.hi,
-                                                    1.5 * law._reach, 40)])
+                                                    1.5 * reach, 40)])
         near = ellipse_points(law.lo, law.hi, 1.5, 40)
-        assert is_far(law, far).all()
+        assert is_far(law, far).all() == (law._reach is not None)
         assert not is_far(law, near).any()
         return far, near
 
     # the rule is built on first use and never again, and an empty batch
-    # does not build it
+    # does not build it; a law with no rule never builds it
     @pytest.mark.parametrize("name", ONE_RULE_LAWS)
     def test_rule_built_at_most_once(self, monkeypatch, name):
         law = ONE_RULE_LAWS[name]()
@@ -686,24 +693,25 @@ class TestOneRuleChoice:
             law.transforms(near[k:])
             law.transforms(np.concatenate([far[k:], near[k:]]))
             law.transforms(real)
-        assert builds == [law]
+        assert builds == ([] if law._reach is None else [law])
 
     # a batch wholly on one side makes one sums call, a mixed batch one of
-    # each
+    # each; on a law with no rule every batch makes one exact call
     @pytest.mark.parametrize("name", ONE_RULE_LAWS)
     def test_one_sided_batch_one_sums_call(self, monkeypatch, name):
         law = ONE_RULE_LAWS[name]()
         far, near = self.batches(law)
         exact = ["exact", "rule"] if isinstance(law, AtomicLaw) else ["exact"]
+        rule = exact if law._reach is None else ["rule"]
         log = log_sums(monkeypatch, type(law))
         law.transforms(far)
-        assert log == ["rule"]
+        assert log == rule
         log.clear()
         law.transforms(near)
         assert log == exact
         log.clear()
         law.transforms(np.concatenate([near, far]))
-        assert log == ["rule"] + exact
+        assert log == (exact if law._reach is None else ["rule"] + exact)
 
 
 class TestLawStack:
@@ -718,16 +726,23 @@ class TestLawStack:
             stieltjes_batch(FreeConvolution(law, 0.5), np.array([1.0 + 1j]))
 
     # each point is summed on its own law, far or near, in a shuffled
-    # batch of four laws: three stacked on one node count, LINEAR_NODES =
-    # CHEB_NODES, each tested against its own reach, and one alone on its
-    # atoms
+    # batch of six laws: three with a rule, stacked on RULE_NODES nodes and
+    # each tested against its own reach, and three of at most RULE_NODES
+    # atoms, dirac:0.6 among them, which have none and sum their atoms at
+    # every point
     def test_points_on_their_own_laws(self, rng):
         laws = (LinearLaw(0.2, 1.0, 1.0), random_atomic_law(500, 1),
-                random_atomic_law(300, 2), AtomicLaw([0.3, 0.7], [0.5, 0.5]))
-        assert LINEAR_NODES == CHEB_NODES
-        m = np.concatenate([ellipse_points(law.lo, law.hi, rho, 20)
-                            for law in laws for rho in (1.5 * law._reach,
-                                                        1.5)])
+                random_atomic_law(300, 2), AtomicLaw([0.3, 0.7], [0.5, 0.5]),
+                AtomicLaw([0.6], [1.0]), random_atomic_law(RULE_NODES, 3))
+        small = [j for j, law in enumerate(laws) if law._reach is None]
+        assert small == [3, 4, 5] and laws[5].locs.size == RULE_NODES
+        # dirac:0.6's own ellipses are the point 0.6: its poles go round
+        # those of [0.2, 1] instead
+        m = np.concatenate([
+            ellipse_points(*((law.lo, law.hi) if law.lo < law.hi
+                             else (0.2, 1.0)), rho, 20)
+            for law in laws for rho in (1.5 * (law._reach or CHEB_RHO_MIN),
+                                        1.5)])
         row = np.repeat(np.arange(len(laws)), 40)
         shuffle = rng.permutation(m.size)
         m, row = m[shuffle], row[shuffle]
@@ -736,6 +751,10 @@ class TestLawStack:
             s, t = law.transforms(m[row == j])
             assert np.array_equal(S[row == j], s)
             assert np.array_equal(T[row == j], t)
+            if j in small:
+                s, t = _rule_sums(law.locs, law.weights, m[row == j])
+                assert np.array_equal(S[row == j], s)
+                assert np.array_equal(T[row == j], t)
 
     # a stacked rule's two chunk buffers, the terms and the gathered
     # weights, hold at most _CHUNK_ELEMS terms together, as a lone rule's

@@ -260,13 +260,13 @@ class TestEmpiricalStieltjes:
 
 class TestHatFc:
     def test_all_ones_reduces_to_point_mass(self):
-        hat = hat_fc(np.ones(40), 10, 40)
+        hat = hat_fc(np.ones(10), 10, 40)
         e = support_edges(hat)
         assert abs(e.L_minus - 0.25) < 1e-8
         assert abs(e.L_plus - 2.25) < 1e-8
 
     def test_repeated_sample_is_degenerate(self):
-        hat = hat_fc(np.full(25, 0.7), 10, 20)
+        hat = hat_fc(np.full(10, 0.7), 10, 20)
         ref = FreeConvolution(AtomicLaw([0.7], [1.0]), 0.5)
         eh, er = support_edges(hat), support_edges(ref)
         assert abs(eh.L_minus - er.L_minus) < 1e-10
@@ -276,6 +276,18 @@ class TestHatFc:
     def test_realized_ratio_one_names_m_and_n(self):
         with pytest.raises(DomainError, match="M = 100 and N = 100"):
             hat_fc(np.full(100, 0.7), 100, 100)
+
+    # the population is checked as eigenvalues checks it: M values in
+    # (0, 1], not a law of any sample
+    @pytest.mark.parametrize("sigma, match", [
+        ([0.5, 0.7], "2 population values for 10 rows"),
+        (np.full(11, 0.7), "11 population values for 10 rows"),
+        (np.r_[np.full(9, 0.7), 1.5], "must lie in \\(0, 1\\]"),
+        (np.r_[np.full(9, 0.7), 0.0], "must lie in \\(0, 1\\]")],
+        ids=["short", "long", "above-one", "zero"])
+    def test_population_checked(self, sigma, match):
+        with pytest.raises(DomainError, match=match):
+            hat_fc(np.asarray(sigma), 10, 20)
 
     def test_sampled_edges_near_population_edges(self, uniform_half, fc_uniform):
         rng = np.random.default_rng(11)

@@ -14,7 +14,7 @@ import freemp
 from freemp import freeconv, measures, verify
 from freemp.errors import ConvergenceError, DomainError, ReplicateError
 from freemp.grammar import parse_func, parse_law
-from freemp.measures import (CHEB_NODES, AtomicLaw, LawStack,
+from freemp.measures import (RULE_NODES, AtomicLaw, LawStack,
                              sample_population)
 from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
                         empirical_stieltjes, hat_fc, linear_statistic,
@@ -591,13 +591,13 @@ class TestBatchedRate:
                 sups.append(float(np.abs(m_hat - m_pop).max()))
         return xi, sups
 
-    # M = CHEB_NODES/4, CHEB_NODES/2, CHEB_NODES and 2 CHEB_NODES make each
-    # law's rule its atoms or CHEB_NODES Chebyshev points, so the batch
-    # stacks rules of three lengths; some draws miss warm Newton and go
-    # cold at shared nodes, where the first continuation iterates of two
-    # rows coincide; and some points take the exact atom sums
+    # at M = RULE_NODES/4, RULE_NODES/2 and RULE_NODES a law has no rule
+    # and sums its atoms at every point; at 2 RULE_NODES it has RULE_NODES
+    # Chebyshev points, stacked with the other rows of that M; some draws
+    # miss warm Newton and go cold at shared nodes, where the first
+    # continuation iterates of two rows coincide
     def test_sups_equal_per_law_solves(self, uniform_half, monkeypatch):
-        args = (0.5, tuple(CHEB_NODES * k // 2 for k in (1, 2, 4, 8)), 3, 0)
+        args = (0.5, tuple(RULE_NODES * k // 2 for k in (1, 2, 4, 8)), 3, 0)
         seen = {"sups": [], "cold": [], "exact": 0, "sizes": set()}
         rate_sups, cont = verify._rate_sups, freeconv._continuation
         exact, rule_sums = measures.AtomicLaw._exact_sums, measures._rule_sums
@@ -625,7 +625,7 @@ class TestBatchedRate:
         monkeypatch.setattr(measures.AtomicLaw, "_exact_sums", spy_exact)
         monkeypatch.setattr(measures, "_rule_sums", spy_rule)
         report = check_hat_rate(uniform_half, *args)
-        assert seen["sizes"] == {CHEB_NODES // 4, CHEB_NODES // 2, CHEB_NODES}
+        assert seen["sizes"] == {RULE_NODES}
         assert seen["exact"] > 0
         cold_rows = np.concatenate([row for row, _ in seen["cold"]])
         assert np.unique(cold_rows).size > 1
@@ -757,22 +757,24 @@ def _close(a, b, rtol=1e-12) -> bool:
 class TestCompressedSumsAgreeWithExact:
     SEED = 20240817
 
-    # the batched solve sums each row over its law's _rule, so the oracle
-    # states its exactness there: the reference must sum every atom
+    # the batched solve sums a law with no rule over its atoms, so the
+    # oracle states it has none: the reference stacks no rule and sums
+    # every atom
     def test_hat_rate(self, uniform_half, monkeypatch):
         args = (uniform_half, 0.5, (250, 500, 1000, 2000), 50, self.SEED)
         rep = check_hat_rate(*args)
         _exact_sums(monkeypatch)
-        rule_sums, sizes = measures._rule_sums, set()
+        rule_sums, stacked, alone = measures._rule_sums, set(), set()
 
         def spy(t, w, m, row=None):
-            if row is not None:
-                sizes.add(t.shape[-1])
+            (alone if row is None else stacked).add(t.shape[-1])
             return rule_sums(t, w, m, row)
 
         monkeypatch.setattr(measures, "_rule_sums", spy)
         ref = check_hat_rate(*args)
-        assert sizes == {125, 250, 500, 1000}
+        # the population's rule alone, and each realized law's atoms
+        assert stacked == set()
+        assert alone == {RULE_NODES, 125, 250, 500, 1000}
         assert _close(rep.averages, ref.averages)
         assert _close(rep.slope, ref.slope)
         assert rep.passed == ref.passed
