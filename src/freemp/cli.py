@@ -25,9 +25,9 @@ from .freeconv import FreeConvolution, density_batch, support_edges
 from .grammar import format_func, format_law, parse_func, parse_law
 from .measures import sample_population
 from .rmt import ENTRY_LAWS, DataMatrixSpec, draw_sample, sample_data_matrix
-from .verify import (ExperimentConfig, check_hat_rate, check_local_law,
-                     csv_artifact, json_artifact, report_to_csv,
-                     report_to_json, run_clt_experiment)
+from .verify import (KS_MIN_SAMPLES, ExperimentConfig, check_hat_rate,
+                     check_local_law, csv_artifact, json_artifact,
+                     report_to_csv, report_to_json, run_clt_experiment)
 
 REQUIRED = object()
 
@@ -155,7 +155,8 @@ SUBCOMMAND_KEYS = {
         **_COMMON,
         "f": _F_KEY,
         "n": Key(_int, "an integer >= 50", help="matrix dimension N"),
-        "reps": Key(_int, "an integer >= 100", help="Monte Carlo replicates"),
+        "reps": Key(_int, f"an integer >= {KS_MIN_SAMPLES}",
+                    help="Monte Carlo replicates"),
         "entry_law": _ENTRY_KEY,
         "d": _D_KEY,
         "workers": _WORKERS_KEY,

@@ -35,8 +35,10 @@ MAX_CIRCLE_NODES raises ContourError rather than return a wrong number.
 The rectangle RectContour has vertices (L_minus - 2d) +- 2di and (L_plus +
 2d) +- 2di with 0 < d < L_minus/10.  It supplies the margin d that the
 artifacts echo and one fixed rule of Gauss-Legendre nodes in exact
-conjugate pairs, whose upper half check_hat_rate solves on.  The
-functionals accept a contour= keyword for existing callers and ignore it.
+conjugate pairs, whose upper half check_hat_rate solves on.
+clt_variance and mean_statistic accept a contour= keyword and ignore it,
+because the benchmark's clt replay still passes one; ROADMAP item 10
+deletes it.
 """
 
 from __future__ import annotations
@@ -264,11 +266,9 @@ def _f_values(fc, f, sig) -> np.ndarray:
     return F
 
 
-def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float,
-            contour: RectContour | None = None) -> float:
+def f_sigma(fc: FreeConvolution, f: TestFunction, sigma: float) -> float:
     """F(sigma) = (1/2 pi i) oint f(xi) m'(xi) sigma/(1 + sigma m(xi)) dxi
-    around the support, for sigma in the population's [lo, hi]; contour is
-    accepted for existing callers and ignored."""
+    around the support, for sigma in the population's [lo, hi]."""
     law = fc.base
     if not law.lo <= sigma <= law.hi:
         raise DomainError(f"sigma = {sigma!r} lies outside the population's "

@@ -11,7 +11,7 @@ timestamps, so identical configs produce identical bytes.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class GateTolerances:
     rate_slope_hi: float = -0.35
 
 
-# the gates of the checks that take no ExperimentConfig: check_local_law and
+# the gates of every check: run_clt_experiment, check_local_law and
 # check_hat_rate
 GATES = GateTolerances()
 
@@ -76,8 +76,10 @@ class ExperimentConfig:
     seed: int
     entry_law: str = "gaussian"
     d: float | None = None
-    tolerances: GateTolerances = field(default_factory=GateTolerances)
     output_path: str | None = None
+    # not a field: read by the benchmark's clt replay; ROADMAP item 1
+    # deletes it
+    tolerances = GATES
 
     def __post_init__(self):
         n_list = tuple(int(n) for n in self.N_list)
@@ -93,10 +95,10 @@ class ExperimentConfig:
             raise DomainError(f"M = {spec.M} and N = {spec.N}: the sampled "
                               f"matrix has ratio 1, which is excluded "
                               f"(support reaches 0)")
-        if self.replicates < 100:
+        if self.replicates < KS_MIN_SAMPLES:
             raise DomainError(
                 f"{self.replicates} replicates cannot support the "
-                "distributional gates; need at least 100")
+                f"distributional gates; need at least {KS_MIN_SAMPLES}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise DomainError(f"seed {self.seed!r} must fit in 64 bits")
 
@@ -181,20 +183,20 @@ def _map_tasks(worker, tasks, workers: int) -> np.ndarray:
     return out
 
 
-def _clt_gates(samples: np.ndarray, theoretical: float,
-               tol: GateTolerances) -> tuple[float, float, bool]:
-    """KS statistic, KS p-value and the joint verdict of the three gates:
-    the empirical variance within `variance_band` MC standard errors of the
-    predicted variance V, a KS p-value above `ks_pvalue_min`, and the mean
-    within `mean_band` standard errors sqrt(V / reps) of 0."""
+def _clt_gates(samples: np.ndarray,
+               theoretical: float) -> tuple[float, float, bool]:
+    """KS statistic, KS p-value and the joint verdict of the three gates
+    of GATES: the empirical variance within `variance_band` MC standard
+    errors of the predicted variance V, a KS p-value above `ks_pvalue_min`,
+    and the mean within `mean_band` standard errors sqrt(V / reps) of 0."""
     reps = samples.size
     ks_statistic, ks_pvalue = ks_normality(samples, theoretical)
     empirical = float(np.var(samples, ddof=1))
     passed = (abs(empirical / theoretical - 1.0)
-              < tol.variance_band * math.sqrt(2.0 / reps)
-              and ks_pvalue > tol.ks_pvalue_min
+              < GATES.variance_band * math.sqrt(2.0 / reps)
+              and ks_pvalue > GATES.ks_pvalue_min
               and abs(float(np.mean(samples)))
-              < tol.mean_band * math.sqrt(theoretical / reps))
+              < GATES.mean_band * math.sqrt(theoretical / reps))
     return ks_statistic, ks_pvalue, passed
 
 
@@ -234,8 +236,7 @@ def run_clt_experiment(cfg: ExperimentConfig,
         ks_statistic = ks_pvalue = float("nan")
         passed = bool(np.max(np.abs(samples)) <= DEGENERATE_SAMPLE_TOL)
     else:
-        ks_statistic, ks_pvalue, passed = _clt_gates(samples, theoretical,
-                                                     cfg.tolerances)
+        ks_statistic, ks_pvalue, passed = _clt_gates(samples, theoretical)
     return CltReport(samples=samples, replicate_seeds=seeds,
                      empirical_variance=float(np.var(samples, ddof=1)),
                      theoretical_variance=theoretical,
@@ -475,7 +476,7 @@ def _config_dict(cfg: ExperimentConfig, report: CltReport) -> dict:
         "replicates": cfg.replicates,
         "entry_law": cfg.entry_law,
         "d": report.d,
-        "tolerances": asdict(cfg.tolerances),
+        "tolerances": asdict(GATES),
         "degenerate": report.degenerate,
     }
 

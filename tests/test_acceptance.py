@@ -10,9 +10,10 @@ the predicted Gaussian.  At that matrix size the replicate variance of
 Gaussian-entry models carries a finite-size excess (about +18 percent,
 decaying with N) that the 2000-replicate bands resolve; the check is
 asserted at its stated tolerances regardless, so a failure there reports
-the finite-size gap rather than hiding it.  Check 07 contrasts the
-Gaussian run against Rademacher entries, whose fourth moment nearly
-cancels the same excess.
+the finite-size gap rather than hiding it.  Its verdict must also equal
+the library's CltReport.passed, or it fails with a message of its own.
+Check 07 contrasts the Gaussian run against Rademacher entries, whose
+fourth moment nearly cancels the same excess.
 """
 
 import time
@@ -190,11 +191,16 @@ def test_06_end_to_end_clt(clt_gaussian):
     var_gap = abs(rep.empirical_variance - V)
     ok = (var_gap < var_band and rep.ks_pvalue > 0.01
           and abs(rep.mean) < mean_band)
-    _gate(6, "end-to-end fluctuations", ok,
-          f"empirical var {rep.empirical_variance:.6f} vs predicted "
-          f"{V:.6f} (gap {var_gap:.2e}, band {var_band:.2e}), "
-          f"ks p {rep.ks_pvalue:.2e} (min 0.01), "
-          f"|mean| {abs(rep.mean):.2e} (band {mean_band:.2e})")
+    detail = (f"empirical var {rep.empirical_variance:.6f} vs predicted "
+              f"{V:.6f} (gap {var_gap:.2e}, band {var_band:.2e}), "
+              f"ks p {rep.ks_pvalue:.2e} (min 0.01), "
+              f"|mean| {abs(rep.mean):.2e} (band {mean_band:.2e})")
+    # the release gate and the library's verdict must agree
+    if ok != rep.passed:
+        pytest.fail(f"[06] FAIL release gate and library disagree: check "
+                    f"06 gives pass={ok}, CltReport.passed={rep.passed}; "
+                    f"{detail}", pytrace=False)
+    _gate(6, "end-to-end fluctuations", ok, detail)
 
 
 def test_07_universality(clt_config, clt_gaussian):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, EigenSample, eigenvalues,
 from freemp.contour import default_contour, mean_statistic
 from freemp.freeconv import (FreeConvolution, stieltjes, stieltjes_batch,
                              stieltjes_rows, support_edges)
-from freemp.verify import (CSV_HEADER, CltReport, ExperimentConfig,
-                           GateTolerances, _clt_gates, _clt_replicate,
-                           _kolmogorov_sf, _map_tasks, check_edges,
-                           check_hat_rate, check_local_law, ks_normality,
-                           report_to_csv, report_to_json, run_clt_experiment)
+from freemp.verify import (CSV_HEADER, KS_MIN_SAMPLES, CltReport,
+                           ExperimentConfig, GateTolerances, _clt_gates,
+                           _clt_replicate, _kolmogorov_sf, _map_tasks,
+                           check_edges, check_hat_rate, check_local_law,
+                           ks_normality, report_to_csv, report_to_json,
+                           run_clt_experiment)
 from oracles import (ExactAtomicLaw, exact_empirical_measure, kolmogorov_sf,
                      mp_stieltjes)
 
@@ -84,7 +86,8 @@ class TestExperimentConfig:
                 (dict(N_list=(49,)), "at least 50"),
                 (dict(N_list=()), "exactly one size"),
                 (dict(N_list=(100, 200)), "exactly one size"),
-                (dict(replicates=99), "need at least 100"),
+                (dict(replicates=KS_MIN_SAMPLES - 1),
+                 f"need at least {KS_MIN_SAMPLES}"),
                 (dict(seed=-1), "64 bits"),
                 (dict(entry_law="cauchy"), "unknown entry law")):
             with pytest.raises(DomainError, match=fragment):
@@ -93,6 +96,14 @@ class TestExperimentConfig:
         with pytest.raises(DomainError,
                            match=r"margin d = 0.0 outside \(0, L_minus/10\)"):
             run_clt_experiment(cfg)
+
+    # the gate constants are GATES, not a per-run setting
+    def test_no_tolerances_field(self, uniform_half):
+        with pytest.raises(TypeError, match="tolerances"):
+            ExperimentConfig(gamma0=0.5, nu=uniform_half, f=F_IDENTITY,
+                             N_list=(100,), replicates=100, seed=1,
+                             tolerances=GateTolerances())
+        assert "tolerances" not in {f.name for f in fields(ExperimentConfig)}
 
 
 class TestKsNormality:
@@ -309,13 +320,30 @@ class TestCltGates:
         V, n, tol = 0.05, 500, GateTolerances()
         centered = norm.ppf((np.arange(n) + 0.5) / n) * math.sqrt(V)
         shifted = centered + 3.5 * math.sqrt(V / n)
-        assert _clt_gates(centered, V, tol)[2]
-        _, p, passed = _clt_gates(shifted, V, tol)
+        assert _clt_gates(centered, V)[2]
+        _, p, passed = _clt_gates(shifted, V)
         band = tol.variance_band * math.sqrt(2.0 / n)
         assert abs(np.var(shifted, ddof=1) / V - 1.0) < band
         assert p > tol.ks_pvalue_min
         assert abs(np.mean(shifted)) > tol.mean_band * math.sqrt(V / n)
         assert not passed
+
+    # the CLT run gates on GATES, as the local-law and rate checks do, and
+    # clt.json echoes the constants it gated on
+    @pytest.mark.parametrize("band", ["variance_band", "mean_band"])
+    def test_gates_on_shared_tolerances(self, clt_small, monkeypatch, band):
+        cfg, loose = clt_small
+        reps, V = cfg.replicates, loose.theoretical_variance
+        miss = (abs(loose.empirical_variance / V - 1.0) / math.sqrt(2.0 / reps)
+                if band == "variance_band"
+                else abs(loose.mean) / math.sqrt(V / reps))
+        strict_gates = GateTolerances(**{band: 0.5 * miss})
+        monkeypatch.setattr("freemp.verify.GATES", strict_gates)
+        strict = run_clt_experiment(cfg)
+        assert loose.passed and not strict.passed
+        assert strict.samples.tobytes() == loose.samples.tobytes()
+        echoed = json.loads(report_to_json(cfg, strict))["config"]
+        assert echoed["tolerances"] == asdict(strict_gates)
 
 
 class TestCltInvariants:
