@@ -7,9 +7,11 @@ Stieltjes transform m(z) of pi boxtimes MP_r is the unique solution of
 
 with Im m > 0 for Im z > 0.  The convolution equals (1 - r)^+ delta_0 plus an
 absolutely continuous part supported on [L_minus, L_plus]; the edges come from
-the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r, bisected on
-closed-form brackets (Silverstein & Choi, J. Multivariate Anal. 54, 1995);
-both brackets advance together, with one call of the transforms per step.
+the roots of h(x) = integral (x t / (1 - x t))^2 dpi(t) = 1/r (Silverstein &
+Choi, J. Multivariate Anal. 54, 1995), found by Anderson-Bjorck regula falsi
+(BIT 13, 1973) on brackets between the roots of point masses at the ends of
+the support, with a relative stop; both brackets advance together, with one
+call of the transforms per step.
 Every integral against pi is one of the base law's own transforms, S(m) =
 int t/(1+mt) dpi and T(m) = int t^2/(1+mt)^2 dpi; freeconv does not choose
 how to integrate.
@@ -22,9 +24,11 @@ real axis is solved as the conjugate of its mirror, m(conj z) = conj m(z)
 2010).  A point without a usable warm start is reached by per-point
 continuation in Im z from a height where -1/z is a good start, with the
 step ratio adapted to how Newton fares at each step (Dobriban,
-arXiv:1507.01649; Ledoit & Wolf's QuEST).  Each step is solved to the
-tolerance of its own height, so points that share a real part and a row
-share their steps until each leaves the common ladder for its own target;
+arXiv:1507.01649; Ledoit & Wolf's QuEST).  A step on the way down is
+accepted at a residual of 0.1 Im zeta, which keeps it a Stieltjes value
+near the ladder, and only the landing step is solved to the target's
+tolerance; points that share a real part and a row share their steps
+until each leaves the common ladder for its own target;
 this share, which covers a conjugate pair after its reflection, is the
 solver's one sharing rule, and a caller that wants each pair solved once
 passes one point of it.  Two final Newton steps land residuals near
@@ -37,6 +41,7 @@ continuation step and into the polish, so no m is evaluated twice in one
 solve.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,8 +57,9 @@ RESIDUAL_TOL = 1e-12          # backward error, relative to max(1, |z|)
 POLISH_TOL = 1e-14            # target of the two final Newton steps
 NEWTON_ITERS = 12             # Newton iterations per solve attempt
 FIRST_STEP_RATIO = 0.1        # first eta step of a continuation
+STEP_RESIDUAL = 0.1           # a step on the way down, relative to Im zeta
 MAX_STEP_RATIO = 0.99         # a step ratio rejected up to this stalls
-EDGE_BISECT_XTOL = 1e-12
+EDGE_ULPS = 4                 # width of a finished edge bracket, in ulp
 DERIV_SINGULAR_TOL = 1e-14
 
 
@@ -161,23 +167,30 @@ def _distinct(*cols):
     return first, back.ravel()
 
 
-def _shared_newton(laws, ratio, row, zeta, m, sums, share):
-    """_newton at each zeta from m to the tolerance of its own height,
-    RESIDUAL_TOL max(1, |zeta|).  With share, it runs once per distinct bit
-    pattern of (zeta, m, row) and the results are scattered back; a point's
-    result depends only on its own zeta, m and row, so sharing is exact.
-    Returns (m, res, (S, T), tol)."""
+def _shared_newton(laws, ratio, row, zeta, m, sums, tol, share):
+    """_newton at each zeta from m to its tolerance tol.  With share, it
+    runs once per distinct bit pattern of (zeta, m, row, tol) and the
+    results are scattered back; a point's result depends only on its own
+    zeta, m, row and tol, so sharing is exact.  Returns (m, res, (S, T))."""
     if share:
-        first, back = _distinct(zeta, m, row)
-        zeta, m, row = zeta[first], m[first], row[first]
+        first, back = _distinct(zeta, m, row, tol)
+        zeta, m, row, tol = zeta[first], m[first], row[first], tol[first]
         if sums is not None:
             sums = (sums[0][first], sums[1][first])
-    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(zeta))
     m, res, (s, t2) = _newton(laws, ratio, row, zeta, m, tol, NEWTON_ITERS,
                               sums)
     if share:
-        m, res, s, t2, tol = (v[back] for v in (m, res, s, t2, tol))
-    return m, res, (s, t2), tol
+        m, res, s, t2 = (v[back] for v in (m, res, s, t2))
+    return m, res, (s, t2)
+
+
+def _step_tol(zeta, land):
+    """The residual a continuation step at zeta is accepted at: the
+    solver's RESIDUAL_TOL max(1, |zeta|) where it lands on its target, and
+    on the way down the larger of that and STEP_RESIDUAL Im zeta, at which
+    m is the Stieltjes value of a point within 0.1 Im zeta of zeta."""
+    tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(zeta))
+    return np.where(land, tol, np.maximum(tol, STEP_RESIDUAL * zeta.imag))
 
 
 def _continuation(laws, ratio, row, z):
@@ -189,12 +202,18 @@ def _continuation(laws, ratio, row, z):
     ratio).  Every point steps eta down by its own ratio, squared after an
     accepted step and square-rooted after a rejected one; a step that would
     pass the target lands on it (for real z once it drops below the
-    resolution of z).  Each step is solved to the tolerance of its own
-    height, RESIDUAL_TOL max(1, |zeta|), which at the landing step is the
-    target's.  Points that share a real part and a row thus climb down one
-    ladder until each leaves it for its own target, and each step is
-    solved once for all of them (_shared_newton); a batch in which no two
-    points share both skips the search for shared steps.  Each point keeps
+    resolution of z).  A step on the way down only starts the next one, so
+    it is accepted at a residual of STEP_RESIDUAL Im zeta (never below the
+    landing's tolerance): its m then solves the equation exactly at
+    zeta - phi(m), at least 0.9 Im zeta above the real axis, and with the
+    half-plane check it is a Stieltjes value next to the ladder.  The
+    landing step is solved to the target's tolerance, RESIDUAL_TOL max(1,
+    |z|) (_step_tol).  Points that share a real part and a row thus climb
+    down one ladder until each leaves it for its own target, and each step
+    is solved once for all of them (_shared_newton), keyed by its
+    tolerance too, so a point landing on a height shares no step with one
+    passing through it; a batch in which no two points share both skips
+    the search for shared steps.  Each point keeps
     S and T of its accepted iterate and hands them to its next step, so a
     step evaluates only new iterates.  A point whose first step fails, or
     whose step ratio is rejected up to MAX_STEP_RATIO, stalls: it stops at
@@ -209,8 +228,9 @@ def _continuation(laws, ratio, row, z):
     # finds them without the peak memory of numpy's first sort
     share = len(set(zip(x.tolist(), row.tolist()))) < z.size
     zeta = x + 1j * eta
-    m, res, (s, t2), tol = _shared_newton(laws, ratio, row, zeta,
-                                          -1.0 / zeta, None, share)
+    tol = _step_tol(zeta, eta == a)
+    m, res, (s, t2) = _shared_newton(laws, ratio, row, zeta, -1.0 / zeta,
+                                     None, tol, share)
     # a stalled point's target a moves up to its stall height, so it
     # leaves the ladder (eta > a)
     stall = np.where(_solved(zeta, m, res, tol), 0.0, eta)
@@ -221,11 +241,12 @@ def _continuation(laws, ratio, row, z):
         if idx.size == 0:
             return m, (s, t2), stall, res
         nxt = eta[idx] * q[idx]
-        nxt = np.where(nxt <= floor[idx], a[idx], nxt)
+        land = nxt <= floor[idx]
+        nxt = np.where(land, a[idx], nxt)
         zt = x[idx] + 1j * nxt
-        mt, rt, (st, tt2), tt = _shared_newton(laws, ratio, row[idx], zt,
-                                               m[idx], (s[idx], t2[idx]),
-                                               share)
+        tt = _step_tol(zt, land)
+        mt, rt, (st, tt2) = _shared_newton(laws, ratio, row[idx], zt, m[idx],
+                                           (s[idx], t2[idx]), tt, share)
         ok = _solved(zt, mt, rt, tt)
         k = idx[ok]
         eta[k], m[k], res[idx] = nxt[ok], mt[ok], rt
@@ -445,46 +466,111 @@ def density(fc: FreeConvolution, x: float) -> float:
 # support edges
 
 def _find_edges(fc: FreeConvolution) -> SupportEdges:
-    """Edge roots of h(x) = x^2 T(-x) = 1/ratio by bisection on closed-form
-    brackets, on which h is monotone, and their values z(-x) = 1/x + ratio
-    S(-x).  Both brackets advance together: each step evaluates h at the
-    midpoints of the live ones in one transforms call.  A bracket runs from
-    a, where h < 1/ratio, to b, where h >= 1/ratio or h has a pole; neither
-    end is evaluated, and it stops once |b - a| <= EDGE_BISECT_XTOL or its
-    midpoint no longer splits it.  A root within EDGE_BISECT_XTOL of a pole
-    means h never reached 1/ratio.  A value depends on its own m alone, so
-    each root has the bits of a bisection of its bracket by itself."""
+    """Edge roots of h(x) = x^2 T(-x) = 1/ratio, and their values z(-x) =
+    1/x + ratio S(-x), by Anderson-Bjorck regula falsi (BIT 13, 1973) on
+    F = (h - 1/ratio) / (h + 1/ratio), which is -1 at h = 0 and +1 at a
+    pole of h.
+
+    Each root has a closed-form bracket on which h is monotone, between
+    the roots of point masses at t_min and t_max, clipped at the pole of
+    h; it is tight in relative terms at every ratio the support's ends
+    allow.  End 0 has F <= 0 and end 1 has F >= 0 or is the pole, where
+    F = 1 is not evaluated.  The first transforms call evaluates every
+    other end; each step then evaluates the live brackets' iterates in
+    one call.  Every third step bisects where the bracket has not halved
+    since the last such step (or since the start).  A bracket stops once
+    it is EDGE_ULPS ulp wide, relative to its ends, and its root is then
+    the end with the smaller |F|.  An end where F is 0, or has the sign
+    of the other end, is the root, and so is an end that an iterate falls
+    on (no longer splitting the bracket): a point mass at t_min, whose
+    bracket has width 0, takes its root from the first call.  Each root
+    is an evaluated end, whose S gives the edge value.  A bracket that
+    stops still ending at its pole means h never reached 1/ratio.  A value
+    depends on its own m alone, so each root has the bits of a search of
+    its bracket by itself."""
     t_min, t_max, target = fc.base.lo, fc.base.hi, 1.0 / fc.ratio
-    # right root (index 1): h(0) = 0 and h grows to its pole at 1/t_max.
-    # left root (index 0): between near and far, the root for a point mass
-    # at t_min.  ratio < 1: near is the pole 1/t_min; on x > 1/t_min,
-    # xt/(xt - 1) falls in t, so h(far) <= 1/ratio.  ratio > 1: near = 0
-    # with h(0) = 0; on x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >=
-    # 1/ratio.  Equality holds only for a point mass at t_min, whose root
-    # is far itself.
-    far = 1.0 / (t_min * (1.0 - math.sqrt(fc.ratio)))
-    left = (far, 1.0 / t_min) if fc.ratio < 1.0 else (0.0, far)
-    a, b = np.array([left[0], 0.0]), np.array([left[1], 1.0 / t_max])
-    ends, mid = b.copy(), 0.5 * (a + b)
-    while True:
-        live = np.flatnonzero((np.abs(b - a) > EDGE_BISECT_XTOL)
-                              & (a != mid) & (mid != b))
+    sr = math.sqrt(fc.ratio)
+    # a point mass at t has the roots 1/(t (1 +- sqrt(ratio))).  Right
+    # root (column 1): on 0 < x < 1/t_max, xt/(1 - xt) grows in t, so h
+    # lies between the h of point masses at t_min and t_max, and the root
+    # between their roots: h <= 1/ratio at t_max's (row 0), h >= 1/ratio
+    # at t_min's (row 1), clipped at the pole 1/t_max.  Left root (column
+    # 0), with 1 - sqrt(ratio): for ratio < 1, x > 1/t_min, where
+    # xt/(xt - 1) falls in t, so row 0 is t_min's root and row 1 t_max's,
+    # clipped at the pole 1/t_min; for ratio > 1, x < 0, where
+    # |x|t/(1 + |x|t) grows in t, so the rows swap, and h has no pole.
+    below, above = (t_min, t_max) if fc.ratio < 1.0 else (t_max, t_min)
+    pole = np.array([1.0 / t_min if fc.ratio < 1.0 else np.nan, 1.0 / t_max])
+    x = np.array([[1.0 / (below * (1.0 - sr)), 1.0 / (t_max * (1.0 + sr))],
+                  [1.0 / (above * (1.0 - sr)), 1.0 / (t_min * (1.0 + sr))]])
+    if fc.ratio < 1.0:
+        x[1, 0] = max(x[1, 0], pole[0])
+    x[1, 1] = min(x[1, 1], pole[1])
+    at_pole = x[1] == pole
+
+    def value(x):
+        """F and S at -x"""
+        sx, t2 = fc.base.transforms(-x)
+        return 1.0 - 2.0 * target / (x * x * t2 + target), sx
+
+    # g is F at each end and s is S there; f is the F that interpolation
+    # uses, scaled down at an end kept twice in a row
+    g, s = np.ones((2, 2)), np.full((2, 2), np.nan)
+    ends = np.concatenate([x[0], x[1, ~at_pole]])
+    v, sv = value(ends)
+    g[0], s[0] = v[:2], sv[:2]
+    g[1, ~at_pole], s[1, ~at_pole] = v[2:], sv[2:]
+    f = g.copy()
+    last = np.full(2, -1)               # the end each bracket moved last
+    alive = np.ones(2, bool)
+    width = np.abs(x[1] - x[0])
+    ref = width.copy()
+
+    def settle(i, end):
+        """the roots of brackets i lie at their ends end: both ends
+        become them"""
+        x[1 - end, i], g[1 - end, i] = x[end, i], g[end, i]
+        s[1 - end, i] = s[end, i]
+        alive[i] = False
+
+    for step in itertools.count():
+        # an end where F is 0, or has the sign of the other end, is a root
+        i = np.flatnonzero(alive & ~((g[0] < 0.0) & (g[1] > 0.0)))
+        settle(i, (g[0, i] < 0.0).astype(int))
+        alive &= width > EDGE_ULPS * np.finfo(float).eps * np.abs(x).max(0)
+        live = np.flatnonzero(alive)
+        a, b, fa, fb = x[0, live], x[1, live], f[0, live], f[1, live]
+        check = step % 3 == 2
+        c = np.where(check & (width[live] > 0.5 * ref[live]),
+                     0.5 * (a + b), a - fa * (b - a) / (fb - fa))
+        if check:
+            ref = width.copy()
+        # an iterate that falls on an end makes that end the root
+        split = (np.minimum(a, b) < c) & (c < np.maximum(a, b))
+        settle(live[~split], (c[~split] == b[~split]).astype(int))
+        live, c = live[split], c[split]
         if live.size == 0:
             break
-        x = mid[live]
-        below = x * x * fc.base.transforms(-x)[1] < target
-        a[live[below]] = x[below]
-        b[live[~below]] = x[~below]
-        mid = 0.5 * (a + b)
-    for i, what, pole in ((1, "right edge", True),
-                          (0, "left edge", fc.ratio < 1.0)):
-        if pole and abs(mid[i] - ends[i]) < EDGE_BISECT_XTOL:
+        vc, sc = value(c)
+        side = (vc > 0.0).astype(int)
+        # Anderson-Bjorck: an end kept twice in a row has its f scaled by
+        # 1 - F(c)/F(replaced end), or halved where that is not positive
+        w = 1.0 - vc / f[side, live]
+        f[1 - side, live] *= np.where(side != last[live], 1.0,
+                                      np.where(w > 0.0, w, 0.5))
+        x[side, live], g[side, live], f[side, live] = c, vc, vc
+        s[side, live], last[live] = sc, side
+        width[live] = np.abs(x[1, live] - x[0, live])
+    for i, what in ((1, "right edge"), (0, "left edge")):
+        if at_pole[i] and x[1, i] == pole[i]:
             raise EdgeBracketError(
                 f"{what}: h stays below 1/ratio = {target!r} up to its pole "
-                f"at x = {float(ends[i])!r}")
-    L = 1.0 / mid + fc.ratio * fc.base.transforms(-mid)[0]
-    edges = SupportEdges(*L.tolist(), *mid.tolist())
-    if not (0.0 < edges.L_minus < edges.L_plus):
+                f"at x = {float(pole[i])!r}")
+    k = (np.argmin(np.abs(g), axis=0), np.arange(2))
+    root = x[k]
+    L = 1.0 / root + fc.ratio * s[k]
+    edges = SupportEdges(*L.tolist(), *root.tolist())
+    if not (0.0 < edges.L_minus <= edges.L_plus):
         raise DomainError(f"edge values out of order: L_minus="
                           f"{edges.L_minus}, L_plus={edges.L_plus}")
     return edges
@@ -493,5 +579,6 @@ def _find_edges(fc: FreeConvolution) -> SupportEdges:
 def support_edges(fc: FreeConvolution) -> SupportEdges:
     """Outer edges of the absolutely continuous support (any gaps lie
     inside), computed once per FreeConvolution instance, on first use;
-    both brackets are bisected together (_find_edges)."""
+    both roots are searched together, to a few ulp relative to the roots
+    at every ratio (_find_edges)."""
     return fc._edge_data

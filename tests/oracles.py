@@ -45,25 +45,22 @@ reach, as an AtomicLaw of at most RULE_NODES atoms does, so alone or in a
 batched solve it takes the exact sums; exact_empirical_measure builds it
 from a sample, in place of rmt's empirical_measure.
 
-scalar_edges is the edge search as two scalar bisections, one m per
-transforms call: the left and right brackets one after the other.  The
-library's joint bisection must reproduce it bit for bit.
+precise_edges finds the edge roots and values to 40 digits with mpmath,
+from the atoms or the density of the law, not from its transforms.
 
 strict_json parses an artifact as strict JSON (RFC 8259), which has no
 Infinity or NaN: json.loads reads them, and strict_json refuses them.
 """
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate as sp_integrate
 
-from freemp.errors import (ContourError, ConvergenceError, DomainError,
-                           EdgeBracketError)
-from freemp.freeconv import (EDGE_BISECT_XTOL, SupportEdges, stieltjes_batch,
+from freemp.errors import ContourError, ConvergenceError, DomainError
+from freemp.freeconv import (SupportEdges, stieltjes_batch,
                              stieltjes_derivative_batch)
 from freemp.measures import (AtomicLaw, PopulationLaw, _rule_sums,
                              empirical_measure)
@@ -296,54 +293,58 @@ def uniform_edges(lo: float, hi: float,
     return edge_value(x_minus), edge_value(x_plus), x_minus, x_plus
 
 
-def _h_value(fc, x: float) -> float:
-    """h(x) = x^2 T(-x)."""
-    _, t2 = fc.base.transforms(np.array([-x]))
-    return float(x * x * t2[0])
+def precise_edges(law, ratio: float, dps: int = 40) -> SupportEdges:
+    """Edge roots of h(x) = int (x t/(1 - x t))^2 dnu = 1/ratio and their
+    values 1/x + ratio int t/(1 - x t) dnu, to dps digits with mpmath,
+    rounded to floats.  law is an AtomicLaw, summed over its atoms, or a
+    LinearLaw, integrated by mpmath's quad; neither touches the law's
+    transforms.  Each root lies between the roots 1/(t (1 +- sqrt(ratio)))
+    of point masses at lo and hi, and short of the poles 1/hi and 1/lo of
+    h; mpmath's Anderson-Bjorck solver finds it there, on (r h - 1)/(r h +
+    1)."""
+    import mpmath as mp
 
+    with mp.workdps(dps):
+        r, sr = mp.mpf(ratio), mp.sqrt(mp.mpf(ratio))
+        lo, hi = mp.mpf(law.lo), mp.mpf(law.hi)
+        if isinstance(law, AtomicLaw):
+            atoms = [(mp.mpf(float(t)), mp.mpf(float(w)))
+                     for t, w in zip(law.locs, law.weights)]
 
-def _edge_value(fc, x: float) -> float:
-    """z(-x) = 1/x + ratio S(-x), the edge at the root x."""
-    s, _ = fc.base.transforms(np.array([-x]))
-    return float(1.0 / x + fc.ratio * s[0])
-
-
-def _bisect_h(fc, a, b, pole, what):
-    """Bisection for h = 1/ratio between a, where h < 1/ratio, and b, where
-    h >= 1/ratio or, if pole, h has a pole; neither end is evaluated.  A root
-    within EDGE_BISECT_XTOL of the pole means h never reached 1/ratio."""
-    target, end, mid = 1.0 / fc.ratio, b, 0.5 * (a + b)
-    while abs(b - a) > EDGE_BISECT_XTOL and a != mid != b:
-        if _h_value(fc, mid) < target:
-            a = mid
+            def integral(g):
+                return mp.fsum(w * g(t) for t, w in atoms)
         else:
-            b = mid
-        mid = 0.5 * (a + b)
-    if pole and abs(mid - end) < EDGE_BISECT_XTOL:
-        raise EdgeBracketError(f"{what}: h stays below 1/ratio = {target!r} "
-                               f"up to its pole at x = {end!r}")
-    return mid
+            a1 = mp.mpf(law.slope)
+            a0 = 1 / (hi - lo) - a1 * (hi - lo) / 2
 
+            def integral(g):
+                return mp.quad(lambda t: (a0 + a1 * (t - lo)) * g(t),
+                               [lo, hi])
 
-def scalar_edges(fc) -> SupportEdges:
-    """Edge roots of h = 1/ratio by bisection on closed-form brackets, on
-    which h is monotone, and their values z(-x)."""
-    t_min, t_max = fc.base.lo, fc.base.hi
-    # right root: h(0) = 0 and h grows to its pole at 1/t_max
-    x_plus = _bisect_h(fc, 0.0, 1.0 / t_max, True, "right edge")
-    # left root: between near and far, the root for a point mass at t_min.
-    # ratio < 1: near is the pole 1/t_min; on x > 1/t_min, xt/(xt - 1) falls
-    # in t, so h(far) <= 1/ratio.  ratio > 1: near = 0 with h(0) = 0; on
-    # x < 0, |x|t/(1 + |x|t) grows in t, so h(far) >= 1/ratio.  Equality
-    # holds only for a point mass at t_min, whose root is far itself.
-    far = 1.0 / (t_min * (1.0 - math.sqrt(fc.ratio)))
-    if fc.ratio < 1.0:
-        x_minus = _bisect_h(fc, far, 1.0 / t_min, True, "left edge")
-    else:
-        x_minus = _bisect_h(fc, 0.0, far, False, "left edge")
-    return SupportEdges(L_minus=_edge_value(fc, x_minus),
-                        L_plus=_edge_value(fc, x_plus),
-                        x_minus=x_minus, x_plus=x_plus)
+        def excess(x):
+            """(r h - 1)/(r h + 1), which stays finite up to a pole"""
+            rh = r * integral(lambda t: (x * t / (1 - x * t)) ** 2)
+            return (rh - 1) / (rh + 1)
+
+        def root(a, b):
+            """the root between a and b, solved in units of |a|: the
+            solver's stop is absolute"""
+            if a == b:
+                return a
+            u = mp.findroot(lambda u: excess(u * abs(a)),
+                            (a / abs(a), b / abs(a)), solver="anderson")
+            return u * abs(a)
+
+        inside = 1 - mp.mpf(10) ** (-dps // 2)    # a pole of h, nudged in
+        x_plus = root(1 / (hi * (1 + sr)),
+                      min(1 / (lo * (1 + sr)), inside / hi))
+        near = 1 / (hi * (1 - sr))
+        x_minus = root(1 / (lo * (1 - sr)),
+                       max(near, 1 / (inside * lo)) if ratio < 1.0 else near)
+        values = [1 / x + r * integral(lambda t: t / (1 - x * t))
+                  for x in (x_minus, x_plus)]
+        return SupportEdges(*(float(v) for v in values), float(x_minus),
+                            float(x_plus))
 
 
 def _mp_roots(z: complex, r: float) -> tuple[complex, complex]:

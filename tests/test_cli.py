@@ -15,7 +15,7 @@ from freemp.rmt import (ENTRY_LAWS, DataMatrixSpec, eigenvalues,
                         sample_data_matrix)
 from freemp.verify import json_artifact, run_clt_experiment
 
-from oracles import strict_json
+from oracles import precise_edges, strict_json
 
 
 class TestParseConfig:
@@ -133,6 +133,19 @@ class TestDispatch:
         assert doc["x_plus"] == pytest.approx(2.0 / 3.0, abs=1e-8)
         assert doc["config"]["nu"] == "dirac:1.0"
         assert doc["config"]["seed"] == 0
+
+    # at ratio 1e300 the roots lie near -+1e-150 and the support is
+    # narrower than the float spacing of its edges, which round to one value
+    def test_edges_at_huge_ratio(self, tmp_path):
+        code = main(["edges", "--gamma0", "1e300", "--nu", "uniform:0.5,1",
+                     "--output", str(tmp_path)])
+        assert code == 0
+        doc = strict_json((tmp_path / "edges.json").read_text())
+        want = precise_edges(LinearLaw(0.5, 1.0), 1e300)
+        assert 1e-151 < doc["x_plus"] < 1e-149
+        for key in ("x_minus", "x_plus", "L_minus", "L_plus"):
+            assert doc[key] == pytest.approx(getattr(want, key), rel=1e-15)
+        assert doc["L_minus"] <= doc["L_plus"]
 
     def test_density_mass(self, tmp_path):
         code = main(["density", "--gamma0", "0.25", "--nu", "dirac:1",
